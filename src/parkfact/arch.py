@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 from .factorizations import Factorization
 from .permutations import FullCycle, Transposition
+from .polynomials import json_fields
 
 Arc = tuple[int, int, int]  # (left position, right position, label)
 
@@ -243,7 +244,7 @@ def arch_to_json(diagram: ArchDiagram) -> dict:
 
 
 def arch_from_json(obj: dict) -> ArchDiagram:
+    n, arcs = json_fields(obj, "n", "arcs")
     return ArchDiagram(
-        int(obj["n"]) + 1,
-        tuple((int(l), int(r), int(label)) for l, r, label in obj["arcs"]),
+        int(n) + 1, tuple((int(l), int(r), int(label)) for l, r, label in arcs)
     )

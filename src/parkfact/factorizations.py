@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .permutations import FullCycle, Permutation, Transposition, compose
-from .polynomials import BivariatePoly
+from .polynomials import BivariatePoly, json_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,7 +355,7 @@ def factorization_to_json(f: Factorization) -> dict:
 
 
 def factorization_from_json(obj: dict) -> Factorization:
+    n, factors = json_fields(obj, "n", "factors")
     return Factorization(
-        tuple(Transposition(int(a), int(b)) for a, b in obj["factors"]),
-        int(obj["n"]),
+        tuple(Transposition(int(a), int(b)) for a, b in factors), int(n)
     )

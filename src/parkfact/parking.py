@@ -6,6 +6,9 @@ paths (weakly below, resp. above, the diagonal) with equal-height labels
 written in decreasing order left to right.  The bounce machinery computes
 the diagonal contact points together with the label sets C_v / D_v that
 turn a parking function into a rooted tree.
+
+Kernels (the generator, bounce, the parking process) run on raw entry
+tuples; validated values are built only by the public functions.
 """
 
 from __future__ import annotations
@@ -13,12 +16,13 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product as _cartesian
+from itertools import accumulate, chain
 from typing import Iterator, NamedTuple, Union
 
-from .polynomials import BivariatePoly
-from .trees import LabelledTree
+from .polynomials import BivariatePoly, json_fields
+from .trees import LabelledTree, tree_count as parking_count
 
 
 def _counting_test(entries, n: int) -> bool:
@@ -183,15 +187,18 @@ def to_path(value: Sequencelike) -> LabelledDyckPath:
     """Labelled-path view: the j-th horizontal step sits at the j-th
     smallest entry, and steps of equal height carry their index labels in
     decreasing order."""
-    entries = value.entries
-    heights = []
-    labels = []
-    for h in sorted(set(entries)):
-        group = sorted((i + 1 for i, a in enumerate(entries) if a == h), reverse=True)
-        heights.extend([h] * len(group))
-        labels.extend(group)
+    groups = _label_groups(value.entries)
+    heights = tuple(h for h, group in enumerate(groups) for _ in group)
     side = "below" if isinstance(value, ParkingFunction) else "above"
-    return LabelledDyckPath(tuple(heights), tuple(labels), side)
+    return LabelledDyckPath(heights, tuple(chain.from_iterable(groups)), side)
+
+
+def _label_groups(entries: tuple[int, ...]) -> list[list[int]]:
+    """groups[h] lists the labels i with a_i = h in decreasing order, h <= n."""
+    groups: list[list[int]] = [[] for _ in range(len(entries) + 1)]
+    for label in range(len(entries), 0, -1):
+        groups[entries[label - 1]].append(label)
+    return groups
 
 
 def from_path(path: LabelledDyckPath) -> Sequencelike:
@@ -223,39 +230,43 @@ class BounceData:
     D: tuple[frozenset[int], ...]
 
 
-def _bounce_contacts(entries: tuple[int, ...]) -> tuple[int, ...]:
-    # closed form of the bouncing ball: next contact counts entries <= current
+def _bounce_kernel(entries: tuple[int, ...]):
+    """(contacts, w, groups, masks, bounce, pinv) of a parking tuple.
+
+    groups[i] is the C set of the vertex w[i]; masks[v] holds D[v] with
+    bit x for label x.  bounce comes from the contacts and must equal the
+    total size of the D sets; the two routes are compared on every call.
+    """
     n = len(entries)
-    ordered = sorted(entries)
+    groups = _label_groups(entries)
+    w = [0, *chain.from_iterable(groups)]
+    reach = list(accumulate(map(len, groups)))  # reach[h] = #{entries <= h}
     contacts = [0]
+    value = n
     while contacts[-1] < n:
-        level = contacts[-1]
-        nxt = sum(1 for a in ordered if a <= level)
-        if nxt <= level:
+        nxt = reach[contacts[-1]]
+        if nxt <= contacts[-1]:
             raise AssertionError(f"bounce stalled on {entries}")
         contacts.append(nxt)
-    return tuple(contacts)
+        value += n - nxt
+
+    masks = [0] * (n + 1)
+    via_d = below = 0
+    for i in range(n, -1, -1):
+        mask = 0
+        for j in groups[i]:
+            mask |= masks[j] | 1 << j
+        v = w[i]
+        masks[v] = mask
+        via_d += mask.bit_count()
+        below += (mask & ((1 << v) - 1)).bit_count()
+    if value != via_d:
+        raise AssertionError(f"bounce routes disagree on {entries}: {value} vs {via_d}")
+    return contacts, w, groups, masks, value, below
 
 
 def cd_sets(p: ParkingFunction) -> BounceData:
-    n = p.n
-    path = to_path(p)
-    w = (0, *path.labels)
-    at_height: list[list[int]] = [[] for _ in range(n + 1)]
-    for h, label in zip(path.heights, path.labels):
-        at_height[h].append(label)
-
-    C: list[tuple[int, ...]] = [()] * (n + 1)
-    D: list[frozenset[int]] = [frozenset()] * (n + 1)
-    for i in range(n, -1, -1):
-        vertex = w[i]
-        group = tuple(at_height[i])
-        C[vertex] = group
-        acc = set(group)
-        for j in group:
-            acc |= D[j]
-        D[vertex] = frozenset(acc)
-    return BounceData(_bounce_contacts(p.entries), w, tuple(C), tuple(D))
+    return bounce(p)[0]
 
 
 def bounce(p: ParkingFunction) -> tuple[BounceData, int]:
@@ -264,22 +275,21 @@ def bounce(p: ParkingFunction) -> tuple[BounceData, int]:
     The same number must come out as the total size of the D sets; the
     two routes are compared on every call.
     """
-    data = cd_sets(p)
-    n = p.n
-    value = sum(n - i for i in data.contacts)
-    via_d = sum(len(d) for d in data.D)
-    if value != via_d:
-        raise AssertionError(f"bounce routes disagree on {p}: {value} vs {via_d}")
-    return data, value
+    contacts, w, groups, masks, value, _ = _bounce_kernel(p.entries)
+    C: list[tuple[int, ...]] = [()] * (p.n + 1)
+    for vertex, group in zip(w, groups):
+        C[vertex] = tuple(group)
+    D = tuple(frozenset(x for x in range(p.n + 1) if mask >> x & 1) for mask in masks)
+    return BounceData(tuple(contacts), tuple(w), tuple(C), D), value
 
 
 def theta(p: ParkingFunction) -> LabelledTree:
     """The tree whose vertex v has children C[v]; a bijection onto trees."""
-    data = cd_sets(p)
+    _, w, groups, _, _, _ = _bounce_kernel(p.entries)
     parent = [0] * (p.n + 1)
-    for v in range(p.n + 1):
-        for child in data.C[v]:
-            parent[child] = v
+    for vertex, group in zip(w, groups):
+        for child in group:
+            parent[child] = vertex
     return LabelledTree(tuple(parent))
 
 
@@ -306,14 +316,13 @@ def theta_inverse(tree: LabelledTree) -> ParkingFunction:
 
 def pinv(p: ParkingFunction) -> int:
     """Sum over vertices of the D-elements smaller than the vertex."""
-    data = cd_sets(p)
-    return sum(sum(1 for x in data.D[v] if x < v) for v in range(p.n + 1))
+    return _bounce_kernel(p.entries)[5]
 
 
 def copinv(p: ParkingFunction) -> int:
     """Sum over vertices of the D-elements larger than the vertex."""
-    data = cd_sets(p)
-    return sum(sum(1 for x in data.D[v] if x > v) for v in range(p.n + 1))
+    _, _, _, _, value, below = _bounce_kernel(p.entries)
+    return value - below
 
 
 # ------------------------------------------------------- parking process
@@ -333,10 +342,14 @@ def park_process(p: ParkingFunction) -> ParkProcess:
     car i ends up, measured right after it parks.  The lot is unbounded
     to the west, so d_i may be negative.
     """
+    return ParkProcess(*_park_kernel(p.entries))
+
+
+def _park_kernel(entries: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
     occupied: set[int] = set()
     stalls = []
     jump = cojump = 0
-    for a in p.entries:
+    for a in entries:
         c = a
         while c in occupied:
             c += 1
@@ -347,26 +360,42 @@ def park_process(p: ParkingFunction) -> ParkProcess:
         while d in occupied:
             d -= 1
         cojump += a - d
-    if occupied != set(range(p.n)):
-        raise AssertionError(f"parking process left gaps for {p}")
-    return ParkProcess(tuple(stalls), jump, cojump)
+    if occupied != set(range(len(entries))):
+        raise AssertionError(f"parking process left gaps for {entries}")
+    return tuple(stalls), jump, cojump
 
 
 # ------------------------------------------------------------ enumeration
 
 
-def parking_count(n: int) -> int:
-    return 1 if n == 0 else (n + 1) ** (n - 1)
+def _parking_tuples(n: int) -> Iterator[tuple[int, ...]]:
+    """Parking tuples of length n in lexicographic order, none discarded.
+
+    With r slots free, a prefix completes (with zeros) iff every
+    slack[i] = #{entries < i} + r - i is >= 0.  Placing a lowers slack[1..a],
+    so a position may rise to a only while slack[a] > 0 (slack[n] stays 0).
+    """
+    entries = [0] * n
+    slack = [n - i for i in range(n + 1)]
+    while True:
+        yield tuple(entries)
+        j = n - 1
+        while j >= 0 and not slack[entries[j] + 1]:
+            for i in range(1, entries[j] + 1):
+                slack[i] += 1
+            entries[j] = 0
+            j -= 1
+        if j < 0:
+            return
+        entries[j] += 1
+        slack[entries[j]] -= 1
 
 
 def enumerate_parking(n: int) -> Iterator[ParkingFunction]:
-    """All parking functions of length n, in lexicographic order."""
-    if n == 0:
-        yield ParkingFunction(())
-        return
-    for entries in _cartesian(range(n), repeat=n):
-        if is_parking(entries):
-            yield ParkingFunction(entries)
+    """All parking functions of length n, in lexicographic order; the generator
+    admits each by counting, and ParkingFunction rechecks it sorted."""
+    for entries in _parking_tuples(n):
+        yield ParkingFunction(entries)
 
 
 def enumerate_majors(n: int) -> Iterator[MajorSequence]:
@@ -388,26 +417,18 @@ def parking_enumerators(n: int) -> ParkingEnumerators:
     All four are exact sums over the full family; area and bounce are
     univariate and stored in q.
     """
-    area_acc: dict[tuple[int, int], int] = {}
-    bounce_acc: dict[tuple[int, int], int] = {}
-    jump_acc: dict[tuple[int, int], int] = {}
-    pinv_acc: dict[tuple[int, int], int] = {}
-    for p in enumerate_parking(n):
-        a = area(p)
-        area_acc[(a, 0)] = area_acc.get((a, 0), 0) + 1
-        data, b = bounce(p)
-        bounce_acc[(b, 0)] = bounce_acc.get((b, 0), 0) + 1
-        binv = sum(sum(1 for x in data.D[v] if x < v) for v in range(n + 1))
-        cobinv = sum(len(data.D[v]) for v in range(n + 1)) - binv
-        pinv_acc[(binv, cobinv)] = pinv_acc.get((binv, cobinv), 0) + 1
-        proc = park_process(p)
-        key = (proc.jump, proc.cojump)
-        jump_acc[key] = jump_acc.get(key, 0) + 1
+    counts: Counter[tuple[int, ...]] = Counter()
+    top = math.comb(n, 2)
+    for entries in _parking_tuples(n):
+        *_, b, below = _bounce_kernel(entries)
+        _, jump, cojump = _park_kernel(entries)
+        counts[top - sum(entries), b, below, jump, cojump] += 1
+    rows = counts.items()
     return ParkingEnumerators(
-        BivariatePoly(area_acc),
-        BivariatePoly(bounce_acc),
-        BivariatePoly(jump_acc),
-        BivariatePoly(pinv_acc),
+        BivariatePoly(((a, 0), c) for (a, *_), c in rows),
+        BivariatePoly(((b, 0), c) for (_, b, *_), c in rows),
+        BivariatePoly(((jump, cojump), c) for (*_, jump, cojump), c in rows),
+        BivariatePoly(((below, b - below), c) for (_, b, below, *_), c in rows),
     )
 
 
@@ -435,11 +456,12 @@ def sequence_to_json(value: Sequencelike) -> dict:
 
 
 def sequence_from_json(obj: dict) -> Sequencelike:
-    entries = tuple(int(x) for x in obj["entries"])
-    if len(entries) != int(obj["n"]):
+    n, raw, kind = json_fields(obj, "n", "entries", "kind")
+    entries = tuple(int(x) for x in raw)
+    if len(entries) != int(n):
         raise ValueError("n does not match entries length")
-    if obj["kind"] == "parking":
+    if kind == "parking":
         return ParkingFunction(entries)
-    if obj["kind"] == "major":
+    if kind == "major":
         return MajorSequence(entries)
-    raise ValueError(f"unknown kind {obj['kind']!r}")
+    raise ValueError(f"unknown kind {kind!r}")

@@ -88,6 +88,8 @@ class BivariatePoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {(0, 0)}:  # a constant hashes like its int
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     # --------------------------------------------------------- arithmetic
@@ -243,6 +245,14 @@ class BivariatePoly:
         return cls(((int(r["q"]), int(r["t"])), int(r["c"])) for r in records)
 
 
+def json_fields(obj, *keys) -> tuple:
+    """The values under `keys` of a decoded JSON object, read by every
+    *_from_json; a non-object or a missing key is bad input (ValueError)."""
+    if not isinstance(obj, dict) or not obj.keys() >= set(keys):
+        raise ValueError(f"expected a JSON object with keys {', '.join(keys)}")
+    return tuple(obj[key] for key in keys)
+
+
 # ----------------------------------------------------------------- families
 
 
@@ -294,8 +304,10 @@ def tree_recursion_I(n_max: int) -> list[BivariatePoly]:
     """I_0 .. I_n_max computed purely by the convolution recursion.
 
     I_(n+1) = sum over i of binom(n,i) * t * qt_bracket(i+1) * I_i * I_(n-i),
-    with I_0 = 1.  No object enumeration happens here; the trees module
-    recomputes the same polynomials by brute force as a cross-check.
+    with I_0 = 1.  The terms for i and n-i share binom(n,i) * I_i * I_(n-i),
+    so each pair costs one large product, and the small bracket factor is
+    multiplied in last.  No object enumeration happens here; the trees
+    module recomputes the same polynomials by brute force as a cross-check.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -303,9 +315,8 @@ def tree_recursion_I(n_max: int) -> list[BivariatePoly]:
     series = [BivariatePoly.one()]
     for n in range(n_max):
         total = BivariatePoly.zero()
-        for i in range(n + 1):
-            total = total + (
-                math.comb(n, i) * t * qt_bracket(i + 1) * series[i] * series[n - i]
-            )
+        for i in range(n // 2 + 1):
+            pair = qt_bracket(i + 1) + (qt_bracket(n - i + 1) if 2 * i < n else 0)
+            total = total + series[i] * series[n - i] * (math.comb(n, i) * t * pair)
         series.append(total)
     return series

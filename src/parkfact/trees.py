@@ -1,21 +1,20 @@
 """Labelled rooted trees on [n] and their inversion statistics.
 
 Trees are parent vectors rooted at 0 (parent[0] is the self-sentinel and
-is omitted by serializers).  Enumeration is exhaustive: a direct
-parent-vector sweep for small n and Pruefer-sequence unranking beyond
-that, with a cross-check test keeping the two honest.
+is omitted by serializers).  Enumeration is exhaustive: every index in
+[0, (n+1)^(n-1)) is unranked to a Pruefer sequence and decoded in linear
+time, so any index range can be listed on its own.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Iterator
 
-from .polynomials import BivariatePoly
-
-_NAIVE_LIMIT = 4
+from .polynomials import BivariatePoly, json_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,29 +74,19 @@ def tree_count(n: int) -> int:
     return 1 if n == 0 else (n + 1) ** (n - 1)
 
 
-def _enumerate_trees_naive(n: int) -> Iterator[LabelledTree]:
-    """Sweep all parent vectors and keep the acyclic ones."""
-    if n == 0:
-        yield LabelledTree((0,))
-        return
-    for tail in _cartesian(range(n + 1), repeat=n):
-        parent = (0, *tail)
-        if _reaches_root(parent):
-            yield LabelledTree(parent)
-
-
 def _pruefer_to_parent(seq: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """Decode a Pruefer sequence over [0, m-1] into a parent vector on 0."""
+    """Decode a Pruefer sequence over [0, m-1] into a parent vector on 0:
+    linear decode rooted at m-1, then reverse the path from 0 to m-1."""
     degree = [1] * m
     for x in seq:
         degree[x] += 1
-    edges = []
+    parent = [0] * m
     ptr = 0
     while degree[ptr] != 1:
         ptr += 1
     leaf = ptr
     for x in seq:
-        edges.append((leaf, x))
+        parent[leaf] = x
         degree[x] -= 1
         if degree[x] == 1 and x < ptr:
             leaf = x
@@ -106,23 +95,12 @@ def _pruefer_to_parent(seq: tuple[int, ...], m: int) -> tuple[int, ...]:
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    edges.append((leaf, m - 1))
+    parent[leaf] = root = m - 1
 
-    adjacency: list[list[int]] = [[] for _ in range(m)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    parent = [0] * m
-    stack = [0]
-    seen = [False] * m
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                stack.append(v)
+    v = prev = 0
+    while v != root:
+        parent[v], prev, v = prev, v, parent[v]
+    parent[root] = prev
     return tuple(parent)
 
 
@@ -131,10 +109,6 @@ def unrank_tree(n: int, index: int) -> LabelledTree:
     total = tree_count(n)
     if not 0 <= index < total:
         raise ValueError(f"index {index} outside [0, {total})")
-    if n == 0:
-        return LabelledTree((0,))
-    if n == 1:
-        return LabelledTree((0, 0))
     digits = []
     x = index
     for _ in range(n - 1):
@@ -143,20 +117,13 @@ def unrank_tree(n: int, index: int) -> LabelledTree:
     return LabelledTree(_pruefer_to_parent(tuple(digits), n + 1))
 
 
-def _enumerate_trees_pruefer(n: int) -> Iterator[LabelledTree]:
-    for index in range(tree_count(n)):
-        yield unrank_tree(n, index)
-
-
 def enumerate_trees(n: int) -> Iterator[LabelledTree]:
-    """Every tree on [n] rooted at 0, exactly once.
+    """unrank_tree(n, 0), unrank_tree(n, 1), ...: every tree on [n] once.
 
-    Small n uses the parent-vector sweep; larger n the Pruefer unranking.
     Ranges can be consumed in parallel via unrank_tree.
     """
-    if n <= _NAIVE_LIMIT:
-        return _enumerate_trees_naive(n)
-    return _enumerate_trees_pruefer(n)
+    for digits in _cartesian(range(n + 1), repeat=max(n - 1, 0)):
+        yield LabelledTree(_pruefer_to_parent(digits[::-1], n + 1))
 
 
 # -------------------------------------------------------------- statistics
@@ -201,21 +168,13 @@ def depth(tree: LabelledTree) -> int:
 @functools.cache
 def inversion_enumerator(n: int) -> BivariatePoly:
     """I_n(q,t) = sum over trees of q^inv t^coinv, by brute force."""
-    acc: dict[tuple[int, int], int] = {}
-    for tree in enumerate_trees(n):
-        i, c, _ = tree_stats(tree)
-        acc[(i, c)] = acc.get((i, c), 0) + 1
-    return BivariatePoly(acc)
+    return BivariatePoly(Counter(tree_stats(tree)[:2] for tree in enumerate_trees(n)))
 
 
 @functools.cache
 def depth_enumerator(n: int) -> BivariatePoly:
     """D_n(q) = sum over trees of q^depth (univariate, stored in q)."""
-    acc: dict[tuple[int, int], int] = {}
-    for tree in enumerate_trees(n):
-        _, _, d = tree_stats(tree)
-        acc[(d, 0)] = acc.get((d, 0), 0) + 1
-    return BivariatePoly(acc)
+    return BivariatePoly(Counter((tree_stats(tree)[2], 0) for tree in enumerate_trees(n)))
 
 
 # -------------------------------------------------------------- text forms
@@ -236,15 +195,16 @@ def parse_tree(text: str) -> LabelledTree:
             continue
         vertex_text, _, parent_text = cell.partition(":")
         v = int(vertex_text)
-        if v == 0:
-            if parent_text.strip() not in ("-", "0", ""):
-                raise ValueError("vertex 0 is the root; its parent must be '-'")
-            continue
-        entries[v] = int(parent_text)
-    m = len(entries) + 1
-    if sorted(entries) != list(range(1, m)):
-        raise ValueError(f"vertices must be exactly 1..{m - 1}: {sorted(entries)}")
-    return LabelledTree((0, *(entries[v] for v in range(1, m))))
+        if v in entries:
+            raise ValueError(f"vertex {v} is listed twice")
+        if v == 0 and parent_text.strip() not in ("-", "0", ""):
+            raise ValueError("vertex 0 is the root; its parent must be '-'")
+        entries[v] = 0 if v == 0 else int(parent_text)
+    entries.setdefault(0, 0)
+    m = len(entries)
+    if sorted(entries) != list(range(m)):
+        raise ValueError(f"vertices must be exactly 1..{m - 1}: {sorted(entries.keys() - {0})}")
+    return LabelledTree(tuple(entries[v] for v in range(m)))
 
 
 def tree_to_json(tree: LabelledTree) -> dict:
@@ -252,7 +212,8 @@ def tree_to_json(tree: LabelledTree) -> dict:
 
 
 def tree_from_json(obj: dict) -> LabelledTree:
-    parent = (0, *(int(x) for x in obj["parent"]))
-    if len(parent) != int(obj["n"]) + 1:
+    n, raw = json_fields(obj, "n", "parent")
+    parent = (0, *(int(x) for x in raw))
+    if len(parent) != int(n) + 1:
         raise ValueError("n does not match parent length")
     return LabelledTree(parent)

@@ -219,6 +219,11 @@ class TestJson:
         assert obj["n"] == 5
         assert arch_from_json(obj) == d
 
+    def test_missing_key_or_non_object(self):
+        for obj in ({"n": 1}, [1]):
+            with pytest.raises(ValueError, match="JSON object with keys n, arcs"):
+                arch_from_json(obj)
+
     def test_label_validation(self):
         with pytest.raises(ValueError):
             diagram(3, (0, 1, 1), (1, 2, 3))

@@ -110,6 +110,15 @@ class TestMap:
         assert code == 1
         assert "error" in err
 
+    def test_malformed_input_is_one_error_line(self, capsys):
+        for argv in (
+            ("map", "--via", "fact", "--input", '{"n":1}'),
+            ("map", "--via", "theta-inverse", "--input", "0:-,1:0,1:0,2:1"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_non_unimodal_sigma_exits_one(self, capsys):
         code, _, err = run(capsys, "map", "--via", "l-inverse",
                            "--input", "0,0,0", "--sigma", "0 2 1 3")

@@ -316,3 +316,7 @@ class TestTextForms:
         obj = factorization_to_json(F9)
         assert obj["n"] == 9
         assert factorization_from_json(obj) == F9
+
+    def test_json_missing_key(self):
+        with pytest.raises(ValueError, match="keys n, factors"):
+            factorization_from_json({"n": 9})

@@ -1,11 +1,16 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import parking_by_sweep
 
 from parkfact.parking import (
     LabelledDyckPath,
     MajorSequence,
+    ParkingEnumerators,
     ParkingFunction,
+    _bounce_kernel,
+    _park_kernel,
+    _parking_tuples,
     area,
     bounce,
     cd_sets,
@@ -60,6 +65,12 @@ class TestMembership:
     def test_counts(self):
         for n in range(6):
             assert sum(1 for _ in enumerate_parking(n)) == parking_count(n)
+
+    def test_raw_stream_is_the_filtered_sweep(self):
+        # runs both routes of is_parking on every word of [0, n)^n
+        for n in range(1, 7):
+            assert list(_parking_tuples(n)) == list(parking_by_sweep(n))
+        assert list(_parking_tuples(0)) == [()]
 
     def test_complement_is_a_bijection(self):
         for n in range(6):
@@ -165,6 +176,11 @@ class TestBounce:
                     assert union == {data.w[m] for m in range(hi + 1, n + 1)}
                     assert len(union) == n - hi
 
+    def test_stall_is_an_internal_error(self):
+        # (1, 1) is not parking: the ball finds no entry at height 0
+        with pytest.raises(AssertionError, match="stalled"):
+            _bounce_kernel((1, 1))
+
     def test_self_exclusion(self):
         for p in enumerate_parking(4):
             data, _ = bounce(p)
@@ -230,9 +246,14 @@ class TestTheta:
         assert copinv(P9) == 14
 
     def test_pinv_plus_copinv_is_bounce(self):
-        for n in range(5):
+        # the bitmask counts against the D sets, element by element
+        for n in range(7):
             for p in enumerate_parking(n):
-                assert pinv(p) + copinv(p) == bounce(p)[1]
+                data, value = bounce(p)
+                below = sum(1 for v in range(n + 1) for x in data.D[v] if x < v)
+                above = sum(1 for v in range(n + 1) for x in data.D[v] if x > v)
+                assert (pinv(p), copinv(p)) == (below, above)
+                assert below + above == value
 
 
 class TestParkProcess:
@@ -255,6 +276,26 @@ class TestParkProcess:
         for n in range(6):
             for p in enumerate_parking(n):
                 assert park_process(p).jump == area(p)
+
+    def test_gaps_are_an_internal_error(self):
+        # (1, 1) is not parking: the cars end in stalls 1 and 2
+        with pytest.raises(AssertionError, match="gaps"):
+            _park_kernel((1, 1))
+
+    def test_enumerators_are_sums_of_per_object_statistics(self):
+        for n in range(7):
+            acc = {name: {} for name in ParkingEnumerators._fields}
+            for p in enumerate_parking(n):
+                proc = park_process(p)
+                for name, key in (
+                    ("area", (area(p), 0)),
+                    ("bounce", (bounce(p)[1], 0)),
+                    ("jump_cojump", (proc.jump, proc.cojump)),
+                    ("pinv_copinv", (pinv(p), copinv(p))),
+                ):
+                    acc[name][key] = acc[name].get(key, 0) + 1
+            expected = ParkingEnumerators(*(BivariatePoly(acc[f]) for f in acc))
+            assert parking_enumerators(n) == expected
 
     def test_enumerators(self):
         enums = parking_enumerators(2)
@@ -280,3 +321,7 @@ class TestTextForms:
         obj = sequence_to_json(M9)
         assert obj["kind"] == "major"
         assert sequence_from_json(obj) == M9
+
+    def test_json_missing_key(self):
+        with pytest.raises(ValueError, match="keys n, entries, kind"):
+            sequence_from_json({"n": 2, "entries": [0, 0]})

@@ -58,6 +58,13 @@ class TestArithmetic:
         assert 2 * Q + 1 == poly({(1, 0): 2, (0, 0): 1})
         assert (Q + 1) - 1 == Q
 
+    def test_hash_agrees_with_int_equality(self):
+        for c in (0, 1, 5, -7, 10**30):
+            p = BivariatePoly.monomial(c)
+            assert p == c and hash(p) == hash(c)
+            assert c in {p} and p in {c}
+        assert hash(BivariatePoly.zero()) == hash(0)
+
     @given(polys, polys, polys)
     def test_ring_axioms(self, a, b, c):
         assert a + b == b + a
@@ -204,6 +211,16 @@ class TestTreeRecursion:
                     * series[n - i]
                 )
             assert series[n + 1] == rhs
+
+    def test_paired_terms_match_the_plain_convolution(self):
+        series = [BivariatePoly.one()]
+        for n in range(10):
+            series.append(sum(
+                (math.comb(n, i) * T * qt_bracket(i + 1) * series[i] * series[n - i]
+                 for i in range(n + 1)),
+                BivariatePoly.zero(),
+            ))
+        assert tree_recursion_I(10) == series
 
     def test_nonnegative_coefficients(self):
         for p in tree_recursion_I(8):

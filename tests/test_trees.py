@@ -1,10 +1,12 @@
+from itertools import product
+
 import pytest
+from oracles import pruefer_to_parent_dfs, trees_by_parent_sweep
 
 from parkfact.polynomials import BivariatePoly, tree_recursion_I
 from parkfact.trees import (
     LabelledTree,
-    _enumerate_trees_naive,
-    _enumerate_trees_pruefer,
+    _pruefer_to_parent,
     depth_enumerator,
     enumerate_trees,
     format_tree,
@@ -48,11 +50,22 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_trees(7)) == tree_count(7)
 
     def test_generators_agree(self):
-        # the naive sweep and the unranking must produce the same family
+        # the parent-vector sweep and the Pruefer stream give the same family
         for n in range(5):
-            naive = {t.parent for t in _enumerate_trees_naive(n)}
-            pruefer = {t.parent for t in _enumerate_trees_pruefer(n)}
+            naive = {t.parent for t in trees_by_parent_sweep(n)}
+            pruefer = {t.parent for t in enumerate_trees(n)}
             assert naive == pruefer
+
+    def test_stream_is_unranking_order(self):
+        for n in range(7):
+            assert list(enumerate_trees(n)) == [
+                unrank_tree(n, i) for i in range(tree_count(n))
+            ]
+
+    def test_decoder_matches_dfs_oracle(self):
+        for n in range(7):
+            for seq in product(range(n + 1), repeat=max(n - 1, 0)):
+                assert _pruefer_to_parent(seq, n + 1) == pruefer_to_parent_dfs(seq, n + 1)
 
     def test_no_duplicates(self):
         for n in range(6):
@@ -133,3 +146,12 @@ class TestTextForms:
         t = tree(0, 1, 0)
         assert tree_to_json(t) == {"n": 3, "parent": [0, 1, 0]}
         assert tree_from_json(tree_to_json(t)) == t
+
+    def test_json_missing_key(self):
+        with pytest.raises(ValueError, match="keys n, parent"):
+            tree_from_json({"n": 3})
+
+    def test_parse_rejects_duplicate_vertex(self):
+        for text in ("0:-,1:0,1:0,2:1", "0:-,0:-,1:0"):
+            with pytest.raises(ValueError, match="twice"):
+                parse_tree(text)
