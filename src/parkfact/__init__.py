@@ -15,7 +15,6 @@ from .arch import (
     arch_to_json,
     caps,
     decompose_simple,
-    factorization_to_arch,
     is_simple_arch,
     is_valid_arch,
     recompose,
@@ -27,9 +26,7 @@ from .factorizations import (
     area_lower,
     area_upper,
     enumerate_factorizations,
-    factorization_count,
     factorization_enumerator,
-    format_factorization,
     is_minimal_for,
     is_simple,
     iter_factor_pairs,
@@ -37,7 +34,6 @@ from .factorizations import (
     parse_factorization,
     phi_k,
     phi_k_inverse,
-    product,
     restricted_enumerators,
     simple_index,
     total_difference,
@@ -92,7 +88,9 @@ from .permutations import (
     parse_permutation,
     reflect_conjugate,
     reflect_reverse,
+    swap_product,
     unimodal_cycles,
+    window_cycles,
 )
 from .polynomials import (
     BivariatePoly,

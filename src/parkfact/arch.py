@@ -7,14 +7,19 @@ positions only, so sigma is supplied whenever labels are needed.  A
 length-n sequence lies in F_sigma exactly when its diagram is a
 noncrossing tree whose rotators all read increasingly, which is the
 validity test implemented here.
+
+Validation runs on the raw arcs: the union-find of factorizations
+tests the tree, and the rotators of all vertices come from two sorts of
+the arcs.  caps finds the unnested arcs in one sweep by left endpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .factorizations import Factorization
+from .factorizations import Factorization, forest_roots
 from .permutations import FullCycle, Transposition
 from .polynomials import json_fields
 
@@ -58,9 +63,16 @@ def sigma_diagram(f: Factorization, sigma: FullCycle) -> ArchDiagram:
     return ArchDiagram(sigma.n + 1, tuple(arcs))
 
 
-def factorization_to_arch(f: Factorization, sigma: FullCycle) -> ArchDiagram:
-    """Alias for sigma_diagram: the diagram already forgets vertex labels."""
-    return sigma_diagram(f, sigma)
+def _rotators(diagram: ArchDiagram) -> list[list[int]]:
+    """The rotator of every vertex, in the order rotator documents."""
+    # the arcs are stored by label and sorted() is stable, so arcs sharing
+    # a far endpoint stay in label order
+    rotators: list[list[int]] = [[] for _ in range(diagram.n_vertices)]
+    for left, _, label in sorted(diagram.arcs, key=itemgetter(1)):
+        rotators[left].append(label)
+    for _, right, label in sorted(diagram.arcs, key=itemgetter(0)):
+        rotators[right].append(label)
+    return rotators
 
 
 def rotator(diagram: ArchDiagram, vertex: int) -> tuple[int, ...]:
@@ -71,34 +83,15 @@ def rotator(diagram: ArchDiagram, vertex: int) -> tuple[int, ...]:
     This ordering is the single most delicate convention in the library;
     it is pinned by unit tests against a worked diagram.
     """
-    rightward = sorted(
-        (right, label) for left, right, label in diagram.arcs if left == vertex
-    )
-    leftward = sorted(
-        (left, label) for left, right, label in diagram.arcs if right == vertex
-    )
-    return tuple(label for _, label in rightward) + tuple(
-        label for _, label in leftward
-    )
+    if not 0 <= vertex < diagram.n_vertices:
+        raise ValueError(f"vertex {vertex} outside 0..{diagram.n}")
+    return tuple(_rotators(diagram)[vertex])
 
 
 def _is_tree(diagram: ArchDiagram) -> bool:
-    if len(diagram.arcs) != diagram.n_vertices - 1:
-        return False
-    parent = list(range(diagram.n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for left, right, _ in diagram.arcs:
-        ra, rb = find(left), find(right)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
+    return len(diagram.arcs) == diagram.n_vertices - 1 and forest_roots(
+        ((left, right) for left, right, _ in diagram.arcs), diagram.n_vertices
+    ) is not None
 
 
 def _is_noncrossing(diagram: ArchDiagram) -> bool:
@@ -118,11 +111,8 @@ def is_valid_arch(diagram: ArchDiagram) -> bool:
     """Tree + noncrossing + every rotator increasing."""
     if not _is_tree(diagram) or not _is_noncrossing(diagram):
         return False
-    for v in range(diagram.n_vertices):
-        rot = rotator(diagram, v)
-        if any(rot[i] >= rot[i + 1] for i in range(len(rot) - 1)):
-            return False
-    return True
+    # labels are distinct, so a rotator increases iff it is sorted
+    return all(rot == sorted(rot) for rot in _rotators(diagram))
 
 
 def arch_to_factorization(diagram: ArchDiagram, sigma: FullCycle) -> Factorization:
@@ -150,15 +140,14 @@ def caps(diagram: ArchDiagram) -> tuple[Arc, ...]:
     """
     if not is_valid_arch(diagram):
         raise ValueError("diagram is not a valid arch diagram")
+    # by left end, longer first: an arc is unnested iff it reaches past
+    # every arc before it
     out = []
-    for arc in diagram.arcs:
-        nested = any(
-            other[2] != arc[2] and other[0] <= arc[0] and arc[1] <= other[1]
-            for other in diagram.arcs
-        )
-        if not nested:
+    reach = -1
+    for arc in sorted(diagram.arcs, key=lambda arc: (arc[0], -arc[1])):
+        if arc[1] > reach:
             out.append(arc)
-    out.sort()
+            reach = arc[1]
     if out:
         expected_left = 0
         for arc in out:

@@ -2,7 +2,8 @@
 
 Subcommands: enumerate, stats, map, poly, verify, render, explore.
 Exit codes: 0 success, 1 invalid input (diagnostic on stderr), 2
-verification failure (counterexample on stdout).  Exhaustive subcommands
+verification failure (counterexample on stdout) or a broken internal
+invariant (one "internal error:" line on stderr).  Exhaustive subcommands
 refuse n beyond a safety limit (default 8, override with PARKFACT_MAX_N).
 """
 
@@ -466,6 +467,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:  # a broken internal invariant, not bad input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

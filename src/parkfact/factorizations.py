@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .permutations import FullCycle, Permutation, Transposition, compose
+from .permutations import FullCycle, Permutation, Transposition, _cycle_groups, swap_product
 from .polynomials import BivariatePoly, json_fields
 
 
@@ -30,25 +29,21 @@ class Factorization:
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
+        if self.n < 0:
+            raise ValueError(f"ground set size must be nonnegative, got n = {self.n}")
         for t in self.factors:
             if t.hi > self.n:
                 raise ValueError(f"factor {t} exceeds ground set [0, {self.n}]")
 
     def product(self) -> Permutation:
-        result = Permutation.identity(self.n)
-        for t in self.factors:
-            result = compose(result, t.to_permutation(self.n))
-        return result
+        pairs = [(t.lo, t.hi) for t in self.factors]
+        return Permutation(tuple(swap_product(pairs, self.n)))
 
     def __len__(self) -> int:
         return len(self.factors)
 
     def __str__(self) -> str:
         return "".join(str(t) for t in self.factors)
-
-
-def product(f: Factorization) -> Permutation:
-    return f.product()
 
 
 def is_minimal_for(f: Factorization, pi: Permutation) -> bool:
@@ -64,7 +59,25 @@ def is_minimal_for(f: Factorization, pi: Permutation) -> bool:
     if f.product() != pi:
         return False
 
-    parent = list(range(f.n + 1))
+    roots = forest_roots(((t.lo, t.hi) for t in f.factors), f.n + 1)
+    graph_ok = roots is not None
+    if graph_ok:
+        # each cycle lies in one component, and there are as many of each
+        cycles = pi.cycles(include_fixed=True)
+        graph_ok = len(set(roots)) == len(cycles) and all(
+            len({roots[v] for v in c}) == 1 for c in cycles
+        )
+
+    length_ok = len(f.factors) == f.n + 1 - pi.num_cycles()
+    if graph_ok != length_ok:
+        raise AssertionError(f"graph and length criteria disagree on {f}")
+    return graph_ok
+
+
+def forest_roots(edges, size: int) -> list[int] | None:
+    """Union-find over the vertices 0..size-1: the component root of each
+    vertex when the edges form a forest, None once an edge closes a cycle."""
+    parent = list(range(size))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -72,26 +85,12 @@ def is_minimal_for(f: Factorization, pi: Permutation) -> bool:
             x = parent[x]
         return x
 
-    forest = True
-    for t in f.factors:
-        ra, rb = find(t.lo), find(t.hi)
+    for a, b in edges:
+        ra, rb = find(a), find(b)
         if ra == rb:
-            forest = False
-            break
+            return None
         parent[ra] = rb
-
-    graph_ok = forest
-    if forest:
-        components: dict[int, set[int]] = {}
-        for v in range(f.n + 1):
-            components.setdefault(find(v), set()).add(v)
-        cycle_supports = {frozenset(c) for c in pi.cycles(include_fixed=True)}
-        graph_ok = {frozenset(c) for c in components.values()} == cycle_supports
-
-    length_ok = len(f.factors) == f.n + 1 - pi.num_cycles()
-    if graph_ok != length_ok:
-        raise AssertionError(f"graph and length criteria disagree on {f}")
-    return graph_ok
+    return [find(v) for v in range(size)]
 
 
 # ------------------------------------------------------------ enumeration
@@ -148,10 +147,6 @@ def enumerate_factorizations(sigma: FullCycle) -> Iterator[Factorization]:
     n = sigma.n
     for pairs in iter_factor_pairs(sigma):
         yield Factorization(tuple(Transposition(a, b) for a, b in pairs), n)
-
-
-def factorization_count(n: int) -> int:
-    return 1 if n == 0 else (n + 1) ** (n - 1)
 
 
 # ------------------------------------------------------------- statistics
@@ -326,28 +321,16 @@ def phi_k_inverse(g: Factorization, k: int, n: int) -> Factorization:
 
 # -------------------------------------------------------------- text forms
 
-_PAIR = re.compile(r"\(([^()]*)\)")
-
-
 def parse_factorization(text: str, n: int | None = None) -> Factorization:
     """Parse "(1 2)(3 5)(1 3)" into a factorization; commas tolerated."""
-    stripped = text.strip()
-    leftover = _PAIR.sub("", stripped).strip()
-    if leftover:
-        raise ValueError(f"stray text outside factors: {text!r}")
     factors = []
-    for body in _PAIR.findall(stripped):
-        entries = [int(x) for x in re.split(r"[,\s]+", body.strip()) if x]
+    for entries in _cycle_groups(text):
         if len(entries) != 2:
-            raise ValueError(f"factor {body!r} is not a pair")
+            raise ValueError(f"factor {entries} is not a pair")
         factors.append(Transposition.of(*entries))
     if n is None:
         n = max((t.hi for t in factors), default=0)
     return Factorization(tuple(factors), n)
-
-
-def format_factorization(f: Factorization) -> str:
-    return str(f)
 
 
 def factorization_to_json(f: Factorization) -> dict:

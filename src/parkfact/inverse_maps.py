@@ -5,7 +5,10 @@ bijection onto the parking functions, and l_inverse builds the preimage
 directly: half-edges are processed in the omega order (largest entry
 first), and each step closes one arc, merging two adjacent windows of
 sigma's visit word.  The partial product is therefore maintained as a
-set of word intervals, which the contiguity invariant makes exact.
+set of word intervals, which the contiguity invariant makes exact.  With
+check=True each step asserts the invariants on the raw images of the
+partial product (swap_product), one window scan giving contiguity and
+the cycle count (window_cycles).
 
 For non-unimodal sigma no inverse exists, and non_unimodal_witness
 produces the certifying collision: two factorizations sharing one lower
@@ -26,11 +29,11 @@ from .parking import (
 )
 from .permutations import (
     FullCycle,
-    Permutation,
     Transposition,
-    is_sigma_contiguous,
     is_unimodal,
     reflect_conjugate,
+    swap_product,
+    window_cycles,
 )
 
 
@@ -97,18 +100,6 @@ def _apply_pair(pair: tuple[int, int], x: int) -> int:
     return x
 
 
-def _partial_product(taus: list[tuple[int, int] | None], n: int) -> Permutation:
-    # swapping entries at indices a, b multiplies on the left by (a b),
-    # so the left-to-right product tau_1 ... tau_n is built right to left
-    images = list(range(n + 1))
-    for r in range(n, 0, -1):
-        pair = taus[r]
-        if pair is not None:
-            a, b = pair
-            images[a], images[b] = images[b], images[a]
-    return Permutation(tuple(images))
-
-
 def _check_entry_invariants(
     sigma: FullCycle,
     taus: list[tuple[int, int] | None],
@@ -116,27 +107,31 @@ def _check_entry_invariants(
     comp: list[int],
     step: int,
     a: int,
+    k: int,
 ) -> None:
+    # a is the entry placed at this step and k its position in the word;
+    # the partial product multiplies the factors placed so far in index order
     n = sigma.n
     word = sigma.word
-    pi = _partial_product(taus, n)
-    if not is_sigma_contiguous(pi, sigma):
-        raise AssertionError(f"partial product {pi} lost contiguity at step {step}")
-    if pi.num_cycles() != n + 2 - step:
+    images = swap_product([pair for pair in taus if pair is not None], n)
+    cycles = window_cycles(images, word)
+    if cycles is None:
+        raise AssertionError(f"partial product {images} lost contiguity at step {step}")
+    if cycles != n + 2 - step:
         raise AssertionError(
-            f"partial product has {pi.num_cycles()} cycles at step {step}, "
+            f"partial product has {cycles} cycles at step {step}, "
             f"expected {n + 2 - step}"
         )
     for cid in set(comp):
         lo, hi = bounds_of[cid]
         for x in range(lo, hi):
-            if pi(word[x]) != word[x + 1]:
+            if images[word[x]] != word[x + 1]:
                 raise AssertionError("window structure out of sync with product")
-        if pi(word[hi]) != word[lo]:
+        if images[word[hi]] != word[lo]:
             raise AssertionError("window structure out of sync with product")
-    if any(pi(x) != x for x in range(a)):
+    if any(images[x] != x for x in range(a)):
         raise AssertionError(f"partial product moves a value below {a}")
-    lo, hi = bounds_of[comp[sigma.positions()[a]]]
+    lo, hi = bounds_of[comp[k]]
     if set(word[lo : hi + 1]) >= set(range(a, n + 1)):
         raise AssertionError(f"window at {a} swallowed the whole interval [{a}, {n}]")
 
@@ -175,7 +170,7 @@ def l_inverse(
         a = p.entries[j - 1]
         k = pos[a]
         if check:
-            _check_entry_invariants(sigma, taus, bounds_of, comp, step, a)
+            _check_entry_invariants(sigma, taus, bounds_of, comp, step, a, k)
         if om.side_of(j) == "left":
             cid = comp[k]
             lo, hi = bounds_of[cid]

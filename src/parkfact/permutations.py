@@ -209,24 +209,48 @@ def full_cycles(n: int) -> Iterator[FullCycle]:
         yield FullCycle((0, *rest))
 
 
+def swap_product(pairs, n: int) -> list[int]:
+    """Images of the left-to-right product of the transpositions (a, b)
+    in pairs, on [n].
+
+    Swapping the entries at a and b multiplies on the left by (a b), so
+    the factors are applied from the last to the first.
+    """
+    images = list(range(n + 1))
+    for a, b in reversed(pairs):
+        images[a], images[b] = images[b], images[a]
+    return images
+
+
+def window_cycles(images, word) -> int | None:
+    """Cycle count of the permutation with these images, fixed points
+    included, when every cycle is a window of the visit word traversed in
+    word order; None otherwise.
+
+    One pass: a window continues while each entry maps to the next one in
+    the word, and where it stops, the last entry must map back to the
+    window's first.
+    """
+    count = 0
+    start = 0
+    last = len(word) - 1
+    for k, x in enumerate(word):
+        y = images[x]
+        if k < last and y == word[k + 1]:
+            continue
+        if y != word[start]:
+            return None
+        count += 1
+        start = k + 1
+    return count
+
+
 def is_sigma_contiguous(pi: Permutation, sigma: FullCycle) -> bool:
     """True iff every cycle of pi is a window of sigma's word, traversed
     in word order.  Fixed points are length-1 windows."""
     if pi.n != sigma.n:
         raise ValueError(f"size mismatch: [{pi.n}] vs [{sigma.n}]")
-    word = sigma.word
-    pos = sigma.positions()
-    for cycle in pi.cycles():
-        indices = sorted(pos[x] for x in cycle)
-        lo, hi = indices[0], indices[-1]
-        if hi - lo + 1 != len(indices):
-            return False
-        for k in range(lo, hi):
-            if pi(word[k]) != word[k + 1]:
-                return False
-        if pi(word[hi]) != word[lo]:
-            return False
-    return True
+    return window_cycles(pi.images, sigma.word) is not None
 
 
 class FactorKind(enum.Enum):
@@ -306,20 +330,23 @@ def reflect_reverse(factorization):
 _CYCLE_GROUP = re.compile(r"\(([^()]*)\)")
 
 
+def _cycle_groups(text: str) -> list[list[int]]:
+    """Entries of each parenthesized group; text outside groups is an error."""
+    if _CYCLE_GROUP.sub("", text).strip():
+        raise ValueError(f"stray text outside cycle groups: {text!r}")
+    return [
+        [int(x) for x in re.split(r"[,\s]+", body.strip()) if x]
+        for body in _CYCLE_GROUP.findall(text)
+    ]
+
+
 def _parse_groups(text: str) -> list[list[int]]:
     stripped = text.strip()
     if not stripped:
         return []
     if "(" not in stripped:
         return [[int(x) for x in re.split(r"[,\s]+", stripped) if x]]
-    groups = []
-    consumed = _CYCLE_GROUP.sub("", stripped)
-    if consumed.strip():
-        raise ValueError(f"stray text outside cycle groups: {text!r}")
-    for body in _CYCLE_GROUP.findall(stripped):
-        entries = [int(x) for x in re.split(r"[,\s]+", body.strip()) if x]
-        groups.append(entries)
-    return groups
+    return _cycle_groups(stripped)
 
 
 def parse_permutation(text: str, n: int) -> Permutation:

@@ -22,7 +22,9 @@ from . import parking as _park
 from . import polynomials as _poly
 from . import trees as _trees
 from .parking import MajorSequence, ParkingFunction
-from .permutations import FullCycle, Transposition, full_cycles, is_unimodal, unimodal_cycles
+from .permutations import (
+    FullCycle, Transposition, full_cycles, is_unimodal, swap_product, unimodal_cycles,
+)
 from .polynomials import BivariatePoly
 
 
@@ -165,7 +167,7 @@ def check_area_jump(n_max: int = 6) -> CheckResult:
 def check_unimodal(n_max: int = 5, n_min: int = 3) -> CheckResult:
     name = "unimodal"
     for n in range(n_min, n_max + 1):
-        expected = _fact.factorization_count(n)
+        expected = _trees.tree_count(n)
         unimodal_seen = 0
         for sigma in full_cycles(n):
             lowers = []
@@ -220,7 +222,7 @@ def check_l_inverse(n_max: int = 5) -> CheckResult:
     if _inv.l_inverse(ParkingFunction(()), sigma0).factors != ():
         return _fail(name, "n=0 reconstruction should be empty")
     for n in range(1, n_max + 1):
-        target_count = _fact.factorization_count(n)
+        target_count = _trees.tree_count(n)
         for sigma in unimodal_cycles(n):
             seen = set()
             for p in _park.enumerate_parking(n):
@@ -240,13 +242,6 @@ def check_l_inverse(n_max: int = 5) -> CheckResult:
 # ------------------------------------------------- 8: arch criterion
 
 
-def _product_images(pairs, n: int) -> tuple[int, ...]:
-    images = list(range(n + 1))
-    for a, b in reversed(pairs):
-        images[a], images[b] = images[b], images[a]
-    return tuple(images)
-
-
 def check_arch_criterion(n_max: int = 4) -> CheckResult:
     name = "arch-criterion"
     for n in range(1, n_max + 1):
@@ -257,9 +252,9 @@ def check_arch_criterion(n_max: int = 4) -> CheckResult:
         sigmas.extend(non_canonical[:2])
         all_pairs = list(combinations(range(n + 1), 2))
         for sigma in sigmas:
-            target = sigma.to_permutation().images
+            target = list(sigma.to_permutation().images)
             for pairs in _cartesian(all_pairs, repeat=n):
-                member = _product_images(pairs, n) == target
+                member = swap_product(pairs, n) == target
                 f = _fact.Factorization(
                     tuple(Transposition(a, b) for a, b in pairs), n
                 )

@@ -1,6 +1,7 @@
 from itertools import combinations, product
 
 import pytest
+from oracles import caps_by_nested_scan, rotator_by_scan, valid_by_vertex_rotators
 
 from parkfact.arch import (
     ArchDiagram,
@@ -9,7 +10,6 @@ from parkfact.arch import (
     arch_to_json,
     caps,
     decompose_simple,
-    factorization_to_arch,
     is_simple_arch,
     is_valid_arch,
     recompose,
@@ -67,6 +67,10 @@ class TestRotator:
         d = diagram(3, (0, 1, 1), (1, 2, 2))
         assert rotator(d, 2) == (2,)
 
+    def test_vertex_out_of_range(self):
+        with pytest.raises(ValueError):
+            rotator(diagram(2, (0, 1, 1)), 2)
+
 
 class TestValidity:
     def test_worked_example_valid(self):
@@ -105,7 +109,29 @@ class TestValidity:
                 for word in product(pairs, repeat=n):
                     f = Factorization(tuple(Transposition(a, b) for a, b in word), n)
                     member = f.product() == target
-                    assert member == is_valid_arch(sigma_diagram(f, sigma))
+                    d = sigma_diagram(f, sigma)
+                    assert member == is_valid_arch(d)
+                    assert_matches_oracles(d)
+
+    def test_every_diagram_of_the_family_matches_oracles(self):
+        for n in range(6):
+            sigma = FullCycle.canonical(n)
+            for f in enumerate_factorizations(sigma):
+                assert_matches_oracles(sigma_diagram(f, sigma))
+
+
+def assert_matches_oracles(d):
+    """Validity, every rotator and the caps agree with the per-vertex scans
+    and the pairwise nesting test."""
+    valid = valid_by_vertex_rotators(d)
+    assert is_valid_arch(d) == valid
+    for v in range(d.n_vertices):
+        assert rotator(d, v) == rotator_by_scan(d, v)
+    if valid:
+        assert caps(d) == caps_by_nested_scan(d)
+    else:
+        with pytest.raises(ValueError):
+            caps(d)
 
 
 class TestFactorizationBijection:
@@ -126,7 +152,7 @@ class TestFactorizationBijection:
         for n in range(1, 5):
             for sigma in full_cycles(n):
                 for f in enumerate_factorizations(sigma):
-                    d = factorization_to_arch(f, sigma)
+                    d = sigma_diagram(f, sigma)
                     assert arch_to_factorization(d, sigma) == f
 
     def test_diagrams_are_distinct_across_the_family(self):

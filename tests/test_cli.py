@@ -231,6 +231,18 @@ class TestVerify:
         assert code == 2
         assert "FAIL bounce: counterexample: p=0,0" in out
 
+    def test_internal_error_is_one_line_exit_two(self, capsys, monkeypatch):
+        from parkfact import cli
+
+        def broken(args):
+            raise AssertionError("caps do not chain into a path")
+
+        monkeypatch.setitem(cli._HANDLERS, "verify", broken)
+        code, out, err = run(capsys, "verify", "--suite", "bounce")
+        assert code == 2
+        assert out == ""
+        assert err == "internal error: caps do not chain into a path\n"
+
 
 class TestRender:
     def test_path_ascii(self, capsys):

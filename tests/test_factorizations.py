@@ -1,13 +1,14 @@
 import math
+from itertools import combinations, product
 
 import pytest
+from oracles import product_by_compose
 
 from parkfact.factorizations import (
     Factorization,
     area_lower,
     area_upper,
     enumerate_factorizations,
-    factorization_count,
     factorization_enumerator,
     factorization_from_json,
     factorization_to_json,
@@ -32,7 +33,7 @@ from parkfact.permutations import (
     reflect_reverse,
 )
 from parkfact.polynomials import BivariatePoly, catalan_qt, qt_bracket, qt_factorial_product
-from parkfact.trees import inversion_enumerator
+from parkfact.trees import inversion_enumerator, tree_count
 
 F9 = parse_factorization("(1 2)(3 5)(1 3)(7 8)(0 6)(7 9)(0 7)(1 6)(4 5)", 9)
 
@@ -54,6 +55,19 @@ class TestProduct:
     def test_worked_example(self):
         f = fact("(2 3)(4 5)(0 2)(1 2)(4 6)(0 4)", 6)
         assert f.product() == FullCycle.canonical(6).to_permutation()
+
+    def test_matches_compose_chain(self):
+        # every transposition word of length at most n, n <= 4
+        for n in range(5):
+            pairs = list(combinations(range(n + 1), 2))
+            for length in range(n + 1):
+                for word in product(pairs, repeat=length):
+                    f = Factorization(tuple(Transposition(a, b) for a, b in word), n)
+                    assert f.product() == product_by_compose(f)
+
+    def test_rejects_negative_n(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Factorization((), -3)
 
 
 class TestMinimality:
@@ -102,7 +116,7 @@ class TestEnumeration:
         for n in range(1, 5):
             for sigma in full_cycles(n):
                 members = list(enumerate_factorizations(sigma))
-                assert len(members) == factorization_count(n)
+                assert len(members) == tree_count(n)
                 assert len({f.factors for f in members}) == len(members)
                 target = sigma.to_permutation()
                 assert all(f.product() == target for f in members)
@@ -111,7 +125,7 @@ class TestEnumeration:
         from parkfact.factorizations import iter_factor_pairs
 
         sigma = FullCycle.canonical(7)
-        assert sum(1 for _ in iter_factor_pairs(sigma)) == factorization_count(7)
+        assert sum(1 for _ in iter_factor_pairs(sigma)) == tree_count(7)
 
     def test_non_canonical_example(self):
         sigma = FullCycle((0, 1, 3, 2))

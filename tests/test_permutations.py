@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import window_cycles_by_cycles
 
 from parkfact.factorizations import Factorization, parse_factorization
 from parkfact.permutations import (
@@ -20,7 +21,9 @@ from parkfact.permutations import (
     parse_permutation,
     reflect_conjugate,
     reflect_reverse,
+    swap_product,
     unimodal_cycles,
+    window_cycles,
 )
 
 
@@ -148,6 +151,23 @@ class TestSigmaContiguous:
         # support {0, 2} is a window, but only one traversal fits the word
         assert is_sigma_contiguous(perm("(0 2)", 6), self.SIGMA)
         assert not is_sigma_contiguous(perm("(0 2 3 5)", 6).inverse(), self.SIGMA)
+
+    def test_window_scan_matches_cycle_walk(self):
+        # every permutation under every full cycle, n <= 5
+        for n in range(6):
+            words = [sigma.word for sigma in full_cycles(n)]
+            for images in itertools.permutations(range(n + 1)):
+                pi = Permutation(images)
+                for word in words:
+                    expected = window_cycles_by_cycles(pi, FullCycle(word))
+                    assert window_cycles(images, word) == expected
+
+
+class TestSwapProduct:
+    def test_worked_example(self):
+        # (0 1)(0 2) multiplies out to the canonical 3-cycle on [2]
+        assert swap_product([(0, 1), (0, 2)], 2) == [1, 2, 0]
+        assert swap_product([], 3) == [0, 1, 2, 3]
 
 
 class TestClassifyFactor:
