@@ -64,7 +64,6 @@ from .parking import (
     is_major,
     is_parking,
     park_process,
-    parking_count,
     parking_enumerators,
     parse_major,
     parse_parking,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -51,7 +52,7 @@ def _safety_limit(default: int = 8) -> int:
         raise CliError(f"PARKFACT_MAX_N must be an integer, got {raw!r}")
 
 
-def _guard_n(n: int, limit: int | None = None) -> int:
+def _guard_n(n: int, limit: float | None = None) -> int:
     cap = _safety_limit() if limit is None else limit
     if n < 0:
         raise CliError("n must be nonnegative")
@@ -94,9 +95,11 @@ def _cmd_enumerate(args) -> int:
     kind = args.kind
     fmt = args.format
     if kind == "trees":
-        for tree in _trees.enumerate_trees(n):
-            print(json.dumps(_trees.tree_to_json(tree)) if fmt == "json"
-                  else _trees.format_tree(tree))
+        # raw parent tuples: no LabelledTree per line; the tests validate
+        # this decoder's every tree for n <= 7
+        lines = ((json.dumps(_trees._parent_json(p)) for p in _trees._parent_tuples(n))
+                 if fmt == "json" else _trees._tree_lines(n))
+        sys.stdout.writelines(line + "\n" for line in lines)
     elif kind == "parking":
         for p in _park.enumerate_parking(n):
             print(json.dumps(_park.sequence_to_json(p)) if fmt == "json" else str(p))
@@ -276,10 +279,11 @@ def _cmd_map(args) -> int:
 def _cmd_poly(args) -> int:
     name = args.name
     fmt = args.format
-    n = _guard_n(args.n)
     if name in ("I", "D", "C"):
-        # computed by recursion, no object enumeration; the identities
-        # tying these to the brute-force sums are what 'verify' checks
+        # computed by recursion, no object enumeration, so no safety limit;
+        # the identities tying these to the brute-force sums are what
+        # 'verify' checks
+        n = _guard_n(args.n, limit=math.inf)
         if name == "I":
             poly = _poly.tree_recursion_I(n)[n]
         elif name == "D":
@@ -289,23 +293,21 @@ def _cmd_poly(args) -> int:
         _print_poly(poly, fmt)
         return 0
 
+    n = _guard_n(args.n)
     if name == "F":
         sigma = _sigma_for(args, n)
         poly = _fact.factorization_enumerator(sigma)
-    elif name == "B":
-        poly = _park.parking_enumerators(n).pinv_copinv
     elif name in ("Fhat", "Finc", "Fdec", "Fmax", "Fperm"):
         r = _fact.restricted_enumerators(n)
         poly = {
             "Fhat": r.simple, "Finc": r.increasing, "Fdec": r.decreasing,
             "Fmax": r.max_diff, "Fperm": r.perm_lower,
         }[name]
-    elif name == "area":
-        poly = _park.parking_enumerators(n).area
-    elif name == "bounce":
-        poly = _park.parking_enumerators(n).bounce
+    elif name in ("B", "area", "bounce"):  # the bounce kernel alone
+        area_poly, bounce_poly, pinv_copinv = _park._bounce_pass(n)
+        poly = {"B": pinv_copinv, "area": area_poly, "bounce": bounce_poly}[name]
     elif name == "jump":
-        poly = _park.parking_enumerators(n).jump_cojump
+        poly = _park._jump_pass(n)
     else:
         raise CliError(f"unknown polynomial {name!r}")
     _print_poly(poly, fmt)

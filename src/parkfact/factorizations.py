@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -99,47 +100,61 @@ def forest_roots(edges, size: int) -> list[int] | None:
 def iter_factor_pairs(sigma: FullCycle) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield the factor sequences of F_sigma as raw (lo, hi) tuples.
 
-    Depth-first: at step i the remaining permutation rho must lose a
-    cycle, so the candidate factors are exactly the vertex pairs lying on
-    a common nontrivial cycle of rho.  Candidates are tried in sorted
-    order, making the stream deterministic.
+    Depth-first, with an explicit stack: at step i the remaining
+    permutation rho must lose a cycle, so the candidate factors are exactly
+    the vertex pairs lying on a common nontrivial cycle of rho, tried in
+    sorted order, which makes the stream deterministic.  A child's
+    candidates are its parent's minus the pairs that the chosen factor
+    (a b) splits apart: those with one end on the new cycle through a.
+    After n - 1 factors rho is one transposition, the last factor: the
+    candidate (x, y) with rho[x] == y.
     """
-    m = sigma.n + 1
+    n = sigma.n
+    m = n + 1
     rho = list(sigma.to_permutation().images)
-    chosen: list[tuple[int, int]] = []
-
-    def candidates() -> list[tuple[int, int]]:
-        seen = [False] * m
-        pairs = []
-        for start in range(m):
-            if seen[start] or rho[start] == start:
-                seen[start] = True
-                continue
-            cycle = []
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                cycle.append(x)
-                x = rho[x]
-            cycle.sort()
-            for i in range(len(cycle)):
-                for j in range(i + 1, len(cycle)):
-                    pairs.append((cycle[i], cycle[j]))
-        pairs.sort()
-        return pairs
-
-    def walk(remaining: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        if remaining == 0:
-            yield tuple(chosen)
-            return
-        for a, b in candidates():
-            chosen.append((a, b))
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    if n < 2:  # () for n = 0, ((0, 1),) for n = 1
+        yield tuple(pairs)
+        return
+    last = n - 2
+    lists = [pairs] + [None] * last  # lists[d]: the candidates at depth d
+    pos = [0] * last
+    chosen = [None] * last
+    d = 0
+    while d >= 0:
+        cands = lists[d]
+        if d == last:
+            head = tuple(chosen)
+            for pair in cands:
+                a, b = pair
+                rho[a], rho[b] = rho[b], rho[a]
+                for p in cands:  # the one transposition left in rho
+                    if rho[p[0]] == p[1]:
+                        yield (*head, pair, p)
+                        break
+                rho[a], rho[b] = rho[b], rho[a]
+            d -= 1
+            continue
+        if chosen[d] is not None:
+            a, b = chosen[d]
             rho[a], rho[b] = rho[b], rho[a]
-            yield from walk(remaining - 1)
-            rho[a], rho[b] = rho[b], rho[a]
-            chosen.pop()
-
-    yield from walk(sigma.n)
+        i = pos[d]
+        if i == len(cands):
+            chosen[d] = None
+            d -= 1
+            continue
+        pos[d] = i + 1
+        chosen[d] = (a, b) = cands[i]
+        rho[a], rho[b] = rho[b], rho[a]
+        cycle = {a}
+        x = rho[a]
+        while x != a:
+            cycle.add(x)
+            x = rho[x]
+        d += 1
+        lists[d] = [p for p in cands if (p[0] in cycle) is (p[1] in cycle)]
+        if d < last:
+            pos[d] = 0
 
 
 def enumerate_factorizations(sigma: FullCycle) -> Iterator[Factorization]:
@@ -193,12 +208,11 @@ def factorization_enumerator(sigma: FullCycle) -> BivariatePoly:
     """F_sigma(q,t): q^(lower area) t^(upper area) summed over F_sigma."""
     n = sigma.n
     binom = math.comb(n, 2)
-    acc: dict[tuple[int, int], int] = {}
+    counts: Counter[tuple[int, int]] = Counter()
     for pairs in iter_factor_pairs(sigma):
-        a_l = binom - sum(a for a, _ in pairs)
-        a_u = sum(b for _, b in pairs) - binom
-        acc[(a_l, a_u)] = acc.get((a_l, a_u), 0) + 1
-    return BivariatePoly(acc)
+        lows, highs = zip(*pairs) if pairs else ((), ())
+        counts[binom - sum(lows), sum(highs) - binom] += 1
+    return BivariatePoly(counts)
 
 
 # ------------------------------------------------------ restricted families

@@ -22,7 +22,7 @@ from itertools import accumulate, chain
 from typing import Iterator, NamedTuple, Union
 
 from .polynomials import BivariatePoly, json_fields
-from .trees import LabelledTree, tree_count as parking_count
+from .trees import LabelledTree
 
 
 def _counting_test(entries, n: int) -> bool:
@@ -415,21 +415,37 @@ def parking_enumerators(n: int) -> ParkingEnumerators:
     """Area, bounce, (jump, cojump) and (pinv, copinv) enumerators of P_n.
 
     All four are exact sums over the full family; area and bounce are
-    univariate and stored in q.
+    univariate and stored in q.  They come from two cached passes, one per
+    kernel, so a caller needing one kernel's enumerators runs that pass alone.
     """
-    counts: Counter[tuple[int, ...]] = Counter()
+    area_poly, bounce_poly, pinv_copinv = _bounce_pass(n)
+    return ParkingEnumerators(area_poly, bounce_poly, _jump_pass(n), pinv_copinv)
+
+
+@functools.cache
+def _bounce_pass(n: int) -> tuple[BivariatePoly, BivariatePoly, BivariatePoly]:
+    """The area, bounce and (pinv, copinv) enumerators of P_n."""
+    counts: Counter[tuple[int, int, int]] = Counter()
     top = math.comb(n, 2)
     for entries in _parking_tuples(n):
         *_, b, below = _bounce_kernel(entries)
-        _, jump, cojump = _park_kernel(entries)
-        counts[top - sum(entries), b, below, jump, cojump] += 1
+        counts[top - sum(entries), b, below] += 1
     rows = counts.items()
-    return ParkingEnumerators(
-        BivariatePoly(((a, 0), c) for (a, *_), c in rows),
-        BivariatePoly(((b, 0), c) for (_, b, *_), c in rows),
-        BivariatePoly(((jump, cojump), c) for (*_, jump, cojump), c in rows),
-        BivariatePoly(((below, b - below), c) for (_, b, below, *_), c in rows),
+    return (
+        BivariatePoly(((a, 0), c) for (a, _, _), c in rows),
+        BivariatePoly(((b, 0), c) for (_, b, _), c in rows),
+        BivariatePoly(((below, b - below), c) for (_, b, below), c in rows),
     )
+
+
+@functools.cache
+def _jump_pass(n: int) -> BivariatePoly:
+    """The (jump, cojump) enumerator of P_n."""
+    counts: Counter[tuple[int, int]] = Counter()
+    for entries in _parking_tuples(n):
+        _, jump, cojump = _park_kernel(entries)
+        counts[jump, cojump] += 1
+    return BivariatePoly(counts)
 
 
 # -------------------------------------------------------------- text forms

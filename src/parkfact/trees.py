@@ -3,7 +3,9 @@
 Trees are parent vectors rooted at 0 (parent[0] is the self-sentinel and
 is omitted by serializers).  Enumeration is exhaustive: every index in
 [0, (n+1)^(n-1)) is unranked to a Pruefer sequence and decoded in linear
-time, so any index range can be listed on its own.
+time, so any index range can be listed on its own.  The bulk consumers
+(the two enumerators and the CLI listing) read the raw parent tuples;
+enumerate_trees validates every tree it yields.
 """
 
 from __future__ import annotations
@@ -117,13 +119,19 @@ def unrank_tree(n: int, index: int) -> LabelledTree:
     return LabelledTree(_pruefer_to_parent(tuple(digits), n + 1))
 
 
+def _parent_tuples(n: int) -> Iterator[tuple[int, ...]]:
+    """Decoded parent tuples of every tree on [n], in unrank_tree order:
+    the Pruefer digits run as an odometer, least significant first."""
+    for digits in _cartesian(range(n + 1), repeat=max(n - 1, 0)):
+        yield _pruefer_to_parent(digits[::-1], n + 1)
+
+
 def enumerate_trees(n: int) -> Iterator[LabelledTree]:
     """unrank_tree(n, 0), unrank_tree(n, 1), ...: every tree on [n] once.
 
     Ranges can be consumed in parallel via unrank_tree.
     """
-    for digits in _cartesian(range(n + 1), repeat=max(n - 1, 0)):
-        yield LabelledTree(_pruefer_to_parent(digits[::-1], n + 1))
+    yield from map(LabelledTree, _parent_tuples(n))
 
 
 # -------------------------------------------------------------- statistics
@@ -137,20 +145,20 @@ def tree_stats(tree: LabelledTree) -> tuple[int, int, int]:
     pairs, i.e. the sum of all root distances.  O(n^2) worst case, which
     is fine at desk scale.
     """
-    parent = tree.parent
-    inv = coinv = depth = 0
+    return _tree_stats(tree.parent)
+
+
+def _tree_stats(parent: tuple[int, ...]) -> tuple[int, int, int]:
+    inv = depth = 0
     for v in range(1, len(parent)):
         u = parent[v]
-        while True:
+        while u:
             if u > v:
                 inv += 1
-            else:
-                coinv += 1
             depth += 1
-            if u == 0:
-                break
             u = parent[u]
-    return inv, coinv, depth
+    depth += len(parent) - 1  # every vertex's step to the root
+    return inv, depth - inv, depth
 
 
 def inv(tree: LabelledTree) -> int:
@@ -168,13 +176,13 @@ def depth(tree: LabelledTree) -> int:
 @functools.cache
 def inversion_enumerator(n: int) -> BivariatePoly:
     """I_n(q,t) = sum over trees of q^inv t^coinv, by brute force."""
-    return BivariatePoly(Counter(tree_stats(tree)[:2] for tree in enumerate_trees(n)))
+    return BivariatePoly(Counter(_tree_stats(p)[:2] for p in _parent_tuples(n)))
 
 
 @functools.cache
 def depth_enumerator(n: int) -> BivariatePoly:
     """D_n(q) = sum over trees of q^depth (univariate, stored in q)."""
-    return BivariatePoly(Counter((tree_stats(tree)[2], 0) for tree in enumerate_trees(n)))
+    return BivariatePoly(Counter((_tree_stats(p)[2], 0) for p in _parent_tuples(n)))
 
 
 # -------------------------------------------------------------- text forms
@@ -182,9 +190,23 @@ def depth_enumerator(n: int) -> BivariatePoly:
 
 def format_tree(tree: LabelledTree) -> str:
     """Parent-vector CSV like "0:-,1:0,2:1"."""
-    cells = ["0:-"]
-    cells += [f"{v}:{tree.parent[v]}" for v in range(1, len(tree.parent))]
-    return ",".join(cells)
+    return _tree_text(tree.parent, _tree_cells(enumerate(tree.parent)))
+
+
+def _tree_cells(pairs) -> dict[tuple[int, int], str]:
+    """The CSV cell "v:p" of each (vertex, parent) pair; the root's is "0:-"."""
+    return {(v, p): f"{v}:{p}" if v else "0:-" for v, p in pairs}
+
+
+def _tree_text(parent: tuple[int, ...], cells: dict[tuple[int, int], str]) -> str:
+    return ",".join(map(cells.__getitem__, enumerate(parent)))
+
+
+def _tree_lines(n: int) -> Iterator[str]:
+    """format_tree of every tree on [n] in stream order, read off one table
+    holding the cells of all (vertex, parent) pairs."""
+    cells = _tree_cells(_cartesian(range(n + 1), repeat=2))
+    return (_tree_text(parent, cells) for parent in _parent_tuples(n))
 
 
 def parse_tree(text: str) -> LabelledTree:
@@ -208,7 +230,11 @@ def parse_tree(text: str) -> LabelledTree:
 
 
 def tree_to_json(tree: LabelledTree) -> dict:
-    return {"n": tree.n, "parent": list(tree.parent[1:])}
+    return _parent_json(tree.parent)
+
+
+def _parent_json(parent: tuple[int, ...]) -> dict:
+    return {"n": len(parent) - 1, "parent": list(parent[1:])}
 
 
 def tree_from_json(obj: dict) -> LabelledTree:

@@ -4,10 +4,19 @@ Each is the direct, obviously-correct route; tests compare the fast
 generators and decoders against them exhaustively at small n.
 """
 
+import math
+from collections import Counter
 from itertools import product
 
 from parkfact.arch import _is_noncrossing
-from parkfact.parking import is_parking
+from parkfact.parking import (
+    ParkingEnumerators,
+    _bounce_kernel,
+    _park_kernel,
+    _parking_tuples,
+    is_parking,
+)
+from parkfact.polynomials import BivariatePoly
 from parkfact.permutations import Permutation, compose
 from parkfact.trees import LabelledTree, _reaches_root
 
@@ -26,6 +35,24 @@ def parking_by_sweep(n):
     for entries in product(range(n), repeat=n):
         if is_parking(entries):
             yield entries
+
+
+def parking_enumerators_by_one_loop(n):
+    """All four parking enumerators from one loop running both kernels on
+    every parking tuple."""
+    counts = Counter()
+    top = math.comb(n, 2)
+    for entries in _parking_tuples(n):
+        *_, b, below = _bounce_kernel(entries)
+        _, jump, cojump = _park_kernel(entries)
+        counts[top - sum(entries), b, below, jump, cojump] += 1
+    rows = counts.items()
+    return ParkingEnumerators(
+        BivariatePoly(((a, 0), c) for (a, *_), c in rows),
+        BivariatePoly(((b, 0), c) for (_, b, *_), c in rows),
+        BivariatePoly(((jump, cojump), c) for (*_, jump, cojump), c in rows),
+        BivariatePoly(((below, b - below), c) for (_, b, below, *_), c in rows),
+    )
 
 
 def pruefer_to_parent_dfs(seq, m):
@@ -130,3 +157,45 @@ def caps_by_nested_scan(diagram):
             for other in diagram.arcs
         )
     ))
+
+
+def factor_pairs_by_recursion(sigma):
+    """F_sigma as raw (lo, hi) tuples by a recursive depth-first walk that
+    rebuilds and sorts the candidate pairs (two points on one nontrivial
+    cycle of the remaining permutation rho) at every node."""
+    m = sigma.n + 1
+    rho = list(sigma.to_permutation().images)
+    chosen = []
+
+    def candidates():
+        seen = [False] * m
+        pairs = []
+        for start in range(m):
+            if seen[start] or rho[start] == start:
+                seen[start] = True
+                continue
+            cycle = []
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                cycle.append(x)
+                x = rho[x]
+            cycle.sort()
+            for i in range(len(cycle)):
+                for j in range(i + 1, len(cycle)):
+                    pairs.append((cycle[i], cycle[j]))
+        pairs.sort()
+        return pairs
+
+    def walk(remaining):
+        if remaining == 0:
+            yield tuple(chosen)
+            return
+        for a, b in candidates():
+            chosen.append((a, b))
+            rho[a], rho[b] = rho[b], rho[a]
+            yield from walk(remaining - 1)
+            rho[a], rho[b] = rho[b], rho[a]
+            chosen.pop()
+
+    yield from walk(sigma.n)

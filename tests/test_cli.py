@@ -1,6 +1,8 @@
 import json
 
 from parkfact.cli import main
+from parkfact.parking import parking_enumerators
+from parkfact.polynomials import tree_recursion_I
 
 
 def run(capsys, *argv):
@@ -33,6 +35,14 @@ class TestPoly:
             results[name] = out
         assert len(set(results.values())) == 1
 
+    def test_parking_names_read_the_parking_enumerators(self, capsys):
+        enums = parking_enumerators(4)
+        for name, poly in (("area", enums.area), ("bounce", enums.bounce),
+                           ("jump", enums.jump_cojump), ("B", enums.pinv_copinv)):
+            code, out, _ = run(capsys, "poly", "--name", name, "--n", "4")
+            assert code == 0
+            assert out == f"{poly}\n"
+
     def test_f_with_sigma(self, capsys):
         code, out, _ = run(capsys, "poly", "--name", "F", "--n", "3",
                            "--sigma", "0 1 3 2")
@@ -43,6 +53,21 @@ class TestPoly:
         code, _, err = run(capsys, "poly", "--name", "F", "--n", "99")
         assert code == 1
         assert "safety limit" in err
+
+    def test_recursion_names_have_no_safety_limit(self, capsys, monkeypatch):
+        monkeypatch.delenv("PARKFACT_MAX_N", raising=False)
+        code, out, _ = run(capsys, "poly", "--name", "I", "--n", "9")
+        assert code == 0
+        assert out == str(tree_recursion_I(9)[9]) + "\n"
+        for name in ("C", "D"):
+            code, _, _ = run(capsys, "poly", "--name", name, "--n", "9")
+            assert code == 0
+        code, _, err = run(capsys, "poly", "--name", "F", "--n", "9")
+        assert code == 1
+        assert "safety limit" in err
+        code, _, err = run(capsys, "poly", "--name", "I", "--n", "-1")
+        assert code == 1
+        assert "nonnegative" in err
 
     def test_limit_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PARKFACT_MAX_N", "2")

@@ -2,7 +2,7 @@ import math
 from itertools import combinations, product
 
 import pytest
-from oracles import product_by_compose
+from oracles import factor_pairs_by_recursion, product_by_compose
 
 from parkfact.factorizations import (
     Factorization,
@@ -14,6 +14,7 @@ from parkfact.factorizations import (
     factorization_to_json,
     is_minimal_for,
     is_simple,
+    iter_factor_pairs,
     lower,
     parse_factorization,
     phi_k,
@@ -32,7 +33,13 @@ from parkfact.permutations import (
     parse_permutation,
     reflect_reverse,
 )
-from parkfact.polynomials import BivariatePoly, catalan_qt, qt_bracket, qt_factorial_product
+from parkfact.polynomials import (
+    BivariatePoly,
+    catalan_qt,
+    qt_bracket,
+    qt_factorial_product,
+    tree_recursion_I,
+)
 from parkfact.trees import inversion_enumerator, tree_count
 
 F9 = parse_factorization("(1 2)(3 5)(1 3)(7 8)(0 6)(7 9)(0 7)(1 6)(4 5)", 9)
@@ -121,9 +128,12 @@ class TestEnumeration:
                 target = sigma.to_permutation()
                 assert all(f.product() == target for f in members)
 
-    def test_count_at_seven(self):
-        from parkfact.factorizations import iter_factor_pairs
+    def test_stream_matches_the_recursive_walk(self):
+        cycles = [sigma for n in range(6) for sigma in full_cycles(n)]
+        for sigma in cycles + [FullCycle.canonical(6)]:
+            assert list(iter_factor_pairs(sigma)) == list(factor_pairs_by_recursion(sigma))
 
+    def test_count_at_seven(self):
         sigma = FullCycle.canonical(7)
         assert sum(1 for _ in iter_factor_pairs(sigma)) == tree_count(7)
 
@@ -139,6 +149,13 @@ class TestEnumeration:
             target = sigma.to_permutation()
             for f in enumerate_factorizations(sigma):
                 assert is_minimal_for(f, target)
+
+    @pytest.mark.slow
+    def test_trees_match_factorizations_at_eight(self):
+        # opt-in (pytest -m slow): 4.78M trees and 4.78M factorizations
+        series = tree_recursion_I(8)
+        assert inversion_enumerator(8) == factorization_enumerator(FullCycle.canonical(8))
+        assert inversion_enumerator(8) == series[8]
 
 
 class TestSequences:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import parking_by_sweep
+from oracles import parking_by_sweep, parking_enumerators_by_one_loop
 
 from parkfact.parking import (
     LabelledDyckPath,
@@ -22,7 +22,6 @@ from parkfact.parking import (
     is_major,
     is_parking,
     park_process,
-    parking_count,
     parking_enumerators,
     parse_parking,
     pinv,
@@ -33,7 +32,7 @@ from parkfact.parking import (
     to_path,
 )
 from parkfact.polynomials import BivariatePoly
-from parkfact.trees import enumerate_trees, tree_stats
+from parkfact.trees import enumerate_trees, tree_count, tree_stats
 
 P9 = ParkingFunction((1, 3, 1, 7, 0, 7, 0, 1, 4))
 M9 = MajorSequence((2, 5, 3, 8, 6, 9, 7, 6, 5))
@@ -64,7 +63,7 @@ class TestMembership:
 
     def test_counts(self):
         for n in range(6):
-            assert sum(1 for _ in enumerate_parking(n)) == parking_count(n)
+            assert sum(1 for _ in enumerate_parking(n)) == tree_count(n)
 
     def test_raw_stream_is_the_filtered_sweep(self):
         # runs both routes of is_parking on every word of [0, n)^n
@@ -75,7 +74,7 @@ class TestMembership:
     def test_complement_is_a_bijection(self):
         for n in range(6):
             majors = {complement(p).entries for p in enumerate_parking(n)}
-            assert len(majors) == parking_count(n)
+            assert len(majors) == tree_count(n)
             assert all(is_major(m) for m in majors)
             assert {m.entries for m in enumerate_majors(n)} == majors
 
@@ -228,7 +227,7 @@ class TestTheta:
     def test_bijection(self):
         for n in range(5):
             images = {theta(p).parent for p in enumerate_parking(n)}
-            assert len(images) == parking_count(n)
+            assert len(images) == tree_count(n)
             for p in enumerate_parking(n):
                 assert theta_inverse(theta(p)) == p
             for t in enumerate_trees(n):
@@ -296,6 +295,10 @@ class TestParkProcess:
                     acc[name][key] = acc[name].get(key, 0) + 1
             expected = ParkingEnumerators(*(BivariatePoly(acc[f]) for f in acc))
             assert parking_enumerators(n) == expected
+
+    def test_two_passes_match_the_one_loop_route(self):
+        for n in range(7):
+            assert parking_enumerators(n) == parking_enumerators_by_one_loop(n)
 
     def test_enumerators(self):
         enums = parking_enumerators(2)

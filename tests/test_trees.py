@@ -1,8 +1,11 @@
+import json
+from collections import Counter
 from itertools import product
 
 import pytest
 from oracles import pruefer_to_parent_dfs, trees_by_parent_sweep
 
+from parkfact.cli import main
 from parkfact.polynomials import BivariatePoly, tree_recursion_I
 from parkfact.trees import (
     LabelledTree,
@@ -129,6 +132,12 @@ class TestEnumerators:
              (8, 0): 24, (9, 0): 12, (10, 0): 24}
         )
 
+    def test_raw_enumerators_are_sums_over_validated_trees(self):
+        for n in range(7):
+            stats = [tree_stats(t) for t in enumerate_trees(n)]
+            assert inversion_enumerator(n) == BivariatePoly(Counter(s[:2] for s in stats))
+            assert depth_enumerator(n) == BivariatePoly(Counter((s[2], 0) for s in stats))
+
     def test_depth_is_the_diagonal(self):
         for n in range(6):
             assert depth_enumerator(n) == inversion_enumerator(n).diagonal()
@@ -137,6 +146,16 @@ class TestEnumerators:
 class TestTextForms:
     def test_format(self):
         assert format_tree(tree(0, 1)) == "0:-,1:0,2:1"
+
+    def test_listing_is_format_tree_of_the_validated_stream(self, capsys):
+        def listing(n, fmt):
+            assert main(["enumerate", "--kind", "trees", "--n", str(n), "--format", fmt]) == 0
+            return capsys.readouterr().out.splitlines()
+
+        for n in range(7):
+            assert listing(n, "text") == [format_tree(t) for t in enumerate_trees(n)]
+        for n in range(5):
+            assert listing(n, "json") == [json.dumps(tree_to_json(t)) for t in enumerate_trees(n)]
 
     def test_parse_round_trip(self):
         for t in enumerate_trees(3):
