@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .permutations import FullCycle, Permutation, Transposition, _cycle_groups, swap_product
-from .polynomials import BivariatePoly, json_fields
+from .polynomials import BivariatePoly, json_fields, json_int, json_ints
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,31 +48,11 @@ class Factorization:
 
 
 def is_minimal_for(f: Factorization, pi: Permutation) -> bool:
-    """True iff f is a shortest factorization of pi.
-
-    Checks the product and the graph criterion (the factor graph is a
-    forest whose components are exactly the cycle supports of pi), and
-    cross-checks the closed length formula n + 1 - c(pi); the last two
-    must agree whenever the product matches.
-    """
+    """True iff f is a shortest factorization of pi: its product is pi
+    and it has the minimal length n + 1 - c(pi)."""
     if f.n != pi.n:
         raise ValueError(f"size mismatch: [{f.n}] vs [{pi.n}]")
-    if f.product() != pi:
-        return False
-
-    roots = forest_roots(((t.lo, t.hi) for t in f.factors), f.n + 1)
-    graph_ok = roots is not None
-    if graph_ok:
-        # each cycle lies in one component, and there are as many of each
-        cycles = pi.cycles(include_fixed=True)
-        graph_ok = len(set(roots)) == len(cycles) and all(
-            len({roots[v] for v in c}) == 1 for c in cycles
-        )
-
-    length_ok = len(f.factors) == f.n + 1 - pi.num_cycles()
-    if graph_ok != length_ok:
-        raise AssertionError(f"graph and length criteria disagree on {f}")
-    return graph_ok
+    return f.product() == pi and len(f.factors) == f.n + 1 - pi.num_cycles()
 
 
 def forest_roots(edges, size: int) -> list[int] | None:
@@ -246,13 +226,11 @@ def restricted_enumerators(n: int) -> RestrictedEnumerators:
 
     simple: contains the factor (0, n); increasing / decreasing: lower
     sequence weakly monotone; max_diff: maximum total difference;
-    perm_lower: the lower sequence is a permutation of 0..n-1.  The last
-    one is computed both by filtering and as the q = 0 slice of the full
-    enumerator, and the two must match.
+    perm_lower: the lower sequence is a permutation of 0..n-1.  All five
+    come from one pass over F_n.
     """
     sigma = FullCycle.canonical(n)
     binom = math.comb(n, 2)
-    full: dict[tuple[int, int], int] = {}
     simple: dict[tuple[int, int], int] = {}
     increasing: dict[tuple[int, int], int] = {}
     decreasing: dict[tuple[int, int], int] = {}
@@ -263,7 +241,6 @@ def restricted_enumerators(n: int) -> RestrictedEnumerators:
         a_l = binom - sum(lows)
         a_u = sum(b for _, b in pairs) - binom
         key = (a_l, a_u)
-        full[key] = full.get(key, 0) + 1
         if any(a == 0 and b == n for a, b in pairs):
             simple[key] = simple.get(key, 0) + 1
         if all(lows[i] <= lows[i + 1] for i in range(len(lows) - 1)):
@@ -275,16 +252,13 @@ def restricted_enumerators(n: int) -> RestrictedEnumerators:
         bucket = by_diff.setdefault(a_l + a_u, {})
         bucket[key] = bucket.get(key, 0) + 1
 
-    perm_poly = BivariatePoly(perm)
-    if perm_poly != BivariatePoly(full).at_q(0):
-        raise AssertionError("permutation-lower routes disagree")
     max_diff = BivariatePoly(by_diff[max(by_diff)]) if by_diff else BivariatePoly.one()
     return RestrictedEnumerators(
         BivariatePoly(simple),
         BivariatePoly(increasing),
         BivariatePoly(decreasing),
         max_diff,
-        perm_poly,
+        BivariatePoly(perm),
     )
 
 
@@ -354,5 +328,5 @@ def factorization_to_json(f: Factorization) -> dict:
 def factorization_from_json(obj: dict) -> Factorization:
     n, factors = json_fields(obj, "n", "factors")
     return Factorization(
-        tuple(Transposition(int(a), int(b)) for a, b in factors), int(n)
+        tuple(Transposition(a, b) for a, b in json_ints(factors, 2)), json_int(n)
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Iterator
 
-from .polynomials import BivariatePoly, json_fields
+from .polynomials import BivariatePoly, json_fields, json_int, json_ints
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,7 +239,7 @@ def _parent_json(parent: tuple[int, ...]) -> dict:
 
 def tree_from_json(obj: dict) -> LabelledTree:
     n, raw = json_fields(obj, "n", "parent")
-    parent = (0, *(int(x) for x in raw))
-    if len(parent) != int(n) + 1:
+    parent = (0, *json_ints(raw))
+    if len(parent) != json_int(n) + 1:
         raise ValueError("n does not match parent length")
     return LabelledTree(parent)

@@ -9,12 +9,12 @@ from collections import Counter
 from itertools import product
 
 from parkfact.arch import _is_noncrossing
+from parkfact.factorizations import forest_roots
 from parkfact.parking import (
     ParkingEnumerators,
     _bounce_kernel,
     _park_kernel,
     _parking_tuples,
-    is_parking,
 )
 from parkfact.polynomials import BivariatePoly
 from parkfact.permutations import Permutation, compose
@@ -29,11 +29,22 @@ def trees_by_parent_sweep(n):
             yield LabelledTree(parent)
 
 
+def is_parking_by_sort(entries):
+    """The definition: nonnegative entries whose i-th smallest is at most i - 1."""
+    return all(0 <= a <= i for i, a in enumerate(sorted(entries)))
+
+
+def is_major_by_sort(entries):
+    """The definition: the i-th smallest entry lies in [i, n]."""
+    n = len(entries)
+    return all(i + 1 <= b <= n for i, b in enumerate(sorted(entries)))
+
+
 def parking_by_sweep(n):
-    """Sweep all n^n words over [0, n) and keep those is_parking accepts,
-    which tests each by the sorted definition and the counting criterion."""
+    """Sweep all n^n words over [0, n) and keep those the sorted definition
+    accepts."""
     for entries in product(range(n), repeat=n):
-        if is_parking(entries):
+        if is_parking_by_sort(entries):
             yield entries
 
 
@@ -85,6 +96,21 @@ def pruefer_to_parent_dfs(seq, m):
                 parent[v] = u
                 stack.append(v)
     return tuple(parent)
+
+
+def is_minimal_by_graph(f, pi):
+    """Minimality by the graph criterion: f multiplies out to pi, and its
+    factor graph is a forest whose components are exactly the cycle
+    supports of pi."""
+    if f.product() != pi:
+        return False
+    roots = forest_roots(((t.lo, t.hi) for t in f.factors), f.n + 1)
+    if roots is None:
+        return False
+    cycles = pi.cycles(include_fixed=True)
+    return len(set(roots)) == len(cycles) and all(
+        len({roots[v] for v in c}) == 1 for c in cycles
+    )
 
 
 def product_by_compose(f):

@@ -184,11 +184,13 @@ class TestCaps:
                 assert is_simple_arch(sigma_diagram(f, sigma)) == is_simple(f)
 
     def test_caps_chain_from_left_to_right(self):
-        sigma = FullCycle.canonical(4)
-        for f in enumerate_factorizations(sigma):
-            arcs = caps(sigma_diagram(f, sigma))
-            assert arcs[0][0] == 0 and arcs[-1][1] == 4
-            assert all(arcs[i][1] == arcs[i + 1][0] for i in range(len(arcs) - 1))
+        # every full cycle for n <= 4, and the canonical cycle for n = 5
+        cycles = [sigma for n in range(1, 5) for sigma in full_cycles(n)]
+        for sigma in cycles + [FullCycle.canonical(5)]:
+            for f in enumerate_factorizations(sigma):
+                arcs = caps(sigma_diagram(f, sigma))
+                assert arcs[0][0] == 0 and arcs[-1][1] == sigma.n
+                assert all(arcs[i][1] == arcs[i + 1][0] for i in range(len(arcs) - 1))
 
 
 class TestDecomposition:
@@ -249,6 +251,20 @@ class TestJson:
         for obj in ({"n": 1}, [1]):
             with pytest.raises(ValueError, match="JSON object with keys n, arcs"):
                 arch_from_json(obj)
+
+    def test_wrong_json_types_and_fractions(self):
+        for obj in (
+            {"n": 1, "arcs": [5]},
+            {"n": 1, "arcs": 5},
+            {"n": 1, "arcs": [[0, 1, None]]},
+            {"n": None, "arcs": []},
+            {"n": 1, "arcs": [[0, 1, 1.7]]},
+            {"n": 1, "arcs": [[0, 1, True]]},
+            {"n": 1, "arcs": ["012"]},
+        ):
+            with pytest.raises(ValueError):
+                arch_from_json(obj)
+        assert arch_from_json({"n": 1.0, "arcs": [[0, 1, 1]]}) == diagram(2, (0, 1, 1))
 
     def test_label_validation(self):
         with pytest.raises(ValueError):

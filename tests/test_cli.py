@@ -1,6 +1,12 @@
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 
-from parkfact.cli import main
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from parkfact.cli import _VIA_INPUT_KIND, main
 from parkfact.parking import parking_enumerators
 from parkfact.polynomials import tree_recursion_I
 
@@ -139,6 +145,11 @@ class TestMap:
         for argv in (
             ("map", "--via", "fact", "--input", '{"n":1}'),
             ("map", "--via", "theta-inverse", "--input", "0:-,1:0,1:0,2:1"),
+            ("map", "--via", "fact", "--input", '{"n": 1, "arcs": [5]}'),
+            ("map", "--via", "fact", "--input", '{"n": 1, "arcs": 5}'),
+            ("map", "--via", "fact", "--input", '{"n": 1, "arcs": [[0, 1, null]]}'),
+            ("map", "--via", "fact", "--input", '{"n": null, "arcs": []}'),
+            ("map", "--via", "fact", "--input", '{"n": 1, "arcs": [[0, 1, 1.7]]}'),
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (1, "")
@@ -330,3 +341,50 @@ class TestParsing:
         monkeypatch.setattr("sys.stdin", io.StringIO("0,0\n"))
         code, out, _ = run(capsys, "map", "--via", "theta", "--input", "-")
         assert code == 0
+
+
+# every subcommand that reads --input, with no --n so the object sets it
+INPUT_COMMANDS = (
+    [("stats", "--kind", kind) for kind in ("tree", "parking", "major", "factorization")]
+    + [("map", "--via", via) for via in _VIA_INPUT_KIND]
+    + [("map", "--via", "phi-k", "--k", "1")]
+    + [("render", "--kind", kind) for kind in ("path", "arch")]
+)
+
+# short words over the wire formats' characters: numbers stay below 10^4,
+# and "-" alone (read stdin) is left out
+WIRE_TEXT = st.text("0123 ,:-()", max_size=8).filter(lambda text: text != "-")
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.text("0n", max_size=2)
+    | st.sampled_from([1.0, 1.7, math.inf, math.nan]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "arcs"]), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code == 0 or (
+        code == 1 and len(err.splitlines()) == 1 and err.startswith("error: ")
+    ), (code, err)
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(INPUT_COMMANDS), WIRE_TEXT)
+    def test_any_text_input_exits_zero_or_one_error_line(self, command, text):
+        assert_clean_exit(*run_quietly([*command, f"--input={text}"]))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.fixed_dictionaries({"n": JSON_VALUES, "arcs": JSON_VALUES}) | JSON_VALUES)
+    def test_any_json_arch_exits_zero_or_one_error_line(self, obj):
+        text = json.dumps(obj)
+        assert_clean_exit(*run_quietly(["map", "--via", "fact", f"--input={text}"]))

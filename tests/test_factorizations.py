@@ -1,8 +1,8 @@
 import math
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
-from oracles import factor_pairs_by_recursion, product_by_compose
+from oracles import factor_pairs_by_recursion, is_minimal_by_graph, product_by_compose
 
 from parkfact.factorizations import (
     Factorization,
@@ -98,6 +98,18 @@ class TestMinimality:
     def test_too_long(self):
         f = fact("(0 1)(1 2)(0 2)", 2)
         assert not is_minimal_for(f, parse_permutation("(1 2)", 2))
+
+    def test_length_formula_matches_the_graph_criterion(self):
+        # every transposition word of length at most n + 1 against every
+        # permutation of [0, n], n <= 3
+        for n in range(4):
+            perms = [Permutation(images) for images in permutations(range(n + 1))]
+            pairs = list(combinations(range(n + 1), 2))
+            for length in range(n + 2):
+                for word in product(pairs, repeat=length):
+                    f = Factorization(tuple(Transposition(a, b) for a, b in word), n)
+                    for pi in perms:
+                        assert is_minimal_for(f, pi) == is_minimal_by_graph(f, pi)
 
 
 class TestEnumeration:

@@ -47,7 +47,7 @@ class TestOmega:
         assert omega(sigma, ParkingFunction((0, 0, 0, 0))).order == (1, 2, 3, 4)
 
     def test_entries_weakly_decreasing_along_order(self):
-        for n in range(1, 5):
+        for n in range(1, 6):
             for sigma in unimodal_cycles(n):
                 for p in enumerate_parking(n):
                     om = omega(sigma, p)

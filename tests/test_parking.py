@@ -1,7 +1,14 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import parking_by_sweep, parking_enumerators_by_one_loop
+from oracles import (
+    is_major_by_sort,
+    is_parking_by_sort,
+    parking_by_sweep,
+    parking_enumerators_by_one_loop,
+)
 
 from parkfact.parking import (
     LabelledDyckPath,
@@ -66,10 +73,19 @@ class TestMembership:
             assert sum(1 for _ in enumerate_parking(n)) == tree_count(n)
 
     def test_raw_stream_is_the_filtered_sweep(self):
-        # runs both routes of is_parking on every word of [0, n)^n
+        # the generator and is_parking against the sorted definition on
+        # every word of [0, n)^n
         for n in range(1, 7):
-            assert list(_parking_tuples(n)) == list(parking_by_sweep(n))
+            swept = list(parking_by_sweep(n))
+            assert list(_parking_tuples(n)) == swept
+            assert list(filter(is_parking, product(range(n), repeat=n))) == swept
         assert list(_parking_tuples(0)) == [()]
+
+    def test_predicates_match_the_sorted_definitions(self):
+        for n in range(6):
+            for word in product(range(-1, n + 2), repeat=n):
+                assert is_parking(word) == is_parking_by_sort(word)
+                assert is_major(word) == is_major_by_sort(word)
 
     def test_complement_is_a_bijection(self):
         for n in range(6):
@@ -276,10 +292,11 @@ class TestParkProcess:
             for p in enumerate_parking(n):
                 assert park_process(p).jump == area(p)
 
-    def test_gaps_are_an_internal_error(self):
-        # (1, 1) is not parking: the cars end in stalls 1 and 2
-        with pytest.raises(AssertionError, match="gaps"):
-            _park_kernel((1, 1))
+    def test_parking_tuples_fill_every_stall(self):
+        for n in range(7):
+            for entries in _parking_tuples(n):
+                stalls, _, _ = _park_kernel(entries)
+                assert sorted(stalls) == list(range(n))
 
     def test_enumerators_are_sums_of_per_object_statistics(self):
         for n in range(7):
