@@ -67,6 +67,8 @@ def _read_input(args) -> str:
     if args.input is None:
         raise CliError("this command needs --input")
     if args.input == "-":
+        if sys.stdin is None:
+            raise CliError("--input - needs stdin, which is closed")
         return sys.stdin.read().strip()
     return args.input.strip()
 
@@ -125,8 +127,6 @@ def _cmd_enumerate(args) -> int:
             raise CliError("unimodal enumeration needs n >= 1")
         for sigma in unimodal_cycles(n):
             print(str(sigma))
-    else:
-        raise CliError(f"unknown kind {kind!r}")
     return 0
 
 
@@ -185,32 +185,21 @@ def _cmd_stats(args) -> int:
         else:
             record["note"] = "not a minimal factorization of a full cycle"
         _emit(record, fmt)
-    else:
-        raise CliError(f"unknown kind {args.kind!r}")
     return 0
 
 
 # -------------------------------------------------------------------- map
 
 
-_VIA_INPUT_KIND = {
-    "lower": "factorization", "L": "factorization",
-    "upper": "factorization", "U": "factorization",
-    "l-inverse": "parking", "u-inverse": "major",
-    "theta": "parking", "theta-inverse": "tree",
-    "phi-k": "factorization", "phi-k-inverse": "factorization",
-    "arch": "factorization", "fact": "arch",
-    "push": "parking",
-    "reflect-conjugate": "factorization", "reflect-reverse": "factorization",
-    "complement": "parking",
-}
+_VIAS = (
+    "lower", "L", "upper", "U", "l-inverse", "u-inverse", "theta",
+    "theta-inverse", "phi-k", "phi-k-inverse", "arch", "fact", "push",
+    "reflect-conjugate", "reflect-reverse", "complement",
+)
 
 
 def _cmd_map(args) -> int:
     via = args.via
-    if via not in _VIA_INPUT_KIND:
-        raise CliError(f"unknown bijection {via!r}")
-    source = args.source or _VIA_INPUT_KIND[via]
     text = _read_input(args)
     fmt = args.format
 
@@ -257,7 +246,7 @@ def _cmd_map(args) -> int:
         pushed = _inv.push_upper_path(_park.to_path(p))
         print(str(_park.from_path(pushed)))
     elif via == "reflect-conjugate":
-        if source == "cycle":
+        if args.source == "cycle":
             print(str(reflect_conjugate(parse_full_cycle(text))))
         else:
             f = _fact.parse_factorization(text, args.n)
@@ -266,7 +255,7 @@ def _cmd_map(args) -> int:
         f = _fact.parse_factorization(text, args.n)
         print(str(reflect_reverse(f)))
     elif via == "complement":
-        if source == "major":
+        if args.source == "major":
             print(str(_park.complement(_park.parse_major(text))))
         else:
             print(str(_park.complement(_park.parse_parking(text))))
@@ -308,8 +297,6 @@ def _cmd_poly(args) -> int:
         poly = {"B": pinv_copinv, "area": area_poly, "bounce": bounce_poly}[name]
     elif name == "jump":
         poly = _park._jump_pass(n)
-    else:
-        raise CliError(f"unknown polynomial {name!r}")
     _print_poly(poly, fmt)
     return 0
 
@@ -356,8 +343,6 @@ def _cmd_render(args) -> int:
         diagram = _arch.sigma_diagram(f, sigma)
         out = (_render.render_arch_svg(diagram, sigma) if args.format == "svg"
                else _render.render_arch_ascii(diagram, sigma))
-    else:
-        raise CliError(f"unknown kind {args.kind!r}")
     sys.stdout.write(out)
     return 0
 
@@ -409,7 +394,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("map", help="apply a named bijection")
-    p.add_argument("--via", required=True)
+    p.add_argument("--via", required=True, choices=_VIAS)
     p.add_argument("--from", dest="source",
                    choices=["parking", "major", "factorization", "tree",
                             "arch", "cycle"])

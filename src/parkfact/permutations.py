@@ -13,7 +13,7 @@ import enum
 import re
 from dataclasses import dataclass, replace
 from itertools import permutations as _itertools_permutations
-from typing import Iterator, Union
+from typing import Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,9 +60,6 @@ class Permutation:
         for i, j in enumerate(self.images):
             inv[j] = i
         return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
 
     def cycles(self, include_fixed: bool = False) -> tuple[tuple[int, ...], ...]:
         """Cycle view: each cycle rotated to start at its minimum, cycles
@@ -373,13 +370,3 @@ def parse_full_cycle(text: str) -> FullCycle:
         raise ValueError(f"expected a single cycle word, got {text!r}")
     return FullCycle(tuple(groups[0]))
 
-
-def parse_transposition(text: str) -> Transposition:
-    groups = _parse_groups(text)
-    if len(groups) != 1 or len(groups[0]) != 2:
-        raise ValueError(f"expected one pair, got {text!r}")
-    a, b = groups[0]
-    return Transposition.of(a, b)
-
-
-PermLike = Union[Permutation, Transposition, FullCycle]

@@ -67,9 +67,6 @@ class BivariatePoly:
     def coefficient(self, e_q: int, e_t: int) -> int:
         return self._terms.get((e_q, e_t), 0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

@@ -164,40 +164,47 @@ def check_area_jump(n_max: int = 6) -> CheckResult:
 # ------------------------------------- 6: unimodal characterization
 
 
-def check_unimodal(n_max: int = 5, n_min: int = 3) -> CheckResult:
+def check_unimodal(n_max: int = 5) -> CheckResult:
+    # every full cycle with n <= 2 is unimodal, so the suite starts at 3
     name = "unimodal"
-    for n in range(n_min, n_max + 1):
+    for n in range(3, n_max + 1):
         expected = _trees.tree_count(n)
         unimodal_seen = 0
         for sigma in full_cycles(n):
-            lowers = []
-            uppers = []
+            size = 0
+            lowers = set()
+            uppers = set()
             for pairs in _fact.iter_factor_pairs(sigma):
-                lowers.append(tuple(a for a, _ in pairs))
-                uppers.append(tuple(b for _, b in pairs))
-            if len(lowers) != expected:
-                return _fail(name, f"|F_sigma| = {len(lowers)} for sigma={sigma}")
+                size += 1
+                lowers.add(tuple(a for a, _ in pairs))
+                uppers.add(tuple(b for _, b in pairs))
+            if size != expected:
+                return _fail(name, f"|F_sigma| = {size} for sigma={sigma}")
             if not all(_park.is_parking(seq) for seq in lowers):
                 return _fail(name, f"a lower sequence escapes P_n for sigma={sigma}")
             if not all(_park.is_major(seq) for seq in uppers):
                 return _fail(name, f"an upper sequence escapes M_n for sigma={sigma}")
             uni = is_unimodal(sigma)
             unimodal_seen += uni
-            if (len(set(lowers)) == expected) != uni:
+            if (len(lowers) == expected) != uni:
                 return _fail(
                     name, f"L bijective != unimodal for sigma={sigma} (n={n})"
                 )
-            if (len(set(uppers)) == expected) != uni:
+            if (len(uppers) == expected) != uni:
                 return _fail(
                     name, f"U bijective != unimodal for sigma={sigma} (n={n})"
                 )
             if not uni:
-                _inv.non_unimodal_witness(sigma)  # validates internally
+                p, f1, f2 = _inv.non_unimodal_witness(sigma)
+                if f1 == f2 or not (
+                    _fact.lower(f1) == _fact.lower(f2) == p.entries
+                    and f1.product() == f2.product() == sigma.to_permutation()
+                ):
+                    return _fail(name, f"witness for sigma={sigma} is not a collision")
         if unimodal_seen != 2 ** (n - 1):
             return _fail(name, f"{unimodal_seen} unimodal cycles at n={n}")
     return _ok(
-        name,
-        f"L and U are bijections exactly on unimodal cycles, n = {n_min}..{n_max}",
+        name, f"L and U are bijections exactly on unimodal cycles, n = 3..{n_max}"
     )
 
 

@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkfact.cli import _VIA_INPUT_KIND, main
+from parkfact.cli import _VIAS, main
 from parkfact.parking import parking_enumerators
 from parkfact.polynomials import tree_recursion_I
 
@@ -342,11 +342,23 @@ class TestParsing:
         code, out, _ = run(capsys, "map", "--via", "theta", "--input", "-")
         assert code == 0
 
+    def test_closed_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", None)
+        code, out, err = run(capsys, "map", "--via", "theta", "--input", "-")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_unknown_via(self, capsys):
+        code, _, err = run(capsys, "map", "--via", "sideways", "--input", "0")
+        assert code == 1
+        assert err.startswith("error: argument --via: invalid choice: 'sideways'")
+        assert len(err.splitlines()) == 1
+
 
 # every subcommand that reads --input, with no --n so the object sets it
 INPUT_COMMANDS = (
     [("stats", "--kind", kind) for kind in ("tree", "parking", "major", "factorization")]
-    + [("map", "--via", via) for via in _VIA_INPUT_KIND]
+    + [("map", "--via", via) for via in _VIAS]
     + [("map", "--via", "phi-k", "--k", "1")]
     + [("render", "--kind", kind) for kind in ("path", "arch")]
 )

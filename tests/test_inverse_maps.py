@@ -23,6 +23,7 @@ from parkfact.parking import (
     to_path,
 )
 from parkfact.permutations import FullCycle, full_cycles, is_unimodal, parse_full_cycle, unimodal_cycles
+from parkfact.verify import run_suite
 
 SIGMA6 = parse_full_cycle("0 2 3 5 6 4 1")
 P6 = ParkingFunction((2, 4, 0, 1, 4, 0))
@@ -122,6 +123,13 @@ class TestLInverse:
         assert lower(f) == p.entries
         assert f.product() == sigma.to_permutation()
 
+    @pytest.mark.slow
+    def test_l_inverse_suite_at_six(self):
+        # opt-in (pytest -m slow): 32 unimodal cycles x 16,807 parking
+        # functions, every step checked
+        result = run_suite("l-inverse", 6)
+        assert result.ok, result.line()
+
     def test_image_is_the_whole_family(self):
         # differential check against the independent enumerator
         for n in range(5):
@@ -219,6 +227,7 @@ class TestWitness:
                 p, f1, f2 = non_unimodal_witness(sigma)
                 assert f1.factors != f2.factors
                 assert lower(f1) == lower(f2) == p.entries
+                assert f1.product() == f2.product() == sigma.to_permutation()
 
 
 class TestTheoremFour:

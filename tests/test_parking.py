@@ -264,11 +264,10 @@ class TestTheta:
         # the bitmask counts against the D sets, element by element
         for n in range(7):
             for p in enumerate_parking(n):
-                data, value = bounce(p)
+                data, _ = bounce(p)
                 below = sum(1 for v in range(n + 1) for x in data.D[v] if x < v)
                 above = sum(1 for v in range(n + 1) for x in data.D[v] if x > v)
                 assert (pinv(p), copinv(p)) == (below, above)
-                assert below + above == value
 
 
 class TestParkProcess:
