@@ -9,8 +9,11 @@ noncrossing tree whose rotators all read increasingly, which is the
 validity test implemented here.
 
 Validation runs on the raw arcs: the union-find of factorizations
-tests the tree, and the rotators of all vertices come from two sorts of
-the arcs.  caps finds the unnested arcs in one sweep by left endpoint.
+tests the tree, one nesting sweep by left endpoint finds crossings and
+lists the caps with the arcs under each, and two sorts of the arcs give
+every rotator.  Readers that need a valid diagram (caps, is_simple_arch,
+decompose_simple, arch_to_factorization) validate it once; builders
+(ArchDiagram, sigma_diagram, recompose, arch_from_json) never do.
 """
 
 from __future__ import annotations
@@ -94,22 +97,28 @@ def _is_tree(diagram: ArchDiagram) -> bool:
     ) is not None
 
 
-def _is_noncrossing(diagram: ArchDiagram) -> bool:
-    # arcs sharing an endpoint do not cross; the bad pattern is strict
-    # interleaving l1 < l2 < r1 < r2
-    arcs = diagram.arcs
-    for i in range(len(arcs)):
-        l1, r1, _ = arcs[i]
-        for j in range(i + 1, len(arcs)):
-            l2, r2, _ = arcs[j]
-            if l1 < l2 < r1 < r2 or l2 < l1 < r2 < r1:
-                return False
-    return True
+def _nesting(arcs: Iterable[Arc]) -> list[list[Arc]] | None:
+    """Each cap followed by the arcs nested under it, left to right, or
+    None if two arcs cross (interleave strictly, l1 < l2 < r1 < r2)."""
+    # by left end, longer first; the open right ends on the stack never
+    # increase, so an arc crosses an open arc iff it outreaches the top
+    runs: list[list[Arc]] = []
+    open_rights: list[int] = []
+    for arc in sorted(arcs, key=lambda arc: (arc[0], -arc[1])):
+        while open_rights and open_rights[-1] <= arc[0]:
+            open_rights.pop()
+        if not open_rights:
+            runs.append([])
+        elif arc[1] > open_rights[-1]:
+            return None
+        runs[-1].append(arc)
+        open_rights.append(arc[1])
+    return runs
 
 
 def is_valid_arch(diagram: ArchDiagram) -> bool:
     """Tree + noncrossing + every rotator increasing."""
-    if not _is_tree(diagram) or not _is_noncrossing(diagram):
+    if not _is_tree(diagram) or _nesting(diagram.arcs) is None:
         return False
     # labels are distinct, so a rotator increases iff it is sorted
     return all(rot == sorted(rot) for rot in _rotators(diagram))
@@ -140,15 +149,7 @@ def caps(diagram: ArchDiagram) -> tuple[Arc, ...]:
     """
     if not is_valid_arch(diagram):
         raise ValueError("diagram is not a valid arch diagram")
-    # by left end, longer first: an arc is unnested iff it reaches past
-    # every arc before it
-    out = []
-    reach = -1
-    for arc in sorted(diagram.arcs, key=lambda arc: (arc[0], -arc[1])):
-        if arc[1] > reach:
-            out.append(arc)
-            reach = arc[1]
-    return tuple(out)
+    return tuple(run[0] for run in _nesting(diagram.arcs))
 
 
 def is_simple_arch(diagram: ArchDiagram) -> bool:
@@ -168,19 +169,14 @@ def decompose_simple(
     returned index set I_j records the original labels (ascending).  The
     parts are listed left to right and the index sets partition 1..n.
     """
-    cap_list = caps(diagram)
+    if not is_valid_arch(diagram):
+        raise ValueError("diagram is not a valid arch diagram")
     parts = []
-    for cap in cap_list:
-        left, right, _ = cap
-        members = [
-            arc for arc in diagram.arcs if left <= arc[0] and arc[1] <= right
-        ]
-        index_set = tuple(sorted(label for _, _, label in members))
+    for run in _nesting(diagram.arcs):
+        left, right, _ = run[0]
+        index_set = tuple(sorted(label for _, _, label in run))
         rank = {label: i + 1 for i, label in enumerate(index_set)}
-        shifted = tuple(
-            (arc_left - left, arc_right - left, rank[label])
-            for arc_left, arc_right, label in members
-        )
+        shifted = tuple((a - left, b - left, rank[label]) for a, b, label in run)
         parts.append((ArchDiagram(right - left + 1, shifted), index_set))
     return tuple(parts)
 
@@ -190,7 +186,9 @@ def recompose(parts: Iterable[tuple[ArchDiagram, Sequence[int]]]) -> ArchDiagram
 
     Each part is restored to its original labels via its index set, and
     the parts are concatenated in decreasing order of their cap labels,
-    which is the order the increasing-rotator rule forces.
+    which is the order the increasing-rotator rule forces.  Each part must
+    be noncrossing with exactly one cap; beyond that, recompose does not
+    judge validity (is_valid_arch does).
     """
     restored = []
     for part, index_set in parts:
@@ -200,10 +198,10 @@ def recompose(parts: Iterable[tuple[ArchDiagram, Sequence[int]]]) -> ArchDiagram
         relabelled = tuple(
             (left, right, ordered[label - 1]) for left, right, label in part.arcs
         )
-        part_caps = caps(part)
-        if len(part_caps) != 1:
-            raise ValueError("every part must be simple")
-        cap_label = ordered[part_caps[0][2] - 1]
+        runs = _nesting(part.arcs)
+        if runs is None or len(runs) != 1:
+            raise ValueError("every part must be noncrossing with one cap")
+        cap_label = ordered[runs[0][0][2] - 1]
         restored.append((cap_label, part.n_vertices, relabelled))
     restored.sort(key=lambda item: -item[0])
 

@@ -169,12 +169,11 @@ def _cmd_stats(args) -> int:
                "heights": list(path.heights), "labels": list(path.labels)}, fmt)
     elif args.kind == "factorization":
         f = _fact.parse_factorization(text, args.n)
+        pi = f.product()
         record = {
-            "factorization": str(f), "n": f.n,
-            "product": format_permutation(f.product()),
+            "factorization": str(f), "n": f.n, "product": format_permutation(pi),
             "lower": list(_fact.lower(f)), "upper": list(_fact.upper(f)),
         }
-        pi = f.product()
         if len(f.factors) == f.n and pi.num_cycles() == 1:
             record["area_lower"] = _fact.area_lower(f)
             record["area_upper"] = _fact.area_upper(f)
@@ -448,10 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (CliError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:  # a broken internal invariant, not bad input

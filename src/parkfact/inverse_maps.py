@@ -24,6 +24,7 @@ from .parking import (
     LabelledDyckPath,
     MajorSequence,
     ParkingFunction,
+    _label_groups,
     complement,
     to_path,
 )
@@ -71,17 +72,11 @@ def omega(sigma: FullCycle, p: ParkingFunction) -> OmegaOrder:
     if not is_unimodal(sigma):
         raise ValueError(f"{sigma} is not unimodal")
     left_values, _ = sigma_sides(sigma)
-    n = p.n
+    groups = _label_groups(p.entries)  # each group in decreasing order
     order: list[int] = []
-    for value in range(n - 1, -1, -1):
-        group = [j for j in range(1, n + 1) if p.entries[j - 1] == value]
-        if value not in left_values:
-            group.reverse()
-        order.extend(group)
-    sides = tuple(
-        "left" if p.entries[j - 1] in left_values else "right"
-        for j in range(1, n + 1)
-    )
+    for value in range(p.n - 1, -1, -1):
+        order.extend(reversed(groups[value]) if value in left_values else groups[value])
+    sides = tuple("left" if a in left_values else "right" for a in p.entries)
     return OmegaOrder(tuple(order), sides)
 
 

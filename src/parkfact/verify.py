@@ -319,9 +319,9 @@ def check_simple_decomposition(n_max: int = 6) -> CheckResult:
             if _fact.is_simple(f):
                 k = _fact.simple_index(f)
                 g = _fact.phi_k(f, k)
-                if _fact.area_lower(f) != _fact.area_lower(g) + k - 1:
+                if a_l != _fact.area_lower(g) + k - 1:
                     return _fail(name, f"lower-area shift fails for f={f}, k={k}")
-                if _fact.area_upper(f) != _fact.area_upper(g) + n - k + 1:
+                if a_u != _fact.area_upper(g) + n - k + 1:
                     return _fail(name, f"upper-area shift fails for f={f}, k={k}")
                 if _fact.phi_k_inverse(g, k, n) != f:
                     return _fail(name, f"phi_k round trip fails for f={f}, k={k}")

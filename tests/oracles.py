@@ -8,8 +8,9 @@ import math
 from collections import Counter
 from itertools import product
 
-from parkfact.arch import _is_noncrossing
+from parkfact.arch import ArchDiagram
 from parkfact.factorizations import forest_roots
+from parkfact.inverse_maps import sigma_sides
 from parkfact.parking import (
     ParkingEnumerators,
     _bounce_kernel,
@@ -148,6 +149,19 @@ def rotator_by_scan(diagram, vertex):
     return tuple(label for _, label in rightward + leftward)
 
 
+def is_noncrossing_by_pairs(diagram):
+    """No two arcs interleave strictly (l1 < l2 < r1 < r2), tested pair by
+    pair; arcs sharing an endpoint do not cross."""
+    arcs = diagram.arcs
+    for i in range(len(arcs)):
+        l1, r1, _ = arcs[i]
+        for j in range(i + 1, len(arcs)):
+            l2, r2, _ = arcs[j]
+            if l1 < l2 < r1 < r2 or l2 < l1 < r2 < r1:
+                return False
+    return True
+
+
 def valid_by_vertex_rotators(diagram):
     """Validity with the tree test done as edge count plus connectivity by
     depth-first search, and one rotator scan per vertex."""
@@ -165,7 +179,7 @@ def valid_by_vertex_rotators(diagram):
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
-    if len(seen) != m or not _is_noncrossing(diagram):
+    if len(seen) != m or not is_noncrossing_by_pairs(diagram):
         return False
     for v in range(m):
         rot = rotator_by_scan(diagram, v)
@@ -183,6 +197,33 @@ def caps_by_nested_scan(diagram):
             for other in diagram.arcs
         )
     ))
+
+
+def parts_by_member_scan(diagram):
+    """The simple parts of a valid diagram: for each cap, scan every arc for
+    those nested under it, shift them to start at 0 and rank their labels."""
+    parts = []
+    for left, right, _ in caps_by_nested_scan(diagram):
+        members = [arc for arc in diagram.arcs if left <= arc[0] and arc[1] <= right]
+        index_set = tuple(sorted(label for _, _, label in members))
+        rank = {label: i + 1 for i, label in enumerate(index_set)}
+        shifted = tuple((a - left, b - left, rank[label]) for a, b, label in members)
+        parts.append((ArchDiagram(right - left + 1, shifted), index_set))
+    return tuple(parts)
+
+
+def omega_by_scan(sigma, p):
+    """The omega order by one scan of p per entry value, from n - 1 down to
+    0: each group read increasingly for sigma-left values, decreasingly for
+    sigma-right ones."""
+    left_values, _ = sigma_sides(sigma)
+    order = []
+    for value in range(p.n - 1, -1, -1):
+        group = [j for j in range(1, p.n + 1) if p.entries[j - 1] == value]
+        if value not in left_values:
+            group.reverse()
+        order.extend(group)
+    return tuple(order)
 
 
 def factor_pairs_by_recursion(sigma):

@@ -1,10 +1,17 @@
 from itertools import combinations, product
 
 import pytest
-from oracles import caps_by_nested_scan, rotator_by_scan, valid_by_vertex_rotators
+from oracles import (
+    caps_by_nested_scan,
+    is_noncrossing_by_pairs,
+    parts_by_member_scan,
+    rotator_by_scan,
+    valid_by_vertex_rotators,
+)
 
 from parkfact.arch import (
     ArchDiagram,
+    _nesting,
     arch_from_json,
     arch_to_factorization,
     arch_to_json,
@@ -121,17 +128,20 @@ class TestValidity:
 
 
 def assert_matches_oracles(d):
-    """Validity, every rotator and the caps agree with the per-vertex scans
-    and the pairwise nesting test."""
+    """Validity, the crossing test, every rotator, the caps and the simple
+    parts agree with the per-vertex scans and the pairwise tests."""
     valid = valid_by_vertex_rotators(d)
     assert is_valid_arch(d) == valid
+    assert (_nesting(d.arcs) is not None) == is_noncrossing_by_pairs(d)
     for v in range(d.n_vertices):
         assert rotator(d, v) == rotator_by_scan(d, v)
     if valid:
         assert caps(d) == caps_by_nested_scan(d)
+        assert decompose_simple(d) == parts_by_member_scan(d)
     else:
-        with pytest.raises(ValueError):
-            caps(d)
+        for reader in (caps, decompose_simple):
+            with pytest.raises(ValueError):
+                reader(d)
 
 
 class TestFactorizationBijection:
@@ -230,6 +240,19 @@ class TestDecomposition:
         d = sigma_diagram(F9, FullCycle.canonical(9))
         parts = list(decompose_simple(d))
         assert recompose(reversed(parts)) == d
+
+    def test_recompose_rejects_malformed_parts(self):
+        simple = diagram(2, (0, 1, 1))
+        two_caps = diagram(3, (0, 1, 1), (1, 2, 2))
+        # one outer arc, but (0 2) and (1 3) cross under it
+        crossing = diagram(4, (0, 2, 1), (1, 3, 2), (0, 3, 3))
+        for parts in (
+            [(simple, (1, 2))],
+            [(two_caps, (1, 2))],
+            [(simple, (1,)), (crossing, (2, 3, 4))],
+        ):
+            with pytest.raises(ValueError):
+                recompose(parts)
 
     def test_parts_relabelled_order_preserving(self):
         d = sigma_diagram(F9, FullCycle.canonical(9))

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import omega_by_scan
 
 from parkfact.factorizations import (
     enumerate_factorizations,
@@ -54,6 +55,7 @@ class TestOmega:
                     om = omega(sigma, p)
                     along = [p.entries[j - 1] for j in om.order]
                     assert along == sorted(along, reverse=True)
+                    assert om.order == omega_by_scan(sigma, p)
 
     def test_rejects_non_unimodal(self):
         with pytest.raises(ValueError):
