@@ -4,7 +4,8 @@ Subcommands: enumerate, stats, map, poly, verify, render, explore.
 Exit codes: 0 success, 1 invalid input (diagnostic on stderr), 2
 verification failure (counterexample on stdout) or a broken internal
 invariant (one "internal error:" line on stderr).  Exhaustive subcommands
-refuse n beyond a safety limit (default 8, override with PARKFACT_MAX_N).
+refuse n beyond a safety limit (default 8, override with PARKFACT_MAX_N);
+commands that read one object refuse n above 10^5.
 """
 
 from __future__ import annotations
@@ -63,9 +64,16 @@ def _guard_n(n: int, limit: float | None = None) -> int:
     return n
 
 
+_MAX_GROUND_SET = 10**5  # map --via arch at the cap: about 31 MB and 0.04 s
+
+
+def _capped(value):
+    if value.n > _MAX_GROUND_SET:
+        raise CliError(f"n = {value.n} exceeds the single-object limit {_MAX_GROUND_SET}")
+    return value
+
+
 def _read_input(args) -> str:
-    if args.input is None:
-        raise CliError("this command needs --input")
     if args.input == "-":
         if sys.stdin is None:
             raise CliError("--input - needs stdin, which is closed")
@@ -168,7 +176,7 @@ def _cmd_stats(args) -> int:
         _emit({"major": str(m), "n": m.n, "area": _park.area(m),
                "heights": list(path.heights), "labels": list(path.labels)}, fmt)
     elif args.kind == "factorization":
-        f = _fact.parse_factorization(text, args.n)
+        f = _capped(_fact.parse_factorization(text, args.n))
         pi = f.product()
         record = {
             "factorization": str(f), "n": f.n, "product": format_permutation(pi),
@@ -203,7 +211,7 @@ def _cmd_map(args) -> int:
     fmt = args.format
 
     if via in ("lower", "L", "upper", "U"):
-        f = _fact.parse_factorization(text, args.n)
+        f = _capped(_fact.parse_factorization(text, args.n))
         seq = _fact.lower(f) if via in ("lower", "L") else _fact.upper(f)
         print(",".join(str(x) for x in seq))
     elif via == "l-inverse":
@@ -225,19 +233,19 @@ def _cmd_map(args) -> int:
     elif via == "phi-k":
         if args.k is None:
             raise CliError("phi-k needs --k")
-        f = _fact.parse_factorization(text, args.n)
+        f = _capped(_fact.parse_factorization(text, args.n))
         print(str(_fact.phi_k(f, args.k)))
     elif via == "phi-k-inverse":
         if args.k is None or args.n is None:
             raise CliError("phi-k-inverse needs --k and --n")
-        g = _fact.parse_factorization(text, args.n - 1)
+        g = _capped(_fact.parse_factorization(text, args.n - 1))
         print(str(_fact.phi_k_inverse(g, args.k, args.n)))
     elif via == "arch":
-        f = _fact.parse_factorization(text, args.n)
+        f = _capped(_fact.parse_factorization(text, args.n))
         sigma = _sigma_for(args, f.n)
         print(json.dumps(_arch.arch_to_json(_arch.sigma_diagram(f, sigma))))
     elif via == "fact":
-        diagram = _arch.arch_from_json(json.loads(text))
+        diagram = _capped(_arch.arch_from_json(json.loads(text)))
         sigma = _sigma_for(args, diagram.n)
         print(str(_arch.arch_to_factorization(diagram, sigma)))
     elif via == "push":
@@ -245,19 +253,16 @@ def _cmd_map(args) -> int:
         pushed = _inv.push_upper_path(_park.to_path(p))
         print(str(_park.from_path(pushed)))
     elif via == "reflect-conjugate":
-        if args.source == "cycle":
-            print(str(reflect_conjugate(parse_full_cycle(text))))
-        else:
-            f = _fact.parse_factorization(text, args.n)
-            print(str(reflect_conjugate(f)))
+        try:
+            value = _capped(_fact.parse_factorization(text, args.n))
+        except ValueError:
+            value = parse_full_cycle(text)
+        print(str(reflect_conjugate(value)))
     elif via == "reflect-reverse":
-        f = _fact.parse_factorization(text, args.n)
+        f = _capped(_fact.parse_factorization(text, args.n))
         print(str(reflect_reverse(f)))
     elif via == "complement":
-        if args.source == "major":
-            print(str(_park.complement(_park.parse_major(text))))
-        else:
-            print(str(_park.complement(_park.parse_parking(text))))
+        print(str(_park.complement(_park.parse_sequence(text))))
     return 0
 
 
@@ -327,17 +332,15 @@ def _cmd_verify(args) -> int:
 def _cmd_render(args) -> int:
     text = _read_input(args)
     if args.kind == "path":
-        value = _park.parse_major(text) if args.major else _park.parse_parking(text)
+        value = _park.parse_sequence(text)
         path = _park.to_path(value)
-        bounce_data = None
-        if args.with_bounce:
-            if args.major:
-                raise CliError("the bounce path is defined for parking functions")
-            bounce_data, _ = _park.bounce(value)
+        if args.with_bounce and isinstance(value, _park.MajorSequence):
+            raise CliError("the bounce path is defined for parking functions")
+        bounce_data = _park.bounce(value)[0] if args.with_bounce else None
         out = (_render.render_path_svg(path, bounce_data) if args.format == "svg"
                else _render.render_path_ascii(path, bounce_data))
     elif args.kind == "arch":
-        f = _fact.parse_factorization(text, args.n)
+        f = _capped(_fact.parse_factorization(text, args.n))
         sigma = _sigma_for(args, f.n)
         diagram = _arch.sigma_diagram(f, sigma)
         out = (_render.render_arch_svg(diagram, sigma) if args.format == "svg"
@@ -394,9 +397,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("map", help="apply a named bijection")
     p.add_argument("--via", required=True, choices=_VIAS)
-    p.add_argument("--from", dest="source",
-                   choices=["parking", "major", "factorization", "tree",
-                            "arch", "cycle"])
     p.add_argument("--input", required=True)
     p.add_argument("--sigma")
     p.add_argument("--n", type=int)
@@ -418,7 +418,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("render", help="draw a path or an arch diagram")
     p.add_argument("--kind", required=True, choices=["path", "arch"])
     p.add_argument("--input", required=True)
-    p.add_argument("--major", action="store_true")
     p.add_argument("--with-bounce", dest="with_bounce", action="store_true")
     p.add_argument("--sigma")
     p.add_argument("--n", type=int)

@@ -287,21 +287,18 @@ def phi_k(f: Factorization, k: int) -> Factorization:
         raise ValueError(f"k = {k} outside 1..{len(f.factors)}")
     if f.factors[k - 1] != Transposition(0, n):
         raise ValueError(f"factor {k} of {f} is not (0 {n})")
-    full_cycle = FullCycle.canonical(n).to_permutation()
-    if f.product() != full_cycle:
-        raise ValueError(f"{f} is not a factorization of the canonical cycle")
+    if not is_minimal_for(f, FullCycle.canonical(n).to_permutation()):
+        raise ValueError(f"{f} is not a minimal factorization of the canonical cycle")
     rotated = tuple(_conjugate_down(t) for t in f.factors[k:]) + f.factors[: k - 1]
     return Factorization(rotated, n - 1)
 
 
 def phi_k_inverse(g: Factorization, k: int, n: int) -> Factorization:
     """Reinsert (0, n): the inverse rotation from F_(n-1) into F_(n,k)."""
-    if len(g.factors) != n - 1:
-        raise ValueError(f"{g} should have {n - 1} factors")
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} outside 1..{n}")
-    if g.product() != FullCycle.canonical(n - 1).to_permutation():
-        raise ValueError(f"{g} is not a factorization of the canonical cycle")
+    if not is_minimal_for(g, FullCycle.canonical(n - 1).to_permutation()):
+        raise ValueError(f"{g} is not a minimal factorization of the canonical cycle")
     head = g.factors[n - k :]
     tail = tuple(_conjugate_up(t) for t in g.factors[: n - k])
     return Factorization(head + (Transposition(0, n),) + tail, n)

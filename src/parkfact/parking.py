@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Iterator, NamedTuple, Union
 
+from .permutations import _parse_groups
 from .polynomials import BivariatePoly, json_fields, json_int, json_ints
 from .trees import LabelledTree
 
@@ -428,10 +428,10 @@ def _jump_pass(n: int) -> BivariatePoly:
 
 
 def parse_entries(text: str) -> tuple[int, ...]:
-    stripped = text.strip().strip("()")
-    if not stripped:
-        return ()
-    return tuple(int(x) for x in re.split(r"[,\s]+", stripped) if x)
+    groups = _parse_groups(text)
+    if len(groups) > 1:
+        raise ValueError(f"expected one list of entries, got {text!r}")
+    return tuple(groups[0]) if groups else ()
 
 
 def parse_parking(text: str) -> ParkingFunction:
@@ -440,6 +440,16 @@ def parse_parking(text: str) -> ParkingFunction:
 
 def parse_major(text: str) -> MajorSequence:
     return MajorSequence(parse_entries(text))
+
+
+def parse_sequence(text: str) -> Sequencelike:
+    """The parking function, or failing that the major sequence, with these entries."""
+    entries = parse_entries(text)
+    if is_parking(entries):
+        return ParkingFunction(entries)
+    if is_major(entries):
+        return MajorSequence(entries)
+    raise ValueError(f"neither a parking function nor a major sequence: {entries}")
 
 
 def sequence_to_json(value: Sequencelike) -> dict:

@@ -6,7 +6,16 @@ the heavy sweeps (all full cycles at n = 5, trees through n = 7) are
 intentionally kept in this module rather than the unit tests.
 """
 
+import pytest
+
+from parkfact import arch as _arch
+from parkfact import factorizations as _fact
+from parkfact import inverse_maps as _inv
+from parkfact import parking as _park
+from parkfact import polynomials as _poly
+from parkfact import trees as _trees
 from parkfact import verify
+from parkfact.polynomials import BivariatePoly
 
 
 def _run(name: str, **kwargs) -> None:
@@ -82,3 +91,48 @@ def test_criterion_12_pushing_reconstruction():
 def test_criterion_13_symmetry():
     # t^(-n) I_n(q,t) is q,t-symmetric through n = 7
     _run("symmetry", n_max=7)
+
+
+# Each suite must be able to fail: one name the suite reads through its
+# module alias is swapped for a wrong answer.  Only module attributes are
+# patched, never a kernel that a functools.cache entry calls, so no cache
+# keeps a wrong value for later tests.
+ZERO = BivariatePoly.zero()
+ENUMS = _park.parking_enumerators
+BREAKS = {
+    # suite: (module, attribute, wrong replacement, n_max, text of the detail)
+    "cardinalities": (_park, "enumerate_parking", lambda n: iter(()),
+                      2, "|P_0| = 0, expected 1"),
+    "polynomial-pins": (_trees, "inversion_enumerator", lambda n: ZERO,
+                        None, "I_0 = 0, expected 1"),
+    "tree-factorization": (_fact, "factorization_enumerator", lambda sigma: ZERO,
+                           2, "n=0:"),
+    "bounce": (_park, "parking_enumerators",
+               lambda n: ENUMS(n)._replace(pinv_copinv=ZERO), 2, "n=0:"),
+    "area-jump": (_park, "parking_enumerators",
+                  lambda n: ENUMS(n)._replace(area=ZERO), 2, "n=0:"),
+    "unimodal": (_park, "is_parking", lambda seq: False, 3, "sigma=(0 1 2 3)"),
+    "l-inverse": (_fact, "lower", lambda f: (), 2, "lower(l_inverse(0, (0 1))) != 0"),
+    "arch-criterion": (_arch, "is_valid_arch", lambda diagram: False,
+                       1, "f=(0 1), sigma=(0 1)"),
+    "simple-decomposition": (_fact, "phi_k_inverse", lambda g, k, n: g,
+                             2, "round trip fails for f=(0 1), k=1"),
+    "special-families": (_poly, "qt_factorial_product", lambda n: ZERO, 2, "n=1:"),
+    "worked-examples": (_fact, "lower", lambda f: (), None, "lower(f9)"),
+    "pushing": (_inv, "push_upper_path", lambda path: path, 2, "length-9"),
+    "symmetry": (_trees, "inversion_enumerator",
+                 lambda n: BivariatePoly.var_q().shift_t(n), 2, "I_0"),
+}
+
+
+def test_every_suite_is_broken_once():
+    assert sorted(BREAKS) == sorted(verify.SUITES)
+
+
+@pytest.mark.parametrize("name", list(BREAKS))
+def test_suite_fails_on_a_wrong_answer(name, monkeypatch):
+    module, attribute, wrong, n_max, expected = BREAKS[name]
+    monkeypatch.setattr(module, attribute, wrong)
+    result = verify.run_suite(name, n_max)
+    assert result.ok is False
+    assert expected in result.detail, result.detail

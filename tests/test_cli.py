@@ -3,12 +3,23 @@ import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parkfact.arch import arch_from_json, arch_to_factorization
 from parkfact.cli import _VIAS, main
-from parkfact.parking import parking_enumerators
+from parkfact.factorizations import enumerate_factorizations, restricted_enumerators
+from parkfact.parking import (
+    complement,
+    enumerate_majors,
+    enumerate_parking,
+    parking_enumerators,
+    to_path,
+)
+from parkfact.permutations import FullCycle
 from parkfact.polynomials import tree_recursion_I
+from parkfact.render import render_path_ascii
 
 
 def run(capsys, *argv):
@@ -82,12 +93,24 @@ class TestPoly:
         monkeypatch.setenv("PARKFACT_MAX_N", "9")
         code, out, _ = run(capsys, "poly", "--name", "B", "--n", "3")
         assert code == 0
+        monkeypatch.setenv("PARKFACT_MAX_N", "nine")
+        code, out, err = run(capsys, "poly", "--name", "B", "--n", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: PARKFACT_MAX_N must be an integer, got 'nine'\n"
+
+    def test_restricted_names(self, capsys):
+        r = restricted_enumerators(4)
+        for name, poly in (("Fhat", r.simple), ("Finc", r.increasing),
+                           ("Fdec", r.decreasing), ("Fmax", r.max_diff),
+                           ("Fperm", r.perm_lower)):
+            code, out, _ = run(capsys, "poly", "--name", name, "--n", "4")
+            assert (code, out) == (0, f"{poly}\n")
 
 
 class TestMap:
     def test_l_inverse_worked_example(self, capsys):
         code, out, _ = run(
-            capsys, "map", "--from", "parking", "--via", "l-inverse",
+            capsys, "map", "--via", "l-inverse",
             "--sigma", "0 1 2 3 4 5 6", "--input", "2,4,0,1,4,0",
         )
         assert code == 0
@@ -126,6 +149,13 @@ class TestMap:
         code, out, _ = run(capsys, "map", "--via", "phi-k", "--k", "2",
                            "--input", "(0 1)(0 2)")
         assert (code, out) == (0, "(0 1)\n")
+        code, out, _ = run(capsys, "map", "--via", "phi-k-inverse", "--k", "2",
+                           "--n", "2", "--input", "(0 1)")
+        assert (code, out) == (0, "(0 1)(0 2)\n")
+        code, out, err = run(capsys, "map", "--via", "phi-k", "--k", "4",
+                             "--input", "(0 1)(0 1)(0 1)(0 2)")
+        assert (code, out) == (1, "")
+        assert "not a minimal factorization" in err
 
     def test_u_inverse(self, capsys):
         code, out, _ = run(capsys, "map", "--via", "u-inverse",
@@ -135,6 +165,38 @@ class TestMap:
     def test_complement(self, capsys):
         code, out, _ = run(capsys, "map", "--via", "complement", "--input", "0,1,0")
         assert (code, out) == (0, "3,2,3\n")
+        code, out, _ = run(capsys, "map", "--via", "complement", "--input", "3,2,3")
+        assert (code, out) == (0, "0,1,0\n")
+
+    def test_either_family_is_read_off_the_entries(self, capsys):
+        for n in range(5):
+            for p in enumerate_parking(n):
+                for value in (p, complement(p)):
+                    code, out, _ = run(capsys, "map", "--via", "complement",
+                                       "--input", str(value))
+                    assert (code, out) == (0, f"{complement(value)}\n")
+                    code, out, _ = run(capsys, "render", "--kind", "path",
+                                       "--input", str(value))
+                    assert (code, out) == (0, render_path_ascii(to_path(value)))
+
+    def test_neither_family_is_one_error_line(self, capsys):
+        for argv in (("map", "--via", "complement"), ("render", "--kind", "path")):
+            code, out, err = run(capsys, *argv, "--input", "2,0")
+            assert (code, out) == (1, "")
+            assert err == ("error: neither a parking function nor a major "
+                           "sequence: (2, 0)\n")
+
+    def test_reflect_conjugate_reads_a_factorization_or_a_visit_word(self, capsys):
+        for text, expected in (("0 2 1 3", "(0 3 1 2)"), ("(0 2 1 3)", "(0 3 1 2)"),
+                               ("(0 1)(0 2)", "(1 2)(0 2)"), ("(0 1)", "(0 1)")):
+            code, out, _ = run(capsys, "map", "--via", "reflect-conjugate",
+                               "--input", text)
+            assert (code, out) == (0, expected + "\n")
+
+    def test_reflect_reverse(self, capsys):
+        code, out, _ = run(capsys, "map", "--via", "reflect-reverse",
+                           "--input", "(0 1)(0 2)")
+        assert (code, out) == (0, "(0 2)(1 2)\n")
 
     def test_invalid_input_exits_one(self, capsys):
         code, _, err = run(capsys, "map", "--via", "l-inverse", "--input", "1,1")
@@ -150,6 +212,9 @@ class TestMap:
             ("map", "--via", "fact", "--input", '{"n": 1, "arcs": [[0, 1, null]]}'),
             ("map", "--via", "fact", "--input", '{"n": null, "arcs": []}'),
             ("map", "--via", "fact", "--input", '{"n": 1, "arcs": [[0, 1, 1.7]]}'),
+            ("map", "--via", "theta", "--input", "(0,1"),
+            ("map", "--via", "theta", "--input", "0,1)"),
+            ("map", "--via", "theta", "--input", "((0,1))"),
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (1, "")
@@ -160,6 +225,39 @@ class TestMap:
                            "--input", "0,0,0", "--sigma", "0 2 1 3")
         assert code == 1
         assert "unimodal" in err
+
+    def test_sigma_of_the_wrong_size_exits_one(self, capsys):
+        code, out, err = run(capsys, "map", "--via", "l-inverse",
+                             "--input", "0,0", "--sigma", "0 1 2 3")
+        assert (code, out) == (1, "")
+        assert err == "error: sigma is on [3] but the object needs [2]\n"
+
+
+BIG = "1000000000"
+
+
+class TestSingleObjectCap:
+    # n comes from --n, the largest factor entry or the arch JSON "n"; a
+    # billion would ask for a billion-element cycle or product
+    @pytest.mark.parametrize("argv", [
+        ("map", "--via", "arch", "--input", f"(0 {BIG})"),
+        ("map", "--via", "phi-k", "--k", "1", "--input", f"(0 {BIG})"),
+        ("map", "--via", "phi-k-inverse", "--k", "1", "--n", BIG, "--input", ""),
+        ("map", "--via", "fact", "--input", f'{{"n": {BIG}, "arcs": []}}'),
+        ("stats", "--kind", "factorization", "--n", BIG, "--input", "(0 1)"),
+        ("render", "--kind", "arch", "--input", f"(0 {BIG})"),
+    ])
+    def test_refused_with_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: n = ") and "limit 100000" in err
+
+    def test_the_cap_itself_is_allowed(self, capsys):
+        code, out, _ = run(capsys, "map", "--via", "lower", "--input", "(0 100000)")
+        assert (code, out) == (0, "0\n")
+        code, _, err = run(capsys, "map", "--via", "lower", "--input", "(0 100001)")
+        assert code == 1 and "limit 100000" in err
 
 
 class TestEnumerate:
@@ -183,10 +281,27 @@ class TestEnumerate:
         assert code == 0
         assert len(out.splitlines()) == 16
 
+    def test_majors(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--kind", "majors", "--n", "3")
+        assert code == 0
+        assert out.splitlines() == [str(m) for m in enumerate_majors(3)]
+
+    def test_arch_json_decodes_to_the_factorizations(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--kind", "arch", "--n", "3",
+                           "--format", "json")
+        assert code == 0
+        sigma = FullCycle.canonical(3)
+        decoded = [arch_to_factorization(arch_from_json(json.loads(line)), sigma)
+                   for line in out.splitlines()]
+        assert decoded == list(enumerate_factorizations(sigma))
+
     def test_unimodal(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--kind", "unimodal", "--n", "3")
         assert code == 0
         assert out.splitlines() == ["(0 3 2 1)", "(0 1 3 2)", "(0 2 3 1)", "(0 1 2 3)"]
+        code, out, err = run(capsys, "enumerate", "--kind", "unimodal", "--n", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: unimodal enumeration needs n >= 1\n"
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "enumerate", "--kind", "arch", "--n", "3")
@@ -302,13 +417,14 @@ class TestRender:
 
     def test_major_path(self, capsys):
         code, out, _ = run(capsys, "render", "--kind", "path", "--input",
-                           "2,5,3,8,6,9,7,6,5", "--major")
+                           "2,5,3,8,6,9,7,6,5")
         assert code == 0
 
     def test_bounce_requires_parking(self, capsys):
         code, _, err = run(capsys, "render", "--kind", "path", "--input", "2,1",
-                           "--major", "--with-bounce")
+                           "--with-bounce")
         assert code == 1
+        assert err == "error: the bounce path is defined for parking functions\n"
 
 
 class TestExplore:
@@ -325,6 +441,9 @@ class TestExplore:
         code, _, err = run(capsys, "explore", "--n", "7")
         assert code == 1
         assert "safety limit" in err
+        code, out, err = run(capsys, "explore", "--n", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: explore needs n >= 1\n"
 
 
 class TestParsing:
@@ -363,9 +482,10 @@ INPUT_COMMANDS = (
     + [("render", "--kind", kind) for kind in ("path", "arch")]
 )
 
-# short words over the wire formats' characters: numbers stay below 10^4,
-# and "-" alone (read stdin) is left out
-WIRE_TEXT = st.text("0123 ,:-()", max_size=8).filter(lambda text: text != "-")
+# short words over the wire formats' characters, up to 16 of them, so that a
+# number can run far past the single-object cap of 10^5, as in
+# "(0 1000000000)"; "-" alone (read stdin) is left out
+WIRE_TEXT = st.text("0123 ,:-()", max_size=16).filter(lambda text: text != "-")
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-1, 3) | st.text("0n", max_size=2)

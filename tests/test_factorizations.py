@@ -311,6 +311,9 @@ class TestSimpleAndPhi:
     def test_phi_requires_the_simple_factor(self):
         with pytest.raises(ValueError):
             phi_k(fact("(0 1)(0 2)"), 1)
+        # multiplies out to the canonical cycle, but is not minimal
+        with pytest.raises(ValueError):
+            phi_k(fact("(0 1)(0 1)(0 1)(0 2)"), 4)
 
     def test_phi_round_trip_and_shifts(self):
         for n in range(1, 6):

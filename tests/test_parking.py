@@ -30,7 +30,9 @@ from parkfact.parking import (
     is_parking,
     park_process,
     parking_enumerators,
+    parse_entries,
     parse_parking,
+    parse_sequence,
     pinv,
     sequence_from_json,
     sequence_to_json,
@@ -332,6 +334,18 @@ class TestTextForms:
     def test_parse(self):
         assert parse_parking("1,3,1,7,0,7,0,1,4") == P9
         assert parse_parking(" 0 , 0 ") == ParkingFunction((0, 0))
+        for text, entries in (("1,3,1", (1, 3, 1)), ("(0,1,0)", (0, 1, 0)),
+                              ("0 1", (0, 1)), ("0,,1", (0, 1)), ("", ()), ("()", ())):
+            assert parse_entries(text) == entries
+        for text in ("(0,1", "0,1)", "((0,1))", "(0)(1)"):
+            with pytest.raises(ValueError):
+                parse_entries(text)
+
+    def test_parse_sequence_reads_the_family_off_the_entries(self):
+        assert parse_sequence(str(P9)) == P9
+        assert parse_sequence(str(M9)) == M9
+        with pytest.raises(ValueError, match="neither a parking function nor a major"):
+            parse_sequence("2,0")
 
     def test_json_round_trip(self):
         obj = sequence_to_json(P9)
