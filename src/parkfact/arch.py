@@ -116,12 +116,22 @@ def _nesting(arcs: Iterable[Arc]) -> list[list[Arc]] | None:
     return runs
 
 
+def _valid_runs(diagram: ArchDiagram) -> list[list[Arc]] | None:
+    """The nesting runs of a valid diagram (tree + noncrossing + every
+    rotator increasing), or None if it is not valid: the one validity test,
+    read by is_valid_arch and by the readers that need the runs."""
+    if not _is_tree(diagram):
+        return None
+    runs = _nesting(diagram.arcs)
+    # labels are distinct, so a rotator increases iff it is sorted
+    if runs is None or any(rot != sorted(rot) for rot in _rotators(diagram)):
+        return None
+    return runs
+
+
 def is_valid_arch(diagram: ArchDiagram) -> bool:
     """Tree + noncrossing + every rotator increasing."""
-    if not _is_tree(diagram) or _nesting(diagram.arcs) is None:
-        return False
-    # labels are distinct, so a rotator increases iff it is sorted
-    return all(rot == sorted(rot) for rot in _rotators(diagram))
+    return _valid_runs(diagram) is not None
 
 
 def arch_to_factorization(diagram: ArchDiagram, sigma: FullCycle) -> Factorization:
@@ -147,9 +157,10 @@ def caps(diagram: ArchDiagram) -> tuple[Arc, ...]:
     For a valid diagram these form a path from the leftmost to the
     rightmost vertex, and the diagram is simple iff there is exactly one.
     """
-    if not is_valid_arch(diagram):
+    runs = _valid_runs(diagram)
+    if runs is None:
         raise ValueError("diagram is not a valid arch diagram")
-    return tuple(run[0] for run in _nesting(diagram.arcs))
+    return tuple(run[0] for run in runs)
 
 
 def is_simple_arch(diagram: ArchDiagram) -> bool:
@@ -169,10 +180,11 @@ def decompose_simple(
     returned index set I_j records the original labels (ascending).  The
     parts are listed left to right and the index sets partition 1..n.
     """
-    if not is_valid_arch(diagram):
+    runs = _valid_runs(diagram)
+    if runs is None:
         raise ValueError("diagram is not a valid arch diagram")
     parts = []
-    for run in _nesting(diagram.arcs):
+    for run in runs:
         left, right, _ = run[0]
         index_set = tuple(sorted(label for _, _, label in run))
         rank = {label: i + 1 for i, label in enumerate(index_set)}

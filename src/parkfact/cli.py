@@ -74,6 +74,8 @@ def _capped(value):
 
 
 def _read_input(args) -> str:
+    if not isinstance(args.input, str):  # argparse stores [] for --input=--
+        raise CliError("--input needs a value")
     if args.input == "-":
         if sys.stdin is None:
             raise CliError("--input - needs stdin, which is closed")

@@ -17,7 +17,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, combinations, combinations_with_replacement
 from typing import Iterator, NamedTuple, Union
 
 from .permutations import _parse_groups
@@ -211,6 +211,26 @@ class BounceData:
     D: tuple[frozenset[int], ...]
 
 
+def _contacts(reach: list[int]) -> tuple[list[int], int]:
+    """Bounce contacts and the statistic sum(n - i_j) over them, read off
+    reach[h] = #{entries <= h} for h in 0..n.
+
+    The one bounce implementation: the per-object kernel and the
+    content-major pass both call it.  A reach that does not grow is not
+    a parking content, and the ball would stall (AssertionError).
+    """
+    n = len(reach) - 1
+    contacts = [0]
+    value = n
+    while contacts[-1] < n:
+        nxt = reach[contacts[-1]]
+        if nxt <= contacts[-1]:
+            raise AssertionError(f"bounce stalled at {contacts[-1]} on reach {reach}")
+        contacts.append(nxt)
+        value += n - nxt
+    return contacts, value
+
+
 def _bounce_kernel(entries: tuple[int, ...]):
     """(contacts, w, groups, masks, bounce, pinv) of a parking tuple.
 
@@ -221,15 +241,7 @@ def _bounce_kernel(entries: tuple[int, ...]):
     n = len(entries)
     groups = _label_groups(entries)
     w = [0, *chain.from_iterable(groups)]
-    reach = list(accumulate(map(len, groups)))  # reach[h] = #{entries <= h}
-    contacts = [0]
-    value = n
-    while contacts[-1] < n:
-        nxt = reach[contacts[-1]]
-        if nxt <= contacts[-1]:
-            raise AssertionError(f"bounce stalled on {entries}")
-        contacts.append(nxt)
-        value += n - nxt
+    contacts, value = _contacts(list(accumulate(map(len, groups))))
 
     masks = [0] * (n + 1)
     below = 0
@@ -400,18 +412,70 @@ def parking_enumerators(n: int) -> ParkingEnumerators:
 
 @functools.cache
 def _bounce_pass(n: int) -> tuple[BivariatePoly, BivariatePoly, BivariatePoly]:
-    """The area, bounce and (pinv, copinv) enumerators of P_n."""
+    """The area, bounce and (pinv, copinv) enumerators of P_n, content-major.
+
+    Area, bounce and the contacts depend only on the content, the sorted
+    entries; they are computed once per content (429 at n = 7), through the
+    one contacts helper.  Only pinv depends on where the labels go: theta's
+    tree has the same shape for every parking function of a content, the
+    positions of height h hanging under position h of the label word, so
+    _pinv_histogram walks the label placements over that fixed shape.
+    """
     counts: Counter[tuple[int, int, int]] = Counter()
     top = math.comb(n, 2)
-    for entries in _parking_tuples(n):
-        *_, b, below = _bounce_kernel(entries)
-        counts[top - sum(entries), b, below] += 1
+    for content in combinations_with_replacement(range(n), n):
+        if not _counting_test(content, n):
+            continue
+        sizes = [content.count(h) for h in range(n + 1)]
+        reach = list(accumulate(sizes))
+        _, b = _contacts(reach)
+        a = top - sum(content)
+        groups = [(h, reach[h] - size + 1, size) for h, size in enumerate(sizes) if size]
+        for below, c in enumerate(_pinv_histogram(groups, n)):
+            if c:
+                counts[a, b, below] += c
     rows = counts.items()
     return (
         BivariatePoly(((a, 0), c) for (a, _, _), c in rows),
         BivariatePoly(((b, 0), c) for (_, b, _), c in rows),
         BivariatePoly(((below, b - below), c) for (_, b, below), c in rows),
     )
+
+
+def _pinv_histogram(groups: list[tuple[int, int, int]], n: int) -> list[int]:
+    """hist[k] counts the parking functions of one content with pinv k.
+
+    groups lists (h, start, size) for every nonempty height h: its labels,
+    in decreasing order, fill positions start.. of the label word and hang
+    under position h.  A depth-first search over ordered set partitions of
+    1..n gives group h each combination of the labels left; chain[pos] has
+    a bit for every label on the path from position pos up to the root
+    (label 0, which has none), so a label x placed under position h adds
+    the labels above it that exceed x.  The last nonempty group takes the
+    labels left.
+    """
+    hist = [0] * (math.comb(n, 2) + 1)
+    chain = [0] * (n + 1)
+    last = len(groups) - 1
+
+    def place(g: int, labels: list[int], pinv: int) -> None:
+        h, start, size = groups[g]
+        above = chain[h]
+        if g == last:
+            hist[pinv + sum((above >> (x + 1)).bit_count() for x in labels)] += 1
+            return
+        for chosen in combinations(labels, size):
+            share = pinv
+            for pos, x in enumerate(chosen, start):
+                chain[pos] = above | 1 << x
+                share += (above >> (x + 1)).bit_count()
+            place(g + 1, [x for x in labels if x not in chosen], share)
+
+    if groups:
+        place(0, list(range(n, 0, -1)), 0)
+    else:
+        hist[0] = 1  # n = 0: the empty parking function
+    return hist
 
 
 @functools.cache

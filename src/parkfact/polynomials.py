@@ -8,6 +8,7 @@ the zero polynomial is simply the empty term mapping.
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 from typing import Iterable, Mapping, Union
 
 ExponentPair = tuple[int, int]
@@ -326,15 +327,58 @@ def tree_recursion_I(n_max: int) -> list[BivariatePoly]:
     so each pair costs one large product, and the small bracket factor is
     multiplied in last.  No object enumeration happens here; the trees
     module recomputes the same polynomials by brute force as a cross-check.
+
+    Inside, each I_k is a list of q-rows, and row e holds the coefficient
+    of q^e t^j in bits [j*W, (j+1)*W) of one int, so a product is rows x
+    rows big-int multiplications and a factor t is a shift by W.  Every
+    coefficient met on the way, in a product, a partial sum or I_k itself,
+    is a nonnegative part of a coefficient of some I_k with k <= n_max, so
+    it is at most (n_max+1)^(n_max-1), the number of trees on n_max + 1
+    vertices.  W is that bound's bit length plus one spare bit, so no slot
+    ever carries into the next, and unpacking at the return is exact.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    t = BivariatePoly.var_t()
-    series = [BivariatePoly.one()]
+    width = ((n_max + 1) ** max(n_max - 1, 0)).bit_length() + 1
+    series = [[1]]
     for n in range(n_max):
-        total = BivariatePoly.zero()
+        total: list[int] = []
         for i in range(n // 2 + 1):
-            pair = qt_bracket(i + 1) + (qt_bracket(n - i + 1) if 2 * i < n else 0)
-            total = total + series[i] * series[n - i] * (math.comb(n, i) * t * pair)
+            pair = _t_bracket_rows(i + 1, width)
+            if 2 * i < n:
+                pair = _add_rows(pair, _t_bracket_rows(n - i + 1, width))
+            c = math.comb(n, i)
+            term = _mul_rows(_mul_rows(series[i], series[n - i]), [c * r for r in pair])
+            total = _add_rows(total, term)
         series.append(total)
-    return series
+    return [_unpack_rows(rows, width) for rows in series]
+
+
+def _t_bracket_rows(k: int, width: int) -> list[int]:
+    """t * qt_bracket(k) as packed q-rows: row j is t^(k-j)."""
+    return [1 << width * (k - j) for j in range(k)]
+
+
+def _add_rows(a: list[int], b: list[int]) -> list[int]:
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _mul_rows(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _unpack_rows(rows: list[int], width: int) -> BivariatePoly:
+    mask = (1 << width) - 1
+    terms = []
+    for eq, row in enumerate(rows):
+        et = 0
+        while row:
+            if row & mask:
+                terms.append(((eq, et), row & mask))
+            row >>= width
+            et += 1
+    return BivariatePoly(terms)

@@ -17,7 +17,7 @@ from parkfact.parking import (
     _park_kernel,
     _parking_tuples,
 )
-from parkfact.polynomials import BivariatePoly
+from parkfact.polynomials import BivariatePoly, qt_bracket
 from parkfact.permutations import Permutation, compose
 from parkfact.trees import LabelledTree, _reaches_root
 
@@ -65,6 +65,37 @@ def parking_enumerators_by_one_loop(n):
         BivariatePoly(((jump, cojump), c) for (*_, jump, cojump), c in rows),
         BivariatePoly(((below, b - below), c) for (_, b, below, *_), c in rows),
     )
+
+
+def bounce_pass_by_tuples(n):
+    """The area, bounce and (pinv, copinv) enumerators from one bounce
+    kernel call per parking tuple."""
+    counts = Counter()
+    top = math.comb(n, 2)
+    for entries in _parking_tuples(n):
+        *_, b, below = _bounce_kernel(entries)
+        counts[top - sum(entries), b, below] += 1
+    rows = counts.items()
+    return (
+        BivariatePoly(((a, 0), c) for (a, _, _), c in rows),
+        BivariatePoly(((b, 0), c) for (_, b, _), c in rows),
+        BivariatePoly(((below, b - below), c) for (_, b, below), c in rows),
+    )
+
+
+def tree_recursion_by_dict(n_max):
+    """I_0 .. I_n_max by the convolution recursion in BivariatePoly
+    arithmetic: each pair's product binom(n,i) * I_i * I_(n-i) times
+    t * (qt_bracket(i+1) + qt_bracket(n-i+1))."""
+    t = BivariatePoly.var_t()
+    series = [BivariatePoly.one()]
+    for n in range(n_max):
+        total = BivariatePoly.zero()
+        for i in range(n // 2 + 1):
+            pair = qt_bracket(i + 1) + (qt_bracket(n - i + 1) if 2 * i < n else 0)
+            total = total + series[i] * series[n - i] * (math.comb(n, i) * t * pair)
+        series.append(total)
+    return series
 
 
 def pruefer_to_parent_dfs(seq, m):

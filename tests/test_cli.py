@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import tree_recursion_by_dict
 
 from parkfact.arch import arch_from_json, arch_to_factorization
 from parkfact.cli import _VIAS, main
@@ -446,6 +447,16 @@ class TestExplore:
         assert err == "error: explore needs n >= 1\n"
 
 
+class TestRecursionCallers:
+    @pytest.mark.parametrize("argv", [
+        ("poly", "--name", "D", "--n", "12"), ("explore", "--n", "4"),
+    ])
+    def test_output_matches_the_dict_recursion(self, capsys, monkeypatch, argv):
+        code, out, _ = run(capsys, *argv)
+        monkeypatch.setattr("parkfact.polynomials.tree_recursion_I", tree_recursion_by_dict)
+        assert (code, out) == run(capsys, *argv)[:2]
+
+
 class TestParsing:
     def test_bad_subcommand(self, capsys):
         code, _, err = run(capsys, "nonsense")
@@ -466,6 +477,14 @@ class TestParsing:
         code, out, err = run(capsys, "map", "--via", "theta", "--input", "-")
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", [
+        ("stats", "--kind", "tree"), ("map", "--via", "theta"), ("render", "--kind", "path"),
+    ])
+    def test_input_double_dash(self, capsys, command):
+        # argparse stores an empty list, not a string, for --input=--
+        code, out, err = run(capsys, *command, "--input=--")
+        assert (code, out, err) == (1, "", "error: --input needs a value\n")
 
     def test_unknown_via(self, capsys):
         code, _, err = run(capsys, "map", "--via", "sideways", "--input", "0")

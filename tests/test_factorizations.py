@@ -24,7 +24,7 @@ from parkfact.factorizations import (
     total_difference,
     upper,
 )
-from parkfact.parking import is_major, is_parking
+from parkfact.parking import _bounce_pass, is_major, is_parking
 from parkfact.permutations import (
     FullCycle,
     Permutation,
@@ -164,10 +164,14 @@ class TestEnumeration:
 
     @pytest.mark.slow
     def test_trees_match_factorizations_at_eight(self):
-        # opt-in (pytest -m slow): 4.78M trees and 4.78M factorizations
-        series = tree_recursion_I(8)
-        assert inversion_enumerator(8) == factorization_enumerator(FullCycle.canonical(8))
-        assert inversion_enumerator(8) == series[8]
+        # opt-in (pytest -m slow): 4.78M trees, factorizations and parking
+        # functions; B_8 comes from the bounce pass alone, as poly --name B
+        i8 = inversion_enumerator(8)
+        assert i8 == factorization_enumerator(FullCycle.canonical(8))
+        assert i8 == _bounce_pass(8)[2]
+        assert i8 == tree_recursion_I(8)[8]
+        reduced = i8.divide_t(8)
+        assert reduced == reduced.swap_qt()
 
 
 class TestSequences:

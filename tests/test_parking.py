@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import (
+    bounce_pass_by_tuples,
     is_major_by_sort,
     is_parking_by_sort,
     parking_by_sweep,
@@ -16,6 +17,7 @@ from parkfact.parking import (
     ParkingEnumerators,
     ParkingFunction,
     _bounce_kernel,
+    _bounce_pass,
     _park_kernel,
     _parking_tuples,
     area,
@@ -317,6 +319,10 @@ class TestParkProcess:
     def test_two_passes_match_the_one_loop_route(self):
         for n in range(7):
             assert parking_enumerators(n) == parking_enumerators_by_one_loop(n)
+
+    def test_content_major_pass_matches_the_per_tuple_route(self):
+        for n in range(7):
+            assert _bounce_pass(n) == bounce_pass_by_tuples(n)
 
     def test_enumerators(self):
         enums = parking_enumerators(2)

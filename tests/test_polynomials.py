@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import tree_recursion_by_dict
 
 from parkfact.polynomials import (
     BivariatePoly,
@@ -221,6 +222,11 @@ class TestTreeRecursion:
                 BivariatePoly.zero(),
             ))
         assert tree_recursion_I(10) == series
+
+    def test_packed_rows_match_the_dict_recursion(self):
+        # the slot width depends on n_max, so every n_max is its own case
+        for n_max in range(13):
+            assert tree_recursion_I(n_max) == tree_recursion_by_dict(n_max)
 
     def test_nonnegative_coefficients(self):
         for p in tree_recursion_I(8):
