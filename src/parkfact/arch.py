@@ -8,12 +8,14 @@ length-n sequence lies in F_sigma exactly when its diagram is a
 noncrossing tree whose rotators all read increasingly, which is the
 validity test implemented here.
 
-Validation runs on the raw arcs: the union-find of factorizations
-tests the tree, one nesting sweep by left endpoint finds crossings and
-lists the caps with the arcs under each, and two sorts of the arcs give
-every rotator.  Readers that need a valid diagram (caps, is_simple_arch,
-decompose_simple, arch_to_factorization) validate it once; builders
-(ArchDiagram, sigma_diagram, recompose, arch_from_json) never do.
+Kernels work on raw arcs, (left, right, label) tuples in label order,
+and a position count m: _sigma_arcs draws them, _valid_runs is the one
+validity test (union-find for the tree, one nesting sweep for crossings
+and caps, two sorts for the rotators), _parts cuts the runs into simple
+parts and _recompose glues them back.  The public functions wrap the
+kernels and validate at the boundary: readers that need a valid diagram
+raise through _checked_runs; builders (ArchDiagram, sigma_diagram,
+recompose, arch_from_json) never judge validity.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .factorizations import Factorization, forest_roots
-from .permutations import FullCycle, Transposition
+from .permutations import FullCycle
 from .polynomials import json_fields, json_int, json_ints
 
 Arc = tuple[int, int, int]  # (left position, right position, label)
@@ -52,49 +54,25 @@ class ArchDiagram:
         return self.n_vertices - 1
 
 
-def sigma_diagram(f: Factorization, sigma: FullCycle) -> ArchDiagram:
-    """Draw f over sigma: factor i becomes the arc labelled i between the
-    word positions of its endpoints.  Works for any factor sequence;
-    validity is a separate question."""
-    if f.n != sigma.n:
-        raise ValueError(f"size mismatch: [{f.n}] vs [{sigma.n}]")
-    pos = sigma.positions()
-    arcs = []
-    for i, t in enumerate(f.factors, start=1):
-        a, b = pos[t.lo], pos[t.hi]
-        arcs.append((min(a, b), max(a, b), i))
-    return ArchDiagram(sigma.n + 1, tuple(arcs))
+# ---------------------------------------------------------------- kernels
 
 
-def _rotators(diagram: ArchDiagram) -> list[list[int]]:
+def _sigma_arcs(pairs, pos) -> list[Arc]:
+    """Raw factor i as the arc labelled i between the positions of its ends."""
+    ends = ((pos[a], pos[b], label) for label, (a, b) in enumerate(pairs, start=1))
+    return [(a, b, label) if a < b else (b, a, label) for a, b, label in ends]
+
+
+def _rotators(arcs: Sequence[Arc], m: int) -> list[list[int]]:
     """The rotator of every vertex, in the order rotator documents."""
-    # the arcs are stored by label and sorted() is stable, so arcs sharing
+    # the arcs come in label order and sorted() is stable, so arcs sharing
     # a far endpoint stay in label order
-    rotators: list[list[int]] = [[] for _ in range(diagram.n_vertices)]
-    for left, _, label in sorted(diagram.arcs, key=itemgetter(1)):
+    rotators: list[list[int]] = [[] for _ in range(m)]
+    for left, _, label in sorted(arcs, key=itemgetter(1)):
         rotators[left].append(label)
-    for _, right, label in sorted(diagram.arcs, key=itemgetter(0)):
+    for _, right, label in sorted(arcs, key=itemgetter(0)):
         rotators[right].append(label)
     return rotators
-
-
-def rotator(diagram: ArchDiagram, vertex: int) -> tuple[int, ...]:
-    """Arc labels seen counter-clockwise around the vertex, starting on
-    the axis: arcs leaving rightward by increasing far endpoint, then
-    arcs arriving from the left by increasing far endpoint.
-
-    This ordering is the single most delicate convention in the library;
-    it is pinned by unit tests against a worked diagram.
-    """
-    if not 0 <= vertex < diagram.n_vertices:
-        raise ValueError(f"vertex {vertex} outside 0..{diagram.n}")
-    return tuple(_rotators(diagram)[vertex])
-
-
-def _is_tree(diagram: ArchDiagram) -> bool:
-    return len(diagram.arcs) == diagram.n_vertices - 1 and forest_roots(
-        ((left, right) for left, right, _ in diagram.arcs), diagram.n_vertices
-    ) is not None
 
 
 def _nesting(arcs: Iterable[Arc]) -> list[list[Arc]] | None:
@@ -116,22 +94,82 @@ def _nesting(arcs: Iterable[Arc]) -> list[list[Arc]] | None:
     return runs
 
 
-def _valid_runs(diagram: ArchDiagram) -> list[list[Arc]] | None:
-    """The nesting runs of a valid diagram (tree + noncrossing + every
-    rotator increasing), or None if it is not valid: the one validity test,
-    read by is_valid_arch and by the readers that need the runs."""
-    if not _is_tree(diagram):
+def _valid_runs(arcs: Sequence[Arc], m: int) -> list[list[Arc]] | None:
+    """The nesting runs of the arcs if they form a valid diagram (tree +
+    noncrossing + every rotator increasing), else None."""
+    if len(arcs) != m - 1 or forest_roots(((l, r) for l, r, _ in arcs), m) is None:
         return None
-    runs = _nesting(diagram.arcs)
+    runs = _nesting(arcs)
     # labels are distinct, so a rotator increases iff it is sorted
-    if runs is None or any(rot != sorted(rot) for rot in _rotators(diagram)):
+    if runs is None or any(rot != sorted(rot) for rot in _rotators(arcs, m)):
         return None
     return runs
 
 
+def _parts(runs: list[list[Arc]]) -> list[tuple[list[Arc], int, tuple[int, ...]]]:
+    """Each run as a simple part (arcs, m, I): its arcs shifted to start at
+    0 and relabelled onto 1..|I| in label order, and I, its labels ascending."""
+    parts = []
+    for run in runs:
+        left, right, _ = run[0]
+        ordered = sorted(run, key=itemgetter(2))
+        arcs = [(a - left, b - left, i) for i, (a, b, _) in enumerate(ordered, start=1)]
+        parts.append((arcs, right - left + 1, tuple(label for _, _, label in ordered)))
+    return parts
+
+
+def _recompose(parts) -> tuple[list[Arc], int]:
+    """Glue (arcs, m, I) parts, each noncrossing with one cap and I ascending,
+    into arcs and m: label i becomes I's i-th, and the parts go in decreasing
+    order of their cap labels, the order the increasing-rotator rule forces."""
+    def cap_label(part) -> int:
+        arcs, _, index_set = part
+        return index_set[min(arcs, key=lambda arc: (arc[0], -arc[1]))[2] - 1]
+
+    glued: list[Arc] = []
+    offset = 0
+    for arcs, m, index_set in sorted(parts, key=cap_label, reverse=True):
+        glued.extend((l + offset, r + offset, index_set[lab - 1]) for l, r, lab in arcs)
+        offset += m - 1
+    glued.sort(key=itemgetter(2))
+    return glued, offset + 1
+
+
+# --------------------------------------------------------------- wrappers
+
+
+def sigma_diagram(f: Factorization, sigma: FullCycle) -> ArchDiagram:
+    """Draw f over sigma: factor i becomes the arc labelled i between the
+    word positions of its endpoints.  Works for any factor sequence;
+    validity is a separate question."""
+    if f.n != sigma.n:
+        raise ValueError(f"size mismatch: [{f.n}] vs [{sigma.n}]")
+    return ArchDiagram(sigma.n + 1, tuple(_sigma_arcs(f.pairs(), sigma.positions())))
+
+
+def rotator(diagram: ArchDiagram, vertex: int) -> tuple[int, ...]:
+    """Arc labels seen counter-clockwise around the vertex, starting on
+    the axis: arcs leaving rightward by increasing far endpoint, then
+    arcs arriving from the left by increasing far endpoint.
+
+    This ordering is the single most delicate convention in the library;
+    it is pinned by unit tests against a worked diagram.
+    """
+    if not 0 <= vertex < diagram.n_vertices:
+        raise ValueError(f"vertex {vertex} outside 0..{diagram.n}")
+    return tuple(_rotators(diagram.arcs, diagram.n_vertices)[vertex])
+
+
 def is_valid_arch(diagram: ArchDiagram) -> bool:
     """Tree + noncrossing + every rotator increasing."""
-    return _valid_runs(diagram) is not None
+    return _valid_runs(diagram.arcs, diagram.n_vertices) is not None
+
+
+def _checked_runs(diagram: ArchDiagram) -> list[list[Arc]]:
+    runs = _valid_runs(diagram.arcs, diagram.n_vertices)
+    if runs is None:
+        raise ValueError("diagram is not a valid arch diagram")
+    return runs
 
 
 def arch_to_factorization(diagram: ArchDiagram, sigma: FullCycle) -> Factorization:
@@ -139,16 +177,9 @@ def arch_to_factorization(diagram: ArchDiagram, sigma: FullCycle) -> Factorizati
     endpoints; inverse to sigma_diagram on valid diagrams."""
     if diagram.n != sigma.n:
         raise ValueError(f"size mismatch: [{diagram.n}] vs [{sigma.n}]")
-    if not is_valid_arch(diagram):
-        raise ValueError("diagram is not a valid arch diagram")
-    word = sigma.word
-    factors = tuple(
-        Transposition.of(word[left], word[right]) for left, right, _ in diagram.arcs
-    )
-    return Factorization(factors, sigma.n)
-
-
-# ------------------------------------------------------------------- caps
+    _checked_runs(diagram)
+    pairs = (sorted((sigma.word[l], sigma.word[r])) for l, r, _ in diagram.arcs)
+    return Factorization.from_pairs(pairs, sigma.n)
 
 
 def caps(diagram: ArchDiagram) -> tuple[Arc, ...]:
@@ -157,22 +188,14 @@ def caps(diagram: ArchDiagram) -> tuple[Arc, ...]:
     For a valid diagram these form a path from the leftmost to the
     rightmost vertex, and the diagram is simple iff there is exactly one.
     """
-    runs = _valid_runs(diagram)
-    if runs is None:
-        raise ValueError("diagram is not a valid arch diagram")
-    return tuple(run[0] for run in runs)
+    return tuple(run[0] for run in _checked_runs(diagram))
 
 
 def is_simple_arch(diagram: ArchDiagram) -> bool:
     return len(caps(diagram)) == 1
 
 
-# ---------------------------------------------------------- decomposition
-
-
-def decompose_simple(
-    diagram: ArchDiagram,
-) -> tuple[tuple[ArchDiagram, tuple[int, ...]], ...]:
+def decompose_simple(diagram: ArchDiagram) -> tuple[tuple[ArchDiagram, tuple[int, ...]], ...]:
     """Split under the caps into simple diagrams plus their label sets.
 
     Part j keeps the arcs nested under the j-th cap, shifted to start at
@@ -180,51 +203,26 @@ def decompose_simple(
     returned index set I_j records the original labels (ascending).  The
     parts are listed left to right and the index sets partition 1..n.
     """
-    runs = _valid_runs(diagram)
-    if runs is None:
-        raise ValueError("diagram is not a valid arch diagram")
-    parts = []
-    for run in runs:
-        left, right, _ = run[0]
-        index_set = tuple(sorted(label for _, _, label in run))
-        rank = {label: i + 1 for i, label in enumerate(index_set)}
-        shifted = tuple((a - left, b - left, rank[label]) for a, b, label in run)
-        parts.append((ArchDiagram(right - left + 1, shifted), index_set))
-    return tuple(parts)
+    return tuple(
+        (ArchDiagram(m, tuple(arcs)), index_set)
+        for arcs, m, index_set in _parts(_checked_runs(diagram))
+    )
 
 
 def recompose(parts: Iterable[tuple[ArchDiagram, Sequence[int]]]) -> ArchDiagram:
-    """Inverse of decompose_simple.
-
-    Each part is restored to its original labels via its index set, and
-    the parts are concatenated in decreasing order of their cap labels,
-    which is the order the increasing-rotator rule forces.  Each part must
-    be noncrossing with exactly one cap; beyond that, recompose does not
-    judge validity (is_valid_arch does).
-    """
-    restored = []
+    """Inverse of decompose_simple.  Each part must be noncrossing with
+    exactly one cap; beyond that, recompose does not judge validity
+    (is_valid_arch does)."""
+    raw = []
     for part, index_set in parts:
-        ordered = sorted(index_set)
-        if len(ordered) != len(part.arcs):
+        if len(index_set) != len(part.arcs):
             raise ValueError("index set size does not match part size")
-        relabelled = tuple(
-            (left, right, ordered[label - 1]) for left, right, label in part.arcs
-        )
         runs = _nesting(part.arcs)
         if runs is None or len(runs) != 1:
             raise ValueError("every part must be noncrossing with one cap")
-        cap_label = ordered[runs[0][0][2] - 1]
-        restored.append((cap_label, part.n_vertices, relabelled))
-    restored.sort(key=lambda item: -item[0])
-
-    arcs: list[Arc] = []
-    offset = 0
-    for _, n_vertices, relabelled in restored:
-        arcs.extend(
-            (left + offset, right + offset, label) for left, right, label in relabelled
-        )
-        offset += n_vertices - 1
-    return ArchDiagram(offset + 1, tuple(arcs))
+        raw.append((part.arcs, part.n_vertices, tuple(sorted(index_set))))
+    arcs, m = _recompose(raw)
+    return ArchDiagram(m, tuple(arcs))
 
 
 # -------------------------------------------------------------- text forms

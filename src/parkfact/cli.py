@@ -184,10 +184,9 @@ def _cmd_stats(args) -> int:
             "factorization": str(f), "n": f.n, "product": format_permutation(pi),
             "lower": list(_fact.lower(f)), "upper": list(_fact.upper(f)),
         }
-        if len(f.factors) == f.n and pi.num_cycles() == 1:
-            record["area_lower"] = _fact.area_lower(f)
-            record["area_upper"] = _fact.area_upper(f)
-            record["total_difference"] = _fact.total_difference(f)
+        if _fact._is_full_cycle_product(len(f.factors), pi.images):
+            a_l, a_u = _fact._areas(f.pairs(), f.n)
+            record.update(area_lower=a_l, area_upper=a_u, total_difference=a_l + a_u)
             record["simple"] = _fact.is_simple(f)
             if record["simple"]:
                 record["simple_index"] = _fact.simple_index(f)

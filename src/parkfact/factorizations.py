@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .permutations import FullCycle, Permutation, Transposition, _cycle_groups, swap_product
-from .polynomials import BivariatePoly, json_fields, json_int, json_ints
+from .polynomials import BivariatePoly
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,9 +36,17 @@ class Factorization:
             if t.hi > self.n:
                 raise ValueError(f"factor {t} exceeds ground set [0, {self.n}]")
 
+    @classmethod
+    def from_pairs(cls, pairs, n: int) -> "Factorization":
+        """The factorization on [n] whose factors are the raw (lo, hi) pairs."""
+        return cls(tuple(Transposition(a, b) for a, b in pairs), n)
+
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The factors as raw (lo, hi) tuples, the form the kernels read."""
+        return tuple((t.lo, t.hi) for t in self.factors)
+
     def product(self) -> Permutation:
-        pairs = [(t.lo, t.hi) for t in self.factors]
-        return Permutation(tuple(swap_product(pairs, self.n)))
+        return Permutation(tuple(swap_product(self.pairs(), self.n)))
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -141,7 +149,7 @@ def enumerate_factorizations(sigma: FullCycle) -> Iterator[Factorization]:
     """Each member of F_sigma exactly once; |F_sigma| = (n+1)^(n-1)."""
     n = sigma.n
     for pairs in iter_factor_pairs(sigma):
-        yield Factorization(tuple(Transposition(a, b) for a, b in pairs), n)
+        yield Factorization.from_pairs(pairs, n)
 
 
 # ------------------------------------------------------------- statistics
@@ -157,30 +165,41 @@ def upper(f: Factorization) -> tuple[int, ...]:
     return tuple(t.hi for t in f.factors)
 
 
-def _require_full_cycle_member(f: Factorization) -> None:
-    if len(f.factors) != f.n:
-        raise ValueError(f"{f} has {len(f.factors)} factors, expected {f.n}")
-    pi = f.product()
-    if pi.num_cycles() != 1:
+def _is_full_cycle_product(length: int, images) -> bool:
+    """True iff `length` factors with this product form a minimal
+    factorization of a full cycle: n factors, one cycle through [n]."""
+    x, size = images[0], 1
+    while x != 0:
+        x, size = images[x], size + 1
+    return length == size - 1 == len(images) - 1
+
+
+def _areas(pairs, n: int) -> tuple[int, int]:
+    """Lower and upper area of raw pairs on [n]; callers test membership."""
+    binom = math.comb(n, 2)
+    return binom - sum(a for a, _ in pairs), sum(b for _, b in pairs) - binom
+
+
+def _member_areas(f: Factorization) -> tuple[int, int]:
+    pairs = f.pairs()
+    if not _is_full_cycle_product(len(pairs), swap_product(pairs, f.n)):
         raise ValueError(f"{f} is not a minimal factorization of a full cycle")
+    return _areas(pairs, f.n)
 
 
 def area_lower(f: Factorization) -> int:
     """binom(n,2) minus the lower-sequence sum."""
-    _require_full_cycle_member(f)
-    return math.comb(f.n, 2) - sum(lower(f))
+    return _member_areas(f)[0]
 
 
 def area_upper(f: Factorization) -> int:
     """Upper-sequence sum minus binom(n,2)."""
-    _require_full_cycle_member(f)
-    return sum(upper(f)) - math.comb(f.n, 2)
+    return _member_areas(f)[1]
 
 
 def total_difference(f: Factorization) -> int:
-    """Sum of hi - lo over the factors; the area between the two paths."""
-    _require_full_cycle_member(f)
-    return sum(t.hi - t.lo for t in f.factors)
+    """Sum of hi - lo over the factors: the lower plus the upper area."""
+    return sum(_member_areas(f))
 
 
 @functools.cache
@@ -265,13 +284,15 @@ def restricted_enumerators(n: int) -> RestrictedEnumerators:
 # ---------------------------------------------------------- rotation maps
 
 
-def _conjugate_down(t: Transposition) -> Transposition:
-    # sigma_n t sigma_n^{-1} for a factor not moving 0: both endpoints drop
-    return Transposition(t.lo - 1, t.hi - 1)
+def _rotate_down(pairs, k: int) -> tuple[tuple[int, int], ...]:
+    # phi_k on raw pairs; conjugating down a factor that misses 0 drops both ends
+    return tuple((a - 1, b - 1) for a, b in pairs[k:]) + tuple(pairs[: k - 1])
 
 
-def _conjugate_up(t: Transposition) -> Transposition:
-    return Transposition(t.lo + 1, t.hi + 1)
+def _rotate_up(pairs, k: int, n: int) -> tuple[tuple[int, int], ...]:
+    # phi_k_inverse on raw pairs
+    up = tuple((a + 1, b + 1) for a, b in pairs[: n - k])
+    return tuple(pairs[n - k :]) + ((0, n),) + up
 
 
 def phi_k(f: Factorization, k: int) -> Factorization:
@@ -289,8 +310,7 @@ def phi_k(f: Factorization, k: int) -> Factorization:
         raise ValueError(f"factor {k} of {f} is not (0 {n})")
     if not is_minimal_for(f, FullCycle.canonical(n).to_permutation()):
         raise ValueError(f"{f} is not a minimal factorization of the canonical cycle")
-    rotated = tuple(_conjugate_down(t) for t in f.factors[k:]) + f.factors[: k - 1]
-    return Factorization(rotated, n - 1)
+    return Factorization.from_pairs(_rotate_down(f.pairs(), k), n - 1)
 
 
 def phi_k_inverse(g: Factorization, k: int, n: int) -> Factorization:
@@ -299,9 +319,7 @@ def phi_k_inverse(g: Factorization, k: int, n: int) -> Factorization:
         raise ValueError(f"k = {k} outside 1..{n}")
     if not is_minimal_for(g, FullCycle.canonical(n - 1).to_permutation()):
         raise ValueError(f"{g} is not a minimal factorization of the canonical cycle")
-    head = g.factors[n - k :]
-    tail = tuple(_conjugate_up(t) for t in g.factors[: n - k])
-    return Factorization(head + (Transposition(0, n),) + tail, n)
+    return Factorization.from_pairs(_rotate_up(g.pairs(), k, n), n)
 
 
 # -------------------------------------------------------------- text forms
@@ -320,10 +338,3 @@ def parse_factorization(text: str, n: int | None = None) -> Factorization:
 
 def factorization_to_json(f: Factorization) -> dict:
     return {"n": f.n, "factors": [[t.lo, t.hi] for t in f.factors]}
-
-
-def factorization_from_json(obj: dict) -> Factorization:
-    n, factors = json_fields(obj, "n", "factors")
-    return Factorization(
-        tuple(Transposition(a, b) for a, b in json_ints(factors, 2)), json_int(n)
-    )

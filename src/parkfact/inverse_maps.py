@@ -171,8 +171,7 @@ def l_inverse(
             images[a], images[c] = images[c], images[a]
             pre[images[a]], pre[images[c]] = a, c
 
-    factors = tuple(Transposition(pair[0], pair[1]) for pair in taus[1:])
-    result = Factorization(factors, n)
+    result = Factorization.from_pairs(taus[1:], n)
     if check and result.product() != sigma.to_permutation():
         raise AssertionError(f"reconstruction for {p} missed {sigma}")
     return result

@@ -21,7 +21,7 @@ from itertools import accumulate, chain, combinations, combinations_with_replace
 from typing import Iterator, NamedTuple, Union
 
 from .permutations import _parse_groups
-from .polynomials import BivariatePoly, json_fields, json_int, json_ints
+from .polynomials import BivariatePoly
 from .trees import LabelledTree
 
 
@@ -519,15 +519,3 @@ def parse_sequence(text: str) -> Sequencelike:
 def sequence_to_json(value: Sequencelike) -> dict:
     kind = "parking" if isinstance(value, ParkingFunction) else "major"
     return {"n": value.n, "entries": list(value.entries), "kind": kind}
-
-
-def sequence_from_json(obj: dict) -> Sequencelike:
-    n, raw, kind = json_fields(obj, "n", "entries", "kind")
-    entries = json_ints(raw)
-    if len(entries) != json_int(n):
-        raise ValueError("n does not match entries length")
-    if kind == "parking":
-        return ParkingFunction(entries)
-    if kind == "major":
-        return MajorSequence(entries)
-    raise ValueError(f"unknown kind {kind!r}")

@@ -244,8 +244,8 @@ class BivariatePoly:
 
 
 def json_fields(obj, *keys) -> tuple:
-    """The values under `keys` of a decoded JSON object, read by every
-    *_from_json; a non-object or a missing key is bad input (ValueError)."""
+    """The values under `keys` of a decoded JSON object, as arch_from_json
+    reads them; a non-object or a missing key is bad input (ValueError)."""
     if not isinstance(obj, dict) or not obj.keys() >= set(keys):
         raise ValueError(f"expected a JSON object with keys {', '.join(keys)}")
     return tuple(obj[key] for key in keys)

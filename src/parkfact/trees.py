@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Iterator
 
-from .polynomials import BivariatePoly, json_fields, json_int, json_ints
+from .polynomials import BivariatePoly
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,11 +235,3 @@ def tree_to_json(tree: LabelledTree) -> dict:
 
 def _parent_json(parent: tuple[int, ...]) -> dict:
     return {"n": len(parent) - 1, "parent": list(parent[1:])}
-
-
-def tree_from_json(obj: dict) -> LabelledTree:
-    n, raw = json_fields(obj, "n", "parent")
-    parent = (0, *json_ints(raw))
-    if len(parent) != json_int(n) + 1:
-        raise ValueError("n does not match parent length")
-    return LabelledTree(parent)

@@ -23,7 +23,7 @@ from . import polynomials as _poly
 from . import trees as _trees
 from .parking import MajorSequence, ParkingFunction
 from .permutations import (
-    FullCycle, Transposition, full_cycles, is_unimodal, swap_product, unimodal_cycles,
+    FullCycle, full_cycles, is_unimodal, swap_product, unimodal_cycles,
 )
 from .polynomials import BivariatePoly
 
@@ -135,14 +135,11 @@ def check_bounce(n_max: int = 6) -> CheckResult:
         f_poly = _fact.factorization_enumerator(FullCycle.canonical(n))
         if not (b_poly == i_poly == f_poly):
             return _fail(name, f"n={n}: B_n = {b_poly}, I_n = {i_poly}, F_n = {f_poly}")
-        for p in _park.enumerate_parking(n):
-            data, value = _park.bounce(p)
-            binv = sum(
-                sum(1 for x in data.D[v] if x < v) for v in range(n + 1)
-            )
-            cobinv = sum(len(data.D[v]) for v in range(n + 1)) - binv
-            if binv + cobinv != value:
-                return _fail(name, f"pinv+copinv != bounce for p={p}")
+        for entries in _park._parking_tuples(n):
+            *_, masks, value, _ = _park._bounce_kernel(entries)
+            # pinv + copinv counts every D-element once
+            if sum(mask.bit_count() for mask in masks) != value:
+                return _fail(name, f"pinv+copinv != bounce for p={ParkingFunction(entries)}")
     return _ok(name, f"B_n = I_n = F_n and pinv+copinv = bounce for n <= {n_max}")
 
 
@@ -249,28 +246,26 @@ def check_l_inverse(n_max: int = 5) -> CheckResult:
 # ------------------------------------------------- 8: arch criterion
 
 
+def _word(pairs, n: int) -> str:
+    """The wire text of a raw factor sequence, for a counterexample."""
+    return str(_fact.Factorization.from_pairs(pairs, n))
+
+
 def check_arch_criterion(n_max: int = 4) -> CheckResult:
     name = "arch-criterion"
     for n in range(1, n_max + 1):
-        sigmas = [FullCycle.canonical(n)]
-        non_canonical = [
-            s for s in unimodal_cycles(n) if s.word != FullCycle.canonical(n).word
-        ]
-        sigmas.extend(non_canonical[:2])
+        canonical = FullCycle.canonical(n)
+        sigmas = [canonical] + [s for s in unimodal_cycles(n) if s != canonical][:2]
         all_pairs = list(combinations(range(n + 1), 2))
         for sigma in sigmas:
             target = list(sigma.to_permutation().images)
+            pos = sigma.positions()
             for pairs in _cartesian(all_pairs, repeat=n):
                 member = swap_product(pairs, n) == target
-                f = _fact.Factorization(
-                    tuple(Transposition(a, b) for a, b in pairs), n
-                )
-                valid = _arch.is_valid_arch(_arch.sigma_diagram(f, sigma))
+                valid = _arch._valid_runs(_arch._sigma_arcs(pairs, pos), n + 1) is not None
                 if member != valid:
-                    return _fail(
-                        name,
-                        f"f={f}, sigma={sigma}: member={member}, diagram valid={valid}",
-                    )
+                    detail = f"member={member}, diagram valid={valid}"
+                    return _fail(name, f"f={_word(pairs, n)}, sigma={sigma}: {detail}")
     return _ok(
         name,
         f"membership in F_sigma matches diagram validity for n <= {n_max} "
@@ -286,45 +281,60 @@ def check_simple_decomposition(n_max: int = 6) -> CheckResult:
     t = BivariatePoly.var_t()
     for n in range(1, n_max + 1):
         lhs = _fact.restricted_enumerators(n).simple
-        rhs = (
-            t
-            * _poly.qt_bracket(n)
-            * _fact.factorization_enumerator(FullCycle.canonical(n - 1))
-        )
+        previous = _fact.factorization_enumerator(FullCycle.canonical(n - 1))
+        rhs = t * _poly.qt_bracket(n) * previous
         if lhs != rhs:
             return _fail(name, f"n={n}: simple enumerator {lhs} != t(qt n)F_(n-1) {rhs}")
 
+    # under the canonical cycle a position is its vertex: part arcs are factors
     for n in range(1, n_max + 1):
         sigma = FullCycle.canonical(n)
-        binom = math.comb(n, 2)
-        for f in _fact.enumerate_factorizations(sigma):
-            diagram = _arch.sigma_diagram(f, sigma)
-            parts = _arch.decompose_simple(diagram)
-            merged: list[int] = []
-            area_l_sum = area_u_sum = 0
-            for part, index_set in parts:
-                merged.extend(index_set)
-                g = _arch.arch_to_factorization(part, FullCycle.canonical(part.n))
-                area_l_sum += _fact.area_lower(g)
-                area_u_sum += _fact.area_upper(g)
-            if sorted(merged) != list(range(1, n + 1)):
-                return _fail(name, f"index sets do not partition [1,{n}] for f={f}")
-            if _arch.recompose(parts) != diagram:
-                return _fail(name, f"recompose(decompose) != id for f={f}")
-            a_l = binom - sum(_fact.lower(f))
-            a_u = sum(_fact.upper(f)) - binom
-            if (area_l_sum, area_u_sum) != (a_l, a_u):
-                return _fail(name, f"area additivity fails for f={f}")
+        pos = sigma.positions()
+        target = list(sigma.to_permutation().images)
+        below = list(FullCycle.canonical(n - 1).to_permutation().images)
+        for pairs in _fact.iter_factor_pairs(sigma):
+            arcs = _arch._sigma_arcs(pairs, pos)
+            runs = _arch._valid_runs(arcs, n + 1)
+            if runs is None:
+                return _fail(name, f"diagram is not valid for f={_word(pairs, n)}")
+            parts = _arch._parts(runs)
+            part_areas = []
+            for part_arcs, m, _ in parts:
+                part_runs = _arch._valid_runs(part_arcs, m)
+                if part_runs is None or len(part_runs) != 1:
+                    return _fail(name, f"a part of f={_word(pairs, n)} is not simple")
+                g = [(a, b) for a, b, _ in part_arcs]
+                if not _fact._is_full_cycle_product(len(g), swap_product(g, m - 1)):
+                    return _fail(name, f"a part of f={_word(pairs, n)} is not in F_{m - 1}")
+                part_areas.append(_fact._areas(g, m - 1))
+            labels = sorted(i for *_, index_set in parts for i in index_set)
+            if labels != list(range(1, n + 1)):
+                detail = f"index sets do not partition [1,{n}]"
+                return _fail(name, f"{detail} for f={_word(pairs, n)}")
+            if _arch._recompose(parts) != (arcs, n + 1):
+                return _fail(name, f"recompose(decompose) != id for f={_word(pairs, n)}")
+            a_l, a_u = _fact._areas(pairs, n)
+            if tuple(map(sum, zip(*part_areas))) != (a_l, a_u):
+                return _fail(name, f"area additivity fails for f={_word(pairs, n)}")
 
-            if _fact.is_simple(f):
-                k = _fact.simple_index(f)
-                g = _fact.phi_k(f, k)
-                if a_l != _fact.area_lower(g) + k - 1:
-                    return _fail(name, f"lower-area shift fails for f={f}, k={k}")
-                if a_u != _fact.area_upper(g) + n - k + 1:
-                    return _fail(name, f"upper-area shift fails for f={f}, k={k}")
-                if _fact.phi_k_inverse(g, k, n) != f:
-                    return _fail(name, f"phi_k round trip fails for f={f}, k={k}")
+            hits = [i for i, pair in enumerate(pairs, start=1) if pair == (0, n)]
+            if not hits:
+                continue
+            if len(hits) != 1:
+                return _fail(name, f"f={_word(pairs, n)} has {len(hits)} copies of (0 {n})")
+            k = hits[0]
+            if swap_product(pairs, n) != target:
+                return _fail(name, f"f={_word(pairs, n)} is not in F_{n}")
+            g = _fact._rotate_down(pairs, k)
+            if swap_product(g, n - 1) != below:
+                return _fail(name, f"phi_k leaves F_{n - 1} for f={_word(pairs, n)}, k={k}")
+            g_l, g_u = _fact._areas(g, n - 1)
+            if a_l != g_l + k - 1:
+                return _fail(name, f"lower-area shift fails for f={_word(pairs, n)}, k={k}")
+            if a_u != g_u + n - k + 1:
+                return _fail(name, f"upper-area shift fails for f={_word(pairs, n)}, k={k}")
+            if _fact._rotate_up(g, k, n) != pairs:
+                return _fail(name, f"phi_k round trip fails for f={_word(pairs, n)}, k={k}")
     return _ok(
         name,
         f"simple-family identity, decomposition round trip, area additivity "

@@ -113,9 +113,9 @@ BREAKS = {
                   lambda n: ENUMS(n)._replace(area=ZERO), 2, "n=0:"),
     "unimodal": (_park, "is_parking", lambda seq: False, 3, "sigma=(0 1 2 3)"),
     "l-inverse": (_fact, "lower", lambda f: (), 2, "lower(l_inverse(0, (0 1))) != 0"),
-    "arch-criterion": (_arch, "is_valid_arch", lambda diagram: False,
+    "arch-criterion": (_arch, "_valid_runs", lambda arcs, m: None,
                        1, "f=(0 1), sigma=(0 1)"),
-    "simple-decomposition": (_fact, "phi_k_inverse", lambda g, k, n: g,
+    "simple-decomposition": (_fact, "_rotate_up", lambda pairs, k, n: pairs,
                              2, "round trip fails for f=(0 1), k=1"),
     "special-families": (_poly, "qt_factorial_product", lambda n: ZERO, 2, "n=1:"),
     "worked-examples": (_fact, "lower", lambda f: (), None, "lower(f9)"),
@@ -136,3 +136,18 @@ def test_suite_fails_on_a_wrong_answer(name, monkeypatch):
     result = verify.run_suite(name, n_max)
     assert result.ok is False
     assert expected in result.detail, result.detail
+
+
+def test_bounce_fails_on_a_wrong_pointwise_value(monkeypatch):
+    # the enumerator pass does not call the per-object kernel, so only the
+    # pointwise check sees a bounce value one too large on p = 0
+    kernel = _park._bounce_kernel
+
+    def off_by_one(entries):
+        *head, value, below = kernel(entries)
+        return (*head, value + (entries == (0,)), below)
+
+    monkeypatch.setattr(_park, "_bounce_kernel", off_by_one)
+    result = verify.run_suite("bounce", 2)
+    assert result.ok is False
+    assert result.detail == "pinv+copinv != bounce for p=0"

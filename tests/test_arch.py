@@ -12,6 +12,11 @@ from oracles import (
 from parkfact.arch import (
     ArchDiagram,
     _nesting,
+    _parts,
+    _recompose,
+    _rotators,
+    _sigma_arcs,
+    _valid_runs,
     arch_from_json,
     arch_to_factorization,
     arch_to_json,
@@ -142,6 +147,48 @@ def assert_matches_oracles(d):
         for reader in (caps, decompose_simple):
             with pytest.raises(ValueError):
                 reader(d)
+
+
+def assert_matches_kernels(f, sigma):
+    """Every public reader and builder gives what its raw-arc kernel gives
+    on the diagram of f over sigma."""
+    m = sigma.n + 1
+    arcs = _sigma_arcs(f.pairs(), sigma.positions())
+    d = sigma_diagram(f, sigma)
+    assert d.arcs == tuple(arcs) and d.n_vertices == m
+    rotators = _rotators(arcs, m)
+    assert [rotator(d, v) for v in range(m)] == [tuple(rot) for rot in rotators]
+    runs = _valid_runs(arcs, m)
+    assert is_valid_arch(d) == (runs is not None)
+    if runs is None:
+        for reader in (caps, decompose_simple, lambda x: arch_to_factorization(x, sigma)):
+            with pytest.raises(ValueError, match="not a valid arch diagram"):
+                reader(d)
+        return
+    assert arch_to_factorization(d, sigma) == f
+    assert caps(d) == tuple(run[0] for run in runs)
+    parts = _parts(runs)
+    wrapped = decompose_simple(d)
+    assert [(p.arcs, p.n_vertices, i) for p, i in wrapped] == [
+        (tuple(a), part_m, i) for a, part_m, i in parts
+    ]
+    glued, glued_m = _recompose(parts)
+    assert (recompose(wrapped).arcs, glued_m) == (tuple(glued), m)
+
+
+class TestKernels:
+    def test_every_word_under_every_full_cycle(self):
+        for n in range(1, 4):
+            pairs = list(combinations(range(n + 1), 2))
+            for sigma in full_cycles(n):
+                for word in product(pairs, repeat=n):
+                    assert_matches_kernels(Factorization.from_pairs(word, n), sigma)
+
+    def test_every_diagram_of_the_family(self):
+        for n in range(6):
+            sigma = FullCycle.canonical(n)
+            for f in enumerate_factorizations(sigma):
+                assert_matches_kernels(f, sigma)
 
 
 class TestFactorizationBijection:

@@ -340,14 +340,39 @@ class TestStats:
         record = json.loads(out)
         assert record["area_lower"] == 1
         assert record["area_upper"] == 2
+        assert record["total_difference"] == 3
         assert record["simple"] is True
         assert record["simple_index"] == 2
 
     def test_factorization_non_member(self, capsys):
-        code, out, _ = run(capsys, "stats", "--kind", "factorization",
-                           "--input", "(0 1)(0 1)", "--format", "json")
-        assert code == 0
-        assert "note" in json.loads(out)
+        # the second word multiplies out to the full cycle (0 1), with three factors
+        for text in ("(0 1)(0 1)", "(0 1)(0 1)(0 1)"):
+            code, out, _ = run(capsys, "stats", "--kind", "factorization",
+                               "--input", text, "--format", "json")
+            assert code == 0
+            assert "note" in json.loads(out)
+
+
+ALL_SUITES_AT_FOUR = [
+    "PASS cardinalities: four families all have (n+1)^(n-1) members for n <= 4",
+    "PASS polynomial-pins: I_0..I_3 and D_0..D_4 match their published values exactly",
+    "PASS tree-factorization: I_n(q,t) = F_n(q,t) exactly for n <= 4",
+    "PASS bounce: B_n = I_n = F_n and pinv+copinv = bounce for n <= 4",
+    "PASS area-jump: area and jump/cojump enumerators match I_n for n <= 4",
+    "PASS unimodal: L and U are bijections exactly on unimodal cycles, n = 3..4",
+    "PASS l-inverse: reconstruction inverts L on every unimodal cycle for n <= 4, "
+    "worked examples byte-exact",
+    "PASS arch-criterion: membership in F_sigma matches diagram validity for n <= 4 "
+    "(canonical plus two unimodal cycles each)",
+    "PASS simple-decomposition: simple-family identity, decomposition round trip, "
+    "area additivity and rotation shifts hold for n <= 4",
+    "PASS special-families: max-diff, increasing, decreasing and permutation-lower "
+    "identities hold for n <= 4",
+    "PASS worked-examples: every worked-example pin (length-9 run, bounce table, "
+    "(0 1 3 2) terms) is exact",
+    "PASS pushing: pushed labels reproduce the upper path for all p, n <= 4",
+    "PASS symmetry: t^(-n) I_n(q,t) is symmetric under q <-> t for n <= 4",
+]
 
 
 class TestVerify:
@@ -359,8 +384,37 @@ class TestVerify:
     def test_all_suites_at_four(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all", "--n", "4")
         assert code == 0
-        assert len(out.splitlines()) == 13
-        assert all(line.startswith("PASS") for line in out.splitlines())
+        assert out.splitlines() == ALL_SUITES_AT_FOUR
+
+    def test_a_non_member_in_the_stream_is_a_failure(self, capsys, monkeypatch):
+        # two cached enumerators read the same stream; clearing them on both
+        # sides of the patch keeps the outcome independent of test order and
+        # leaves no entry built from the patched stream
+        from parkfact import factorizations
+
+        stream = factorizations.iter_factor_pairs
+
+        def with_non_member(sigma):
+            yield from stream(sigma)
+            if sigma.n == 2:
+                yield ((0, 1), (0, 1))
+
+        caches = (factorizations.restricted_enumerators,
+                  factorizations.factorization_enumerator)
+        for cached in caches:
+            cached.cache_clear()
+        monkeypatch.setattr(factorizations, "iter_factor_pairs", with_non_member)
+        try:
+            code, out, err = run(capsys, "verify", "--suite", "simple-decomposition",
+                                 "--n", "2")
+        finally:
+            monkeypatch.undo()
+            for cached in caches:
+                cached.cache_clear()
+        assert code == 2
+        assert err == ""
+        assert out.startswith("FAIL simple-decomposition:")
+        assert "f=(0 1)(0 1)" in out
 
     def test_by_number(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "2")

@@ -6,11 +6,12 @@ from oracles import factor_pairs_by_recursion, is_minimal_by_graph, product_by_c
 
 from parkfact.factorizations import (
     Factorization,
+    _rotate_down,
+    _rotate_up,
     area_lower,
     area_upper,
     enumerate_factorizations,
     factorization_enumerator,
-    factorization_from_json,
     factorization_to_json,
     is_minimal_for,
     is_simple,
@@ -210,6 +211,9 @@ class TestAreas:
             area_lower(fact("(0 1)(0 1)", 1))
         with pytest.raises(ValueError):
             area_lower(fact("(0 1)", 2))
+        # multiplies out to the full cycle (0 1), but with three factors
+        with pytest.raises(ValueError):
+            total_difference(fact("(0 1)(0 1)(0 1)", 1))
 
 
 class TestEnumerator:
@@ -331,6 +335,16 @@ class TestSimpleAndPhi:
                 assert area_upper(f) == area_upper(g) + n - k + 1
                 assert phi_k_inverse(g, k, n) == f
 
+    def test_rotations_equal_their_kernels(self):
+        for n in range(1, 6):
+            for f in enumerate_factorizations(FullCycle.canonical(n)):
+                if not is_simple(f):
+                    continue
+                k = simple_index(f)
+                g = phi_k(f, k)
+                assert g.pairs() == _rotate_down(f.pairs(), k)
+                assert phi_k_inverse(g, k, n).pairs() == _rotate_up(g.pairs(), k, n)
+
 
 class TestDuality:
     def test_upper_is_complement_reverse_of_reflected_lower(self):
@@ -365,8 +379,4 @@ class TestTextForms:
     def test_json_round_trip(self):
         obj = factorization_to_json(F9)
         assert obj["n"] == 9
-        assert factorization_from_json(obj) == F9
-
-    def test_json_missing_key(self):
-        with pytest.raises(ValueError, match="keys n, factors"):
-            factorization_from_json({"n": 9})
+        assert Factorization.from_pairs(map(tuple, obj["factors"]), obj["n"]) == F9
