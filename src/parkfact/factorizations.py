@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .permutations import FullCycle, Permutation, Transposition, _cycle_groups, swap_product
@@ -204,14 +204,44 @@ def total_difference(f: Factorization) -> int:
 
 @functools.cache
 def factorization_enumerator(sigma: FullCycle) -> BivariatePoly:
-    """F_sigma(q,t): q^(lower area) t^(upper area) summed over F_sigma."""
+    """F_sigma(q,t): q^(lower area) t^(upper area) summed over F_sigma.
+
+    A memoized walk over the remaining permutation rho, starting at sigma.
+    Let S(rho) count the factor sequences that take rho to the identity
+    by their lower and upper sums (A, B).  S(identity) = {(0, 0): 1}, and
+    S(rho) sums, over the pairs a < b on one cycle of rho, the terms of
+    S(rho with rho[a], rho[b] swapped) moved to (A + a, B + b).  At the
+    root (A, B) becomes (binom(n,2) - A, B - binom(n,2)).  Every rho met
+    lies on a geodesic from sigma to the identity, i.e. is a noncrossing
+    partition relative to sigma, so the walk visits Catalan(n+1) states
+    (1,430 at n = 7) instead of the (n+1)^(n-1) leaves.  It shares no
+    code with iter_factor_pairs; the tests compare the two.
+    """
     n = sigma.n
+    m = n + 1
+
+    @functools.cache  # one memo per call, dropped with the closure
+    def sums(rho: tuple[int, ...]) -> dict[tuple[int, int], int]:
+        out: dict[tuple[int, int], int] = {}
+        seen = [False] * m
+        for start in range(m):
+            cycle = []
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                cycle.append(x)
+                x = rho[x]
+            for a, b in combinations(sorted(cycle), 2):
+                child = list(rho)
+                child[a], child[b] = child[b], child[a]
+                for (low, high), c in sums(tuple(child)).items():
+                    key = low + a, high + b
+                    out[key] = out.get(key, 0) + c
+        return out or {(0, 0): 1}
+
     binom = math.comb(n, 2)
-    counts: Counter[tuple[int, int]] = Counter()
-    for pairs in iter_factor_pairs(sigma):
-        lows, highs = zip(*pairs) if pairs else ((), ())
-        counts[binom - sum(lows), sum(highs) - binom] += 1
-    return BivariatePoly(counts)
+    root = sums(sigma.to_permutation().images)
+    return BivariatePoly({(binom - low, high - binom): c for (low, high), c in root.items()})
 
 
 # ------------------------------------------------------ restricted families

@@ -190,23 +190,14 @@ def depth_enumerator(n: int) -> BivariatePoly:
 
 def format_tree(tree: LabelledTree) -> str:
     """Parent-vector CSV like "0:-,1:0,2:1"."""
-    return _tree_text(tree.parent, _tree_cells(enumerate(tree.parent)))
-
-
-def _tree_cells(pairs) -> dict[tuple[int, int], str]:
-    """The CSV cell "v:p" of each (vertex, parent) pair; the root's is "0:-"."""
-    return {(v, p): f"{v}:{p}" if v else "0:-" for v, p in pairs}
-
-
-def _tree_text(parent: tuple[int, ...], cells: dict[tuple[int, int], str]) -> str:
-    return ",".join(map(cells.__getitem__, enumerate(parent)))
+    return ",".join(["0:-", *(f"{v}:{p}" for v, p in enumerate(tree.parent[1:], start=1))])
 
 
 def _tree_lines(n: int) -> Iterator[str]:
-    """format_tree of every tree on [n] in stream order, read off one table
-    holding the cells of all (vertex, parent) pairs."""
-    cells = _tree_cells(_cartesian(range(n + 1), repeat=2))
-    return (_tree_text(parent, cells) for parent in _parent_tuples(n))
+    """format_tree of every tree on [n] in stream order, each filled into
+    one template "0:-,1:%d,...,n:%d"."""
+    template = ",".join(["0:-", *(f"{v}:%d" for v in range(1, n + 1))])
+    return (template % parent[1:] for parent in _parent_tuples(n))
 
 
 def parse_tree(text: str) -> LabelledTree:

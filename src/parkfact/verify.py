@@ -293,6 +293,8 @@ def check_simple_decomposition(n_max: int = 6) -> CheckResult:
         target = list(sigma.to_permutation().images)
         below = list(FullCycle.canonical(n - 1).to_permutation().images)
         for pairs in _fact.iter_factor_pairs(sigma):
+            if not all(0 <= a < b <= n for a, b in pairs):
+                raise AssertionError(f"factor stream yielded {pairs}, not pairs on [0, {n}]")
             arcs = _arch._sigma_arcs(pairs, pos)
             runs = _arch._valid_runs(arcs, n + 1)
             if runs is None:

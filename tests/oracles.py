@@ -9,7 +9,7 @@ from collections import Counter
 from itertools import product
 
 from parkfact.arch import ArchDiagram
-from parkfact.factorizations import forest_roots
+from parkfact.factorizations import forest_roots, iter_factor_pairs
 from parkfact.inverse_maps import sigma_sides
 from parkfact.parking import (
     ParkingEnumerators,
@@ -297,3 +297,14 @@ def factor_pairs_by_recursion(sigma):
             chosen.pop()
 
     yield from walk(sigma.n)
+
+
+def factorization_enumerator_by_stream(sigma):
+    """F_sigma(q,t) summed leaf by leaf over the factor stream."""
+    n = sigma.n
+    binom = math.comb(n, 2)
+    counts = Counter()
+    for pairs in iter_factor_pairs(sigma):
+        lows, highs = zip(*pairs) if pairs else ((), ())
+        counts[binom - sum(lows), sum(highs) - binom] += 1
+    return BivariatePoly(counts)

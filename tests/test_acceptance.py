@@ -6,6 +6,10 @@ the heavy sweeps (all full cycles at n = 5, trees through n = 7) are
 intentionally kept in this module rather than the unit tests.
 """
 
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 
 from parkfact import arch as _arch
@@ -136,6 +140,19 @@ def test_suite_fails_on_a_wrong_answer(name, monkeypatch):
     result = verify.run_suite(name, n_max)
     assert result.ok is False
     assert expected in result.detail, result.detail
+
+
+def test_the_benchmark_caches_have_cache_info():
+    # the benchmark child checks that these enumerators start cold through
+    # cache_info(); a dropped functools.cache decorator should fail here
+    source = (Path(__file__).parents[1] / "perfbench" / "child.py").read_text()
+    caches = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                  if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "CACHES")
+    assert caches
+    for dotted in caches:
+        module, attribute = dotted.split(".")
+        cached = getattr(importlib.import_module(f"parkfact.{module}"), attribute)
+        assert callable(getattr(cached, "cache_info", None)), dotted
 
 
 def test_bounce_fails_on_a_wrong_pointwise_value(monkeypatch):

@@ -386,35 +386,44 @@ class TestVerify:
         assert code == 0
         assert out.splitlines() == ALL_SUITES_AT_FOUR
 
-    def test_a_non_member_in_the_stream_is_a_failure(self, capsys, monkeypatch):
-        # two cached enumerators read the same stream; clearing them on both
-        # sides of the patch keeps the outcome independent of test order and
-        # leaves no entry built from the patched stream
+    @staticmethod
+    def run_with_extra_pairs(capsys, monkeypatch, extra):
+        # restricted_enumerators is cached and reads the same stream, while
+        # factorization_enumerator walks its own states and reads none;
+        # clearing the cache on both sides of the patch keeps the outcome
+        # independent of test order and leaves no entry built from the
+        # patched stream
         from parkfact import factorizations
 
         stream = factorizations.iter_factor_pairs
 
-        def with_non_member(sigma):
+        def with_extra(sigma):
             yield from stream(sigma)
             if sigma.n == 2:
-                yield ((0, 1), (0, 1))
+                yield extra
 
-        caches = (factorizations.restricted_enumerators,
-                  factorizations.factorization_enumerator)
-        for cached in caches:
-            cached.cache_clear()
-        monkeypatch.setattr(factorizations, "iter_factor_pairs", with_non_member)
+        cached = factorizations.restricted_enumerators
+        cached.cache_clear()
+        monkeypatch.setattr(factorizations, "iter_factor_pairs", with_extra)
         try:
-            code, out, err = run(capsys, "verify", "--suite", "simple-decomposition",
-                                 "--n", "2")
+            return run(capsys, "verify", "--suite", "simple-decomposition", "--n", "2")
         finally:
             monkeypatch.undo()
-            for cached in caches:
-                cached.cache_clear()
+            cached.cache_clear()
+
+    def test_a_non_member_in_the_stream_is_a_failure(self, capsys, monkeypatch):
+        code, out, err = self.run_with_extra_pairs(capsys, monkeypatch, ((0, 1), (0, 1)))
         assert code == 2
         assert err == ""
         assert out.startswith("FAIL simple-decomposition:")
         assert "f=(0 1)(0 1)" in out
+
+    def test_a_malformed_stream_is_an_internal_error(self, capsys, monkeypatch):
+        code, out, err = self.run_with_extra_pairs(capsys, monkeypatch, ((0, 1), (0, 5)))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("internal error: ")
+        assert len(err.splitlines()) == 1
 
     def test_by_number(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "2")

@@ -2,7 +2,12 @@ import math
 from itertools import combinations, permutations, product
 
 import pytest
-from oracles import factor_pairs_by_recursion, is_minimal_by_graph, product_by_compose
+from oracles import (
+    factor_pairs_by_recursion,
+    factorization_enumerator_by_stream,
+    is_minimal_by_graph,
+    product_by_compose,
+)
 
 from parkfact.factorizations import (
     Factorization,
@@ -165,10 +170,12 @@ class TestEnumeration:
 
     @pytest.mark.slow
     def test_trees_match_factorizations_at_eight(self):
-        # opt-in (pytest -m slow): 4.78M trees, factorizations and parking
-        # functions; B_8 comes from the bounce pass alone, as poly --name B
+        # opt-in (pytest -m slow): 4.78M trees, factor sequences and parking
+        # functions; F_8 from the memoized walk and, leaf by leaf, from the
+        # stream; B_8 comes from the bounce pass alone, as poly --name B
         i8 = inversion_enumerator(8)
         assert i8 == factorization_enumerator(FullCycle.canonical(8))
+        assert i8 == factorization_enumerator_by_stream(FullCycle.canonical(8))
         assert i8 == _bounce_pass(8)[2]
         assert i8 == tree_recursion_I(8)[8]
         reduced = i8.divide_t(8)
@@ -236,6 +243,14 @@ class TestEnumerator:
             assert factorization_enumerator(FullCycle.canonical(n)) == (
                 inversion_enumerator(n)
             )
+
+    def test_memoized_walk_matches_the_stream(self):
+        sigmas = [sigma for n in range(6) for sigma in full_cycles(n)]
+        assert len(sigmas) == 154
+        for sigma in [*sigmas, FullCycle.canonical(6)]:
+            assert factorization_enumerator(sigma) == (
+                factorization_enumerator_by_stream(sigma)
+            ), sigma
 
 
 class TestRestricted:
