@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .factorizations import Factorization, forest_roots
+from .factorizations import Factorization
 from .permutations import FullCycle
-from .polynomials import json_fields, json_int, json_ints
+from .trees import forest_roots
 
 Arc = tuple[int, int, int]  # (left position, right position, label)
 
@@ -232,6 +232,27 @@ def arch_to_json(diagram: ArchDiagram) -> dict:
     return {"n": diagram.n, "arcs": [list(arc) for arc in diagram.arcs]}
 
 
+def _json_int(value) -> int:
+    """An integral JSON number as an int; any other JSON value (a string,
+    null, a boolean, a fraction, an infinity) is bad input (ValueError)."""
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)  # type(): a JSON true is a bool, not an integer
+    raise ValueError(f"expected an integer, got {value!r:.40}")
+
+
+def _json_list(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a JSON array, got {value!r:.40}")
+    return value
+
+
 def arch_from_json(obj: dict) -> ArchDiagram:
-    n, arcs = json_fields(obj, "n", "arcs")
-    return ArchDiagram(json_int(n) + 1, json_ints(arcs, 3))
+    """The diagram of a decoded {"n", "arcs": [[left, right, label], ...]}
+    object; anything else is bad input (ValueError)."""
+    if not isinstance(obj, dict) or not obj.keys() >= {"n", "arcs"}:
+        raise ValueError("expected a JSON object with keys n, arcs")
+    n = _json_int(obj["n"])
+    arcs = tuple(tuple(map(_json_int, _json_list(arc))) for arc in _json_list(obj["arcs"]))
+    if any(len(arc) != 3 for arc in arcs):
+        raise ValueError("expected arrays of 3 integers")
+    return ArchDiagram(n + 1, arcs)

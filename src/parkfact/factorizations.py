@@ -63,25 +63,6 @@ def is_minimal_for(f: Factorization, pi: Permutation) -> bool:
     return f.product() == pi and len(f.factors) == f.n + 1 - pi.num_cycles()
 
 
-def forest_roots(edges, size: int) -> list[int] | None:
-    """Union-find over the vertices 0..size-1: the component root of each
-    vertex when the edges form a forest, None once an edge closes a cycle."""
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return None
-        parent[ra] = rb
-    return [find(v) for v in range(size)]
-
-
 # ------------------------------------------------------------ enumeration
 
 
@@ -279,7 +260,6 @@ def restricted_enumerators(n: int) -> RestrictedEnumerators:
     come from one pass over F_n.
     """
     sigma = FullCycle.canonical(n)
-    binom = math.comb(n, 2)
     simple: dict[tuple[int, int], int] = {}
     increasing: dict[tuple[int, int], int] = {}
     decreasing: dict[tuple[int, int], int] = {}
@@ -287,9 +267,7 @@ def restricted_enumerators(n: int) -> RestrictedEnumerators:
     by_diff: dict[int, dict[tuple[int, int], int]] = {}
     for pairs in iter_factor_pairs(sigma):
         lows = [a for a, _ in pairs]
-        a_l = binom - sum(lows)
-        a_u = sum(b for _, b in pairs) - binom
-        key = (a_l, a_u)
+        key = _areas(pairs, n)
         if any(a == 0 and b == n for a, b in pairs):
             simple[key] = simple.get(key, 0) + 1
         if all(lows[i] <= lows[i + 1] for i in range(len(lows) - 1)):
@@ -298,7 +276,7 @@ def restricted_enumerators(n: int) -> RestrictedEnumerators:
             decreasing[key] = decreasing.get(key, 0) + 1
         if sorted(lows) == list(range(n)):
             perm[key] = perm.get(key, 0) + 1
-        bucket = by_diff.setdefault(a_l + a_u, {})
+        bucket = by_diff.setdefault(sum(key), {})
         bucket[key] = bucket.get(key, 0) + 1
 
     max_diff = BivariatePoly(by_diff[max(by_diff)]) if by_diff else BivariatePoly.one()

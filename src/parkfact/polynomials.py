@@ -238,39 +238,6 @@ class BivariatePoly:
         """Canonically ordered [{"q": e_q, "t": e_t, "c": "<int>"}]."""
         return [{"q": eq, "t": et, "c": str(c)} for (eq, et), c in self.terms()]
 
-    @classmethod
-    def from_json_terms(cls, records: Iterable[dict]) -> "BivariatePoly":
-        return cls(((int(r["q"]), int(r["t"])), int(r["c"])) for r in records)
-
-
-def json_fields(obj, *keys) -> tuple:
-    """The values under `keys` of a decoded JSON object, as arch_from_json
-    reads them; a non-object or a missing key is bad input (ValueError)."""
-    if not isinstance(obj, dict) or not obj.keys() >= set(keys):
-        raise ValueError(f"expected a JSON object with keys {', '.join(keys)}")
-    return tuple(obj[key] for key in keys)
-
-
-def json_int(value) -> int:
-    """An integral JSON number as an int; any other JSON value (a string,
-    null, a boolean, a fraction, an infinity) is bad input (ValueError)."""
-    if type(value) is int or isinstance(value, float) and value.is_integer():
-        return int(value)  # type(): a JSON true is a bool, not an integer
-    raise ValueError(f"expected an integer, got {value!r:.40}")
-
-
-def json_ints(value, width: int = 0) -> tuple:
-    """A JSON array of integers as a tuple of ints or, with width > 0, an
-    array of width-long integer arrays as a tuple of int tuples."""
-    if not isinstance(value, list):
-        raise ValueError(f"expected a JSON array, got {value!r:.40}")
-    if not width:
-        return tuple(map(json_int, value))
-    rows = tuple(map(json_ints, value))
-    if any(len(row) != width for row in rows):
-        raise ValueError(f"expected arrays of {width} integers")
-    return rows
-
 
 # ----------------------------------------------------------------- families
 

@@ -5,7 +5,8 @@ is omitted by serializers).  Enumeration is exhaustive: every index in
 [0, (n+1)^(n-1)) is unranked to a Pruefer sequence and decoded in linear
 time, so any index range can be listed on its own.  The bulk consumers
 (the two enumerators and the CLI listing) read the raw parent tuples;
-enumerate_trees validates every tree it yields.
+enumerate_trees validates every tree it yields.  forest_roots is the one
+forest test: LabelledTree and the arch diagram validity test both use it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ class LabelledTree:
         for v in range(1, m):
             if not 0 <= self.parent[v] < m:
                 raise ValueError(f"parent[{v}] = {self.parent[v]} out of range")
-        if not _reaches_root(self.parent):
+        # m - 1 edges v -> parent[v] with no cycle span [0, m-1]: a tree on 0
+        if forest_roots(((v, self.parent[v]) for v in range(1, m)), m) is None:
             raise ValueError(f"parent map is not a tree rooted at 0: {self.parent}")
 
     @property
@@ -50,22 +52,23 @@ class LabelledTree:
         return format_tree(self)
 
 
-def _reaches_root(parent: tuple[int, ...]) -> bool:
-    m = len(parent)
-    state = [0] * m  # 0 unknown, 1 on current path, 2 proven good
-    state[0] = 2
-    for start in range(1, m):
-        path = []
-        v = start
-        while state[v] == 0:
-            state[v] = 1
-            path.append(v)
-            v = parent[v]
-        if state[v] == 1:
-            return False
-        for u in path:
-            state[u] = 2
-    return True
+def forest_roots(edges, size: int) -> list[int] | None:
+    """Union-find over the vertices 0..size-1: the component root of each
+    vertex when the edges form a forest, None once an edge closes a cycle."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return None
+        parent[ra] = rb
+    return [find(v) for v in range(size)]
 
 
 # ------------------------------------------------------------ enumeration

@@ -1,14 +1,19 @@
 """Named verification suites: every theorem-level claim as a desk-scale
 exhaustive check.
 
-Each suite returns a CheckResult carrying pass/fail plus either a short
-summary or a serialized counterexample.  The CLI 'verify' subcommand and
-the acceptance test module both run these; the suite names (and their
-1-based numbers) are the addressable surface.
+Each suite is a check_<suite> function registered by @_suite(name,
+default, claim), once, above its definition.  The check takes n_max and
+returns None on a pass or the detail of its first failure, a short
+serialized counterexample.  The registered wrapper fills in the default
+size, runs the check and builds the one CheckResult, with the claim
+formatted at the size it ran on a pass.  SUITES lists the suites in
+registration order, which gives their 1-based numbers; the CLI 'verify'
+subcommand and the acceptance tests run them by name or number.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -38,27 +43,45 @@ class CheckResult:
         return f"{'PASS' if self.ok else 'FAIL'} {self.name}: {self.detail}"
 
 
-def _ok(name: str, detail: str) -> CheckResult:
-    return CheckResult(name, True, detail)
+SUITES: dict[str, Callable[[int | None], CheckResult]] = {}
 
 
-def _fail(name: str, detail: str) -> CheckResult:
-    return CheckResult(name, False, detail)
+def _suite(name: str, default: int | None, claim: str):
+    """Register a check as suite `name`: n_max defaults to `default`, and a
+    pass reports `claim` with {n} set to n_max.  A suite whose default is
+    None has no size and ignores n_max.  The wrapper is both the module's
+    check_<suite> and the SUITES value, so perfbench's tracer, which
+    rebinds one object in both places, times every suite."""
+
+    def register(check: Callable[[int | None], str | None]):
+        @functools.wraps(check)
+        def run(n_max: int | None = None) -> CheckResult:
+            n_max = default if n_max is None else n_max
+            failure = check(n_max)
+            if failure is None:
+                return CheckResult(name, True, claim.format(n=n_max))
+            return CheckResult(name, False, failure)
+
+        SUITES[name] = run
+        return run
+
+    return register
 
 
 # --------------------------------------------------- 1: cardinalities
 
 
-def check_cardinalities(n_max: int = 6) -> CheckResult:
-    name = "cardinalities"
+@_suite("cardinalities", 6,
+        "four families all have (n+1)^(n-1) members for n <= {n}")
+def check_cardinalities(n_max: int) -> str | None:
     for n in range(n_max + 1):
         expected = _trees.tree_count(n)
         got_trees = sum(1 for _ in _trees.enumerate_trees(n))
         if got_trees != expected:
-            return _fail(name, f"|T_{n}| = {got_trees}, expected {expected}")
+            return f"|T_{n}| = {got_trees}, expected {expected}"
         got_parking = sum(1 for _ in _park.enumerate_parking(n))
         if got_parking != expected:
-            return _fail(name, f"|P_{n}| = {got_parking}, expected {expected}")
+            return f"|P_{n}| = {got_parking}, expected {expected}"
         sigma = FullCycle.canonical(n)
         diagrams = set()
         got_fact = 0
@@ -66,10 +89,9 @@ def check_cardinalities(n_max: int = 6) -> CheckResult:
             got_fact += 1
             diagrams.add(_arch.sigma_diagram(f, sigma))
         if got_fact != expected:
-            return _fail(name, f"|F_{n}| = {got_fact}, expected {expected}")
+            return f"|F_{n}| = {got_fact}, expected {expected}"
         if len(diagrams) != expected:
-            return _fail(name, f"|A_{n}| = {len(diagrams)}, expected {expected}")
-    return _ok(name, f"four families all have (n+1)^(n-1) members for n <= {n_max}")
+            return f"|A_{n}| = {len(diagrams)}, expected {expected}"
 
 
 # ------------------------------------------------ 2: polynomial pins
@@ -98,72 +120,69 @@ _D_PINS = {
 }
 
 
-def check_polynomial_pins(n_max: int | None = None) -> CheckResult:
-    name = "polynomial-pins"
+@_suite("polynomial-pins", None,
+        "I_0..I_3 and D_0..D_4 match their published values exactly")
+def check_polynomial_pins(n_max: int | None) -> str | None:
     for n, terms in _I_PINS.items():
         got = _trees.inversion_enumerator(n)
         if got != BivariatePoly(terms):
-            return _fail(name, f"I_{n} = {got}, expected {BivariatePoly(terms)}")
+            return f"I_{n} = {got}, expected {BivariatePoly(terms)}"
     for n, terms in _D_PINS.items():
         got = _trees.depth_enumerator(n)
         if got != BivariatePoly(terms):
-            return _fail(name, f"D_{n} = {got}, expected {BivariatePoly(terms)}")
-    return _ok(name, "I_0..I_3 and D_0..D_4 match their published values exactly")
+            return f"D_{n} = {got}, expected {BivariatePoly(terms)}"
 
 
 # --------------------------------------- 3: trees match factorizations
 
 
-def check_tree_factorization(n_max: int = 6) -> CheckResult:
-    name = "tree-factorization"
+@_suite("tree-factorization", 6, "I_n(q,t) = F_n(q,t) exactly for n <= {n}")
+def check_tree_factorization(n_max: int) -> str | None:
     for n in range(n_max + 1):
         lhs = _trees.inversion_enumerator(n)
         rhs = _fact.factorization_enumerator(FullCycle.canonical(n))
         if lhs != rhs:
-            return _fail(name, f"n={n}: I_n = {lhs} but F_n = {rhs}")
-    return _ok(name, f"I_n(q,t) = F_n(q,t) exactly for n <= {n_max}")
+            return f"n={n}: I_n = {lhs} but F_n = {rhs}"
 
 
 # --------------------------------------------------------- 4: bounce
 
 
-def check_bounce(n_max: int = 6) -> CheckResult:
-    name = "bounce"
+@_suite("bounce", 6, "B_n = I_n = F_n and pinv+copinv = bounce for n <= {n}")
+def check_bounce(n_max: int) -> str | None:
     for n in range(n_max + 1):
         b_poly = _park.parking_enumerators(n).pinv_copinv
         i_poly = _trees.inversion_enumerator(n)
         f_poly = _fact.factorization_enumerator(FullCycle.canonical(n))
         if not (b_poly == i_poly == f_poly):
-            return _fail(name, f"n={n}: B_n = {b_poly}, I_n = {i_poly}, F_n = {f_poly}")
+            return f"n={n}: B_n = {b_poly}, I_n = {i_poly}, F_n = {f_poly}"
         for entries in _park._parking_tuples(n):
             *_, masks, value, _ = _park._bounce_kernel(entries)
             # pinv + copinv counts every D-element once
             if sum(mask.bit_count() for mask in masks) != value:
-                return _fail(name, f"pinv+copinv != bounce for p={ParkingFunction(entries)}")
-    return _ok(name, f"B_n = I_n = F_n and pinv+copinv = bounce for n <= {n_max}")
+                return f"pinv+copinv != bounce for p={ParkingFunction(entries)}"
 
 
 # ----------------------------------------------- 5: area and the lot
 
 
-def check_area_jump(n_max: int = 6) -> CheckResult:
-    name = "area-jump"
+@_suite("area-jump", 6, "area and jump/cojump enumerators match I_n for n <= {n}")
+def check_area_jump(n_max: int) -> str | None:
     for n in range(n_max + 1):
         enums = _park.parking_enumerators(n)
         i_poly = _trees.inversion_enumerator(n)
         if i_poly.at_t(1) != enums.area:
-            return _fail(name, f"n={n}: I_n(q,1) != area enumerator {enums.area}")
+            return f"n={n}: I_n(q,1) != area enumerator {enums.area}"
         if enums.jump_cojump != i_poly:
-            return _fail(name, f"n={n}: jump/cojump enumerator != I_n(q,t)")
-    return _ok(name, f"area and jump/cojump enumerators match I_n for n <= {n_max}")
+            return f"n={n}: jump/cojump enumerator != I_n(q,t)"
 
 
 # ------------------------------------- 6: unimodal characterization
 
 
-def check_unimodal(n_max: int = 5) -> CheckResult:
+@_suite("unimodal", 5, "L and U are bijections exactly on unimodal cycles, n = 3..{n}")
+def check_unimodal(n_max: int) -> str | None:
     # every full cycle with n <= 2 is unimodal, so the suite starts at 3
-    name = "unimodal"
     for n in range(3, n_max + 1):
         expected = _trees.tree_count(n)
         unimodal_seen = 0
@@ -176,33 +195,26 @@ def check_unimodal(n_max: int = 5) -> CheckResult:
                 lowers.add(tuple(a for a, _ in pairs))
                 uppers.add(tuple(b for _, b in pairs))
             if size != expected:
-                return _fail(name, f"|F_sigma| = {size} for sigma={sigma}")
+                return f"|F_sigma| = {size} for sigma={sigma}"
             if not all(_park.is_parking(seq) for seq in lowers):
-                return _fail(name, f"a lower sequence escapes P_n for sigma={sigma}")
+                return f"a lower sequence escapes P_n for sigma={sigma}"
             if not all(_park.is_major(seq) for seq in uppers):
-                return _fail(name, f"an upper sequence escapes M_n for sigma={sigma}")
+                return f"an upper sequence escapes M_n for sigma={sigma}"
             uni = is_unimodal(sigma)
             unimodal_seen += uni
             if (len(lowers) == expected) != uni:
-                return _fail(
-                    name, f"L bijective != unimodal for sigma={sigma} (n={n})"
-                )
+                return f"L bijective != unimodal for sigma={sigma} (n={n})"
             if (len(uppers) == expected) != uni:
-                return _fail(
-                    name, f"U bijective != unimodal for sigma={sigma} (n={n})"
-                )
+                return f"U bijective != unimodal for sigma={sigma} (n={n})"
             if not uni:
                 p, f1, f2 = _inv.non_unimodal_witness(sigma)
                 if f1 == f2 or not (
                     _fact.lower(f1) == _fact.lower(f2) == p.entries
                     and f1.product() == f2.product() == sigma.to_permutation()
                 ):
-                    return _fail(name, f"witness for sigma={sigma} is not a collision")
+                    return f"witness for sigma={sigma} is not a collision"
         if unimodal_seen != 2 ** (n - 1):
-            return _fail(name, f"{unimodal_seen} unimodal cycles at n={n}")
-    return _ok(
-        name, f"L and U are bijections exactly on unimodal cycles, n = 3..{n_max}"
-    )
+            return f"{unimodal_seen} unimodal cycles at n={n}"
 
 
 # -------------------------------------------- 7: the inverse algorithm
@@ -214,17 +226,18 @@ _TABLE_CANONICAL_RESULT = "(2 3)(4 5)(0 2)(1 2)(4 6)(0 4)"
 _TABLE_UNIMODAL_RESULT = "(2 3)(4 5)(0 2)(1 5)(4 6)(0 5)"
 
 
-def check_l_inverse(n_max: int = 5) -> CheckResult:
-    name = "l-inverse"
+@_suite("l-inverse", 5,
+        "reconstruction inverts L on every unimodal cycle for n <= {n}, "
+        "worked examples byte-exact")
+def check_l_inverse(n_max: int) -> str | None:
     got = str(_inv.l_inverse(_TABLE_P, FullCycle.canonical(6), check=True))
     if got != _TABLE_CANONICAL_RESULT:
-        return _fail(name, f"canonical worked example gave {got}")
+        return f"canonical worked example gave {got}"
     got = str(_inv.l_inverse(_TABLE_P, _TABLE_SIGMA, check=True))
     if got != _TABLE_UNIMODAL_RESULT:
-        return _fail(name, f"unimodal worked example gave {got}")
-    sigma0 = FullCycle.canonical(0)
-    if _inv.l_inverse(ParkingFunction(()), sigma0).factors != ():
-        return _fail(name, "n=0 reconstruction should be empty")
+        return f"unimodal worked example gave {got}"
+    if _inv.l_inverse(ParkingFunction(()), FullCycle.canonical(0)).factors != ():
+        return "n=0 reconstruction should be empty"
     for n in range(1, n_max + 1):
         target_count = _trees.tree_count(n)
         for sigma in unimodal_cycles(n):
@@ -232,15 +245,10 @@ def check_l_inverse(n_max: int = 5) -> CheckResult:
             for p in _park.enumerate_parking(n):
                 f = _inv.l_inverse(p, sigma, check=True)
                 if _fact.lower(f) != p.entries:
-                    return _fail(name, f"lower(l_inverse({p}, {sigma})) != {p}")
+                    return f"lower(l_inverse({p}, {sigma})) != {p}"
                 seen.add(f.factors)
             if len(seen) != target_count:
-                return _fail(name, f"l_inverse not injective over P_{n} for {sigma}")
-    return _ok(
-        name,
-        f"reconstruction inverts L on every unimodal cycle for n <= {n_max}, "
-        "worked examples byte-exact",
-    )
+                return f"l_inverse not injective over P_{n} for {sigma}"
 
 
 # ------------------------------------------------- 8: arch criterion
@@ -251,8 +259,10 @@ def _word(pairs, n: int) -> str:
     return str(_fact.Factorization.from_pairs(pairs, n))
 
 
-def check_arch_criterion(n_max: int = 4) -> CheckResult:
-    name = "arch-criterion"
+@_suite("arch-criterion", 4,
+        "membership in F_sigma matches diagram validity for n <= {n} "
+        "(canonical plus two unimodal cycles each)")
+def check_arch_criterion(n_max: int) -> str | None:
     for n in range(1, n_max + 1):
         canonical = FullCycle.canonical(n)
         sigmas = [canonical] + [s for s in unimodal_cycles(n) if s != canonical][:2]
@@ -265,26 +275,23 @@ def check_arch_criterion(n_max: int = 4) -> CheckResult:
                 valid = _arch._valid_runs(_arch._sigma_arcs(pairs, pos), n + 1) is not None
                 if member != valid:
                     detail = f"member={member}, diagram valid={valid}"
-                    return _fail(name, f"f={_word(pairs, n)}, sigma={sigma}: {detail}")
-    return _ok(
-        name,
-        f"membership in F_sigma matches diagram validity for n <= {n_max} "
-        "(canonical plus two unimodal cycles each)",
-    )
+                    return f"f={_word(pairs, n)}, sigma={sigma}: {detail}"
 
 
 # ----------------------------------- 9: simple diagrams and rotation
 
 
-def check_simple_decomposition(n_max: int = 6) -> CheckResult:
-    name = "simple-decomposition"
+@_suite("simple-decomposition", 6,
+        "simple-family identity, decomposition round trip, area additivity "
+        "and rotation shifts hold for n <= {n}")
+def check_simple_decomposition(n_max: int) -> str | None:
     t = BivariatePoly.var_t()
     for n in range(1, n_max + 1):
         lhs = _fact.restricted_enumerators(n).simple
         previous = _fact.factorization_enumerator(FullCycle.canonical(n - 1))
         rhs = t * _poly.qt_bracket(n) * previous
         if lhs != rhs:
-            return _fail(name, f"n={n}: simple enumerator {lhs} != t(qt n)F_(n-1) {rhs}")
+            return f"n={n}: simple enumerator {lhs} != t(qt n)F_(n-1) {rhs}"
 
     # under the canonical cycle a position is its vertex: part arcs are factors
     for n in range(1, n_max + 1):
@@ -298,79 +305,70 @@ def check_simple_decomposition(n_max: int = 6) -> CheckResult:
             arcs = _arch._sigma_arcs(pairs, pos)
             runs = _arch._valid_runs(arcs, n + 1)
             if runs is None:
-                return _fail(name, f"diagram is not valid for f={_word(pairs, n)}")
+                return f"diagram is not valid for f={_word(pairs, n)}"
             parts = _arch._parts(runs)
             part_areas = []
             for part_arcs, m, _ in parts:
                 part_runs = _arch._valid_runs(part_arcs, m)
                 if part_runs is None or len(part_runs) != 1:
-                    return _fail(name, f"a part of f={_word(pairs, n)} is not simple")
+                    return f"a part of f={_word(pairs, n)} is not simple"
                 g = [(a, b) for a, b, _ in part_arcs]
                 if not _fact._is_full_cycle_product(len(g), swap_product(g, m - 1)):
-                    return _fail(name, f"a part of f={_word(pairs, n)} is not in F_{m - 1}")
+                    return f"a part of f={_word(pairs, n)} is not in F_{m - 1}"
                 part_areas.append(_fact._areas(g, m - 1))
             labels = sorted(i for *_, index_set in parts for i in index_set)
             if labels != list(range(1, n + 1)):
-                detail = f"index sets do not partition [1,{n}]"
-                return _fail(name, f"{detail} for f={_word(pairs, n)}")
+                return f"index sets do not partition [1,{n}] for f={_word(pairs, n)}"
             if _arch._recompose(parts) != (arcs, n + 1):
-                return _fail(name, f"recompose(decompose) != id for f={_word(pairs, n)}")
+                return f"recompose(decompose) != id for f={_word(pairs, n)}"
             a_l, a_u = _fact._areas(pairs, n)
             if tuple(map(sum, zip(*part_areas))) != (a_l, a_u):
-                return _fail(name, f"area additivity fails for f={_word(pairs, n)}")
+                return f"area additivity fails for f={_word(pairs, n)}"
 
             hits = [i for i, pair in enumerate(pairs, start=1) if pair == (0, n)]
             if not hits:
                 continue
             if len(hits) != 1:
-                return _fail(name, f"f={_word(pairs, n)} has {len(hits)} copies of (0 {n})")
+                return f"f={_word(pairs, n)} has {len(hits)} copies of (0 {n})"
             k = hits[0]
             if swap_product(pairs, n) != target:
-                return _fail(name, f"f={_word(pairs, n)} is not in F_{n}")
+                return f"f={_word(pairs, n)} is not in F_{n}"
             g = _fact._rotate_down(pairs, k)
             if swap_product(g, n - 1) != below:
-                return _fail(name, f"phi_k leaves F_{n - 1} for f={_word(pairs, n)}, k={k}")
+                return f"phi_k leaves F_{n - 1} for f={_word(pairs, n)}, k={k}"
             g_l, g_u = _fact._areas(g, n - 1)
             if a_l != g_l + k - 1:
-                return _fail(name, f"lower-area shift fails for f={_word(pairs, n)}, k={k}")
+                return f"lower-area shift fails for f={_word(pairs, n)}, k={k}"
             if a_u != g_u + n - k + 1:
-                return _fail(name, f"upper-area shift fails for f={_word(pairs, n)}, k={k}")
+                return f"upper-area shift fails for f={_word(pairs, n)}, k={k}"
             if _fact._rotate_up(g, k, n) != pairs:
-                return _fail(name, f"phi_k round trip fails for f={_word(pairs, n)}, k={k}")
-    return _ok(
-        name,
-        f"simple-family identity, decomposition round trip, area additivity "
-        f"and rotation shifts hold for n <= {n_max}",
-    )
+                return f"phi_k round trip fails for f={_word(pairs, n)}, k={k}"
 
 
 # ------------------------------------------- 10: restricted families
 
 
-def check_special_families(n_max: int = 6) -> CheckResult:
-    name = "special-families"
+@_suite("special-families", 6,
+        "max-diff, increasing, decreasing and permutation-lower identities "
+        "hold for n <= {n}")
+def check_special_families(n_max: int) -> str | None:
     for n in range(1, n_max + 1):
         r = _fact.restricted_enumerators(n)
         if r.max_diff != _poly.qt_factorial_product(n):
-            return _fail(name, f"n={n}: max-diff enumerator is {r.max_diff}")
+            return f"n={n}: max-diff enumerator is {r.max_diff}"
         top = math.comb(n + 1, 2)
         if any(eq + et != top for (eq, et), _ in r.max_diff.terms()):
-            return _fail(name, f"n={n}: max total difference is not binom(n+1,2)")
+            return f"n={n}: max total difference is not binom(n+1,2)"
         if r.increasing != BivariatePoly.monomial(1, 0, n) * _poly.catalan_qt(n):
-            return _fail(name, f"n={n}: increasing enumerator is {r.increasing}")
+            return f"n={n}: increasing enumerator is {r.increasing}"
         if r.decreasing != _poly.catalan_qt(n).at_t(1).shift_t(n):
-            return _fail(name, f"n={n}: decreasing enumerator is {r.decreasing}")
+            return f"n={n}: decreasing enumerator is {r.decreasing}"
         if any(et != n for (_, et), _ in r.decreasing.terms()):
-            return _fail(name, f"n={n}: a decreasing factorization has upper area != n")
+            return f"n={n}: a decreasing factorization has upper area != n"
         f_poly = _fact.factorization_enumerator(FullCycle.canonical(n))
         i_poly = _trees.inversion_enumerator(n)
         if not (r.perm_lower == f_poly.at_q(0) == i_poly.at_q(0)):
-            return _fail(name, f"n={n}: permutation-lower enumerator mismatch")
-    return _ok(
-        name,
-        f"max-diff, increasing, decreasing and permutation-lower identities "
-        f"hold for n <= {n_max}",
-    )
+            return f"n={n}: permutation-lower enumerator mismatch"
 
 
 # ------------------------------------------------ 11: worked examples
@@ -392,95 +390,71 @@ _TABLE3_D = {
 }
 
 
-def check_worked_examples(n_max: int | None = None) -> CheckResult:
-    name = "worked-examples"
+@_suite("worked-examples", None,
+        "every worked-example pin (length-9 run, bounce table, (0 1 3 2) terms) is exact")
+def check_worked_examples(n_max: int | None) -> str | None:
     f9 = _fact.parse_factorization(_F9_TEXT, 9)
     if _fact.lower(f9) != _F9_LOWER:
-        return _fail(name, f"lower(f9) = {_fact.lower(f9)}")
+        return f"lower(f9) = {_fact.lower(f9)}"
     if _fact.upper(f9) != _F9_UPPER:
-        return _fail(name, f"upper(f9) = {_fact.upper(f9)}")
+        return f"upper(f9) = {_fact.upper(f9)}"
     if _fact.area_lower(f9) != 12 or _fact.area_upper(f9) != 15:
-        return _fail(name, "areas of the length-9 example are off")
+        return "areas of the length-9 example are off"
 
     p = ParkingFunction(_F9_LOWER)
     data, value = _park.bounce(p)
     if data.contacts != (0, 2, 5, 7, 9) or value != 22:
-        return _fail(name, f"bounce gave contacts {data.contacts}, value {value}")
+        return f"bounce gave contacts {data.contacts}, value {value}"
     if data.w != (0, 7, 5, 8, 3, 1, 2, 9, 6, 4):
-        return _fail(name, f"label word w = {data.w}")
+        return f"label word w = {data.w}"
     for v, expected in _TABLE3_C.items():
         if set(data.C[v]) != expected:
-            return _fail(name, f"C[{v}] = {set(data.C[v])}, expected {expected}")
+            return f"C[{v}] = {set(data.C[v])}, expected {expected}"
     for v, expected in _TABLE3_D.items():
         if set(data.D[v]) != expected:
-            return _fail(name, f"D[{v}] = {set(data.D[v])}, expected {expected}")
+            return f"D[{v}] = {set(data.D[v])}, expected {expected}"
     if _park.pinv(p) != 8 or _park.copinv(p) != 14:
-        return _fail(name, f"pinv/copinv = {_park.pinv(p)}/{_park.copinv(p)}")
+        return f"pinv/copinv = {_park.pinv(p)}/{_park.copinv(p)}"
 
-    tree = _park.theta(p)
-    children = tree.children()
+    children = _park.theta(p).children()
     if set(children[0]) != {5, 7} or set(children[7]) != {1, 3, 8}:
-        return _fail(name, "theta tree has wrong children at 0 or 7")
+        return "theta tree has wrong children at 0 or 7"
 
     poly = _fact.factorization_enumerator(FullCycle((0, 1, 3, 2)))
     if poly.coefficient(2, 5) < 1 or poly.coefficient(0, 3) < 1:
-        return _fail(name, "enumerator of (0 1 3 2) is missing q^2 t^5 or t^3")
-    return _ok(name, "every worked-example pin (length-9 run, bounce table, "
-                     "(0 1 3 2) terms) is exact")
+        return "enumerator of (0 1 3 2) is missing q^2 t^5 or t^3"
 
 
 # --------------------------------------------- 12: pushing to the top
 
 
-def check_pushing(n_max: int = 5) -> CheckResult:
-    name = "pushing"
-    p9 = ParkingFunction(_F9_LOWER)
-    if _inv.push_upper_path(_park.to_path(p9)) != _park.to_path(
-        MajorSequence(_F9_UPPER)
-    ):
-        return _fail(name, "length-9 pushing example does not reproduce the upper path")
+@_suite("pushing", 5, "pushed labels reproduce the upper path for all p, n <= {n}")
+def check_pushing(n_max: int) -> str | None:
+    pushed = _inv.push_upper_path(_park.to_path(ParkingFunction(_F9_LOWER)))
+    if pushed != _park.to_path(MajorSequence(_F9_UPPER)):
+        return "length-9 pushing example does not reproduce the upper path"
     for n in range(n_max + 1):
         sigma = FullCycle.canonical(n)
         for p in _park.enumerate_parking(n):
             pushed = _inv.push_upper_path(_park.to_path(p))
-            expected = _park.to_path(
-                MajorSequence(_fact.upper(_inv.l_inverse(p, sigma)))
-            )
+            expected = _park.to_path(MajorSequence(_fact.upper(_inv.l_inverse(p, sigma))))
             if pushed != expected:
-                return _fail(name, f"pushing misses the upper path for p={p}")
-    return _ok(name, f"pushed labels reproduce the upper path for all p, n <= {n_max}")
+                return f"pushing misses the upper path for p={p}"
 
 
 # ------------------------------------------------------- 13: symmetry
 
 
-def check_symmetry(n_max: int = 7) -> CheckResult:
-    name = "symmetry"
+@_suite("symmetry", 7, "t^(-n) I_n(q,t) is symmetric under q <-> t for n <= {n}")
+def check_symmetry(n_max: int) -> str | None:
     for n in range(n_max + 1):
         reduced = _trees.inversion_enumerator(n).divide_t(n)
         if reduced != reduced.swap_qt():
-            return _fail(name, f"t^(-{n}) I_{n} is not q,t-symmetric")
-    return _ok(name, f"t^(-n) I_n(q,t) is symmetric under q <-> t for n <= {n_max}")
+            return f"t^(-{n}) I_{n} is not q,t-symmetric"
 
 
-# ------------------------------------------------------------ registry
+# ------------------------------------------------------------ selection
 
-
-SUITES: dict[str, Callable[..., CheckResult]] = {
-    "cardinalities": check_cardinalities,
-    "polynomial-pins": check_polynomial_pins,
-    "tree-factorization": check_tree_factorization,
-    "bounce": check_bounce,
-    "area-jump": check_area_jump,
-    "unimodal": check_unimodal,
-    "l-inverse": check_l_inverse,
-    "arch-criterion": check_arch_criterion,
-    "simple-decomposition": check_simple_decomposition,
-    "special-families": check_special_families,
-    "worked-examples": check_worked_examples,
-    "pushing": check_pushing,
-    "symmetry": check_symmetry,
-}
 
 _BY_NUMBER = {str(i): name for i, name in enumerate(SUITES, start=1)}
 
@@ -500,7 +474,4 @@ def resolve_suites(selector: str) -> list[str]:
 
 
 def run_suite(name: str, n_max: int | None = None) -> CheckResult:
-    func = SUITES[name]
-    if n_max is None:
-        return func()
-    return func(n_max=n_max)
+    return SUITES[name](n_max)

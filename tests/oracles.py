@@ -9,7 +9,7 @@ from collections import Counter
 from itertools import product
 
 from parkfact.arch import ArchDiagram
-from parkfact.factorizations import forest_roots, iter_factor_pairs
+from parkfact.factorizations import iter_factor_pairs
 from parkfact.inverse_maps import sigma_sides
 from parkfact.parking import (
     ParkingEnumerators,
@@ -19,14 +19,34 @@ from parkfact.parking import (
 )
 from parkfact.polynomials import BivariatePoly, qt_bracket
 from parkfact.permutations import Permutation, compose
-from parkfact.trees import LabelledTree, _reaches_root
+from parkfact.trees import LabelledTree, forest_roots
+
+
+def reaches_root_by_walk(parent):
+    """Whether every vertex's parent chain ends at 0: each walk marks its
+    path and stops at a vertex already proven good or on the path."""
+    m = len(parent)
+    state = [0] * m  # 0 unknown, 1 on current path, 2 proven good
+    state[0] = 2
+    for start in range(1, m):
+        path = []
+        v = start
+        while state[v] == 0:
+            state[v] = 1
+            path.append(v)
+            v = parent[v]
+        if state[v] == 1:
+            return False
+        for u in path:
+            state[u] = 2
+    return True
 
 
 def trees_by_parent_sweep(n):
     """Sweep all (n+1)^n parent vectors and keep the acyclic ones."""
     for tail in product(range(n + 1), repeat=n):
         parent = (0, *tail)
-        if _reaches_root(parent):
+        if reaches_root_by_walk(parent):
             yield LabelledTree(parent)
 
 

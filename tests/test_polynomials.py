@@ -111,7 +111,8 @@ class TestStructure:
         p = poly({(0, 2): 1, (3, 1): -7, (0, 0): 10**30})
         records = p.to_json_terms()
         assert records[0] == {"q": 0, "t": 0, "c": str(10**30)}
-        assert BivariatePoly.from_json_terms(records) == p
+        # no command reads polynomial JSON back; the records carry every term
+        assert BivariatePoly({(r["q"], r["t"]): int(r["c"]) for r in records}) == p
 
     def test_substitutions(self):
         p = Q * Q * T + T

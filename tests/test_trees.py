@@ -3,7 +3,7 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from oracles import pruefer_to_parent_dfs, trees_by_parent_sweep
+from oracles import pruefer_to_parent_dfs, reaches_root_by_walk, trees_by_parent_sweep
 
 from parkfact.cli import main
 from parkfact.polynomials import BivariatePoly, tree_recursion_I
@@ -34,6 +34,18 @@ class TestLabelledTree:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             tree(5)
+
+    def test_accepts_exactly_the_maps_whose_walks_reach_the_root(self):
+        # all 8,477 in-range parent maps on m <= 6 vertices
+        for m in range(1, 7):
+            for tail in product(range(m), repeat=m - 1):
+                parent = (0, *tail)
+                try:
+                    LabelledTree(parent)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == reaches_root_by_walk(parent), parent
 
     def test_children(self):
         t = tree(0, 1, 1)  # 0 - 1 - {2, 3}
