@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .factorizations import Factorization
 from .permutations import FullCycle
-from .trees import forest_roots
+from .trees import is_forest
 
 Arc = tuple[int, int, int]  # (left position, right position, label)
 
@@ -39,9 +39,9 @@ class ArchDiagram:
     arcs: tuple[Arc, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "arcs", tuple(sorted(self.arcs, key=lambda arc: arc[2]))
-        )
+        if self.n_vertices < 1:
+            raise ValueError(f"ground set size must be nonnegative, got n = {self.n}")
+        object.__setattr__(self, "arcs", tuple(sorted(self.arcs, key=itemgetter(2))))
         labels = [label for _, _, label in self.arcs]
         if labels != list(range(1, len(self.arcs) + 1)):
             raise ValueError(f"arc labels must be exactly 1..{len(self.arcs)}")
@@ -97,7 +97,7 @@ def _nesting(arcs: Iterable[Arc]) -> list[list[Arc]] | None:
 def _valid_runs(arcs: Sequence[Arc], m: int) -> list[list[Arc]] | None:
     """The nesting runs of the arcs if they form a valid diagram (tree +
     noncrossing + every rotator increasing), else None."""
-    if len(arcs) != m - 1 or forest_roots(((l, r) for l, r, _ in arcs), m) is None:
+    if len(arcs) != m - 1 or not is_forest(((l, r) for l, r, _ in arcs), m):
         return None
     runs = _nesting(arcs)
     # labels are distinct, so a rotator increases iff it is sorted

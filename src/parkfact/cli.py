@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 invalid input (diagnostic on stderr), 2
 verification failure (counterexample on stdout) or a broken internal
 invariant (one "internal error:" line on stderr).  Exhaustive subcommands
 refuse n beyond a safety limit (default 8, override with PARKFACT_MAX_N);
-commands that read one object refuse n above 10^5.
+commands that read one object refuse n above 10^5, where n is also a
+sequence's length, a tree's largest vertex or a visit word's largest entry.
 """
 
 from __future__ import annotations
@@ -67,24 +68,58 @@ def _guard_n(n: int, limit: float | None = None) -> int:
 _MAX_GROUND_SET = 10**5  # map --via arch at the cap: about 31 MB and 0.04 s
 
 
-def _capped(value):
+def _factorization_or_visit_word(text: str, args):
+    try:
+        return _fact.parse_factorization(text, args.n)
+    except ValueError:
+        return parse_full_cycle(text)
+
+
+def _phi_k_input(text: str, args):
+    if args.k is None:
+        raise CliError("phi-k needs --k")
+    return _fact.parse_factorization(text, args.n)
+
+
+def _phi_k_inverse_input(text: str, args):
+    if args.k is None or args.n is None:
+        raise CliError("phi-k-inverse needs --k and --n")
+    if args.n < 1:
+        raise CliError(f"phi-k-inverse needs --n >= 1, got --n {args.n}")
+    return _fact.parse_factorization(text, args.n - 1)
+
+
+# every --input shape's parser, from the stripped text and the options
+_SHAPES = {
+    "tree": lambda text, args: _trees.parse_tree(text),
+    "parking": lambda text, args: _park.parse_parking(text),
+    "major": lambda text, args: _park.parse_major(text),
+    "sequence": lambda text, args: _park.parse_sequence(text),
+    "factorization": lambda text, args: _fact.parse_factorization(text, args.n),
+    "arch": lambda text, args: _arch.arch_from_json(json.loads(text)),
+    "factorization-or-visit-word": _factorization_or_visit_word,
+    "phi-k": _phi_k_input,
+    "phi-k-inverse": _phi_k_inverse_input,
+}
+
+
+def _read(args, shape: str):
+    """The object --input (or stdin, for "-") spells in the given shape, its n capped."""
+    text = args.input
+    if not isinstance(text, str):  # argparse stores [] for --input=--
+        raise CliError("--input needs a value")
+    if text == "-":
+        if sys.stdin is None:
+            raise CliError("--input - needs stdin, which is closed")
+        text = sys.stdin.read()
+    value = _SHAPES[shape](text.strip(), args)
     if value.n > _MAX_GROUND_SET:
         raise CliError(f"n = {value.n} exceeds the single-object limit {_MAX_GROUND_SET}")
     return value
 
 
-def _read_input(args) -> str:
-    if not isinstance(args.input, str):  # argparse stores [] for --input=--
-        raise CliError("--input needs a value")
-    if args.input == "-":
-        if sys.stdin is None:
-            raise CliError("--input - needs stdin, which is closed")
-        return sys.stdin.read().strip()
-    return args.input.strip()
-
-
 def _sigma_for(args, n: int) -> FullCycle:
-    if getattr(args, "sigma", None):
+    if args.sigma:
         sigma = parse_full_cycle(args.sigma)
         if sigma.n != n:
             raise CliError(f"sigma is on [{sigma.n}] but the object needs [{n}]")
@@ -143,127 +178,91 @@ def _cmd_enumerate(args) -> int:
 # ------------------------------------------------------------------ stats
 
 
-def _emit(record: dict, fmt: str) -> None:
-    if fmt == "json":
+def _tree_record(tree) -> dict:
+    i, c, d = _trees.tree_stats(tree)
+    return {"tree": _trees.format_tree(tree), "n": tree.n, "inv": i, "coinv": c, "depth": d}
+
+
+def _sequence_record(value, family: str, **stats) -> dict:
+    path = _park.to_path(value)
+    return {family: str(value), "n": value.n, "area": _park.area(value), **stats,
+            "heights": list(path.heights), "labels": list(path.labels)}
+
+
+def _parking_record(p) -> dict:
+    contacts, _, _, _, bounce, pinv = _park._bounce_kernel(p.entries)
+    stalls, jump, cojump = _park.park_process(p)
+    return _sequence_record(p, "parking", bounce=bounce, contacts=contacts, pinv=pinv,
+                            copinv=bounce - pinv, jump=jump, cojump=cojump, stalls=list(stalls))
+
+
+def _factorization_record(f) -> dict:
+    pi = f.product()
+    record = {
+        "factorization": str(f), "n": f.n, "product": format_permutation(pi),
+        "lower": list(_fact.lower(f)), "upper": list(_fact.upper(f)),
+    }
+    if _fact._is_full_cycle_product(len(f.factors), pi.images):
+        a_l, a_u = _fact._areas(f.pairs(), f.n)
+        record.update(area_lower=a_l, area_upper=a_u, total_difference=a_l + a_u)
+        record["simple"] = _fact.is_simple(f)
+        if record["simple"]:
+            record["simple_index"] = _fact.simple_index(f)
+    else:
+        record["note"] = "not a minimal factorization of a full cycle"
+    return record
+
+
+# each --kind reads the shape of its own name
+_STATS = {
+    "tree": _tree_record, "parking": _parking_record,
+    "major": lambda m: _sequence_record(m, "major"), "factorization": _factorization_record,
+}
+
+
+def _cmd_stats(args) -> int:
+    record = _STATS[args.kind](_read(args, args.kind))
+    if args.format == "json":
         print(json.dumps(record))
     else:
         for key, value in record.items():
             print(f"{key}: {value}")
-
-
-def _cmd_stats(args) -> int:
-    text = _read_input(args)
-    fmt = args.format
-    if args.kind == "tree":
-        tree = _trees.parse_tree(text)
-        i, c, d = _trees.tree_stats(tree)
-        _emit({"tree": _trees.format_tree(tree), "n": tree.n,
-               "inv": i, "coinv": c, "depth": d}, fmt)
-    elif args.kind == "parking":
-        p = _park.parse_parking(text)
-        data, value = _park.bounce(p)
-        path = _park.to_path(p)
-        proc = _park.park_process(p)
-        _emit({
-            "parking": str(p), "n": p.n, "area": _park.area(p),
-            "bounce": value, "contacts": list(data.contacts),
-            "pinv": _park.pinv(p), "copinv": _park.copinv(p),
-            "jump": proc.jump, "cojump": proc.cojump,
-            "stalls": list(proc.stalls),
-            "heights": list(path.heights), "labels": list(path.labels),
-        }, fmt)
-    elif args.kind == "major":
-        m = _park.parse_major(text)
-        path = _park.to_path(m)
-        _emit({"major": str(m), "n": m.n, "area": _park.area(m),
-               "heights": list(path.heights), "labels": list(path.labels)}, fmt)
-    elif args.kind == "factorization":
-        f = _capped(_fact.parse_factorization(text, args.n))
-        pi = f.product()
-        record = {
-            "factorization": str(f), "n": f.n, "product": format_permutation(pi),
-            "lower": list(_fact.lower(f)), "upper": list(_fact.upper(f)),
-        }
-        if _fact._is_full_cycle_product(len(f.factors), pi.images):
-            a_l, a_u = _fact._areas(f.pairs(), f.n)
-            record.update(area_lower=a_l, area_upper=a_u, total_difference=a_l + a_u)
-            record["simple"] = _fact.is_simple(f)
-            if record["simple"]:
-                record["simple_index"] = _fact.simple_index(f)
-        else:
-            record["note"] = "not a minimal factorization of a full cycle"
-        _emit(record, fmt)
     return 0
 
 
 # -------------------------------------------------------------------- map
 
 
-_VIAS = (
-    "lower", "L", "upper", "U", "l-inverse", "u-inverse", "theta",
-    "theta-inverse", "phi-k", "phi-k-inverse", "arch", "fact", "push",
-    "reflect-conjugate", "reflect-reverse", "complement",
-)
+def _theta(p, args):
+    tree = _park.theta(p)
+    return json.dumps(_trees.tree_to_json(tree)) if args.format == "json" else tree
+
+
+_LOWER = ("factorization", lambda f, args: ",".join(map(str, _fact.lower(f))))
+_UPPER = ("factorization", lambda f, args: ",".join(map(str, _fact.upper(f))))
+# each --via's input shape and map; the key order is the order --help lists
+_MAPS = {
+    "lower": _LOWER, "L": _LOWER, "upper": _UPPER, "U": _UPPER,
+    "l-inverse": ("parking", lambda p, args: _inv.l_inverse(p, _sigma_for(args, p.n))),
+    "u-inverse": ("major", lambda m, args: _inv.u_inverse(m, _sigma_for(args, m.n))),
+    "theta": ("parking", _theta),
+    "theta-inverse": ("tree", lambda tree, args: _park.theta_inverse(tree)),
+    "phi-k": ("phi-k", lambda f, args: _fact.phi_k(f, args.k)),
+    "phi-k-inverse": ("phi-k-inverse", lambda g, args: _fact.phi_k_inverse(g, args.k, args.n)),
+    "arch": ("factorization", lambda f, args: json.dumps(
+        _arch.arch_to_json(_arch.sigma_diagram(f, _sigma_for(args, f.n))))),
+    "fact": ("arch", lambda d, args: _arch.arch_to_factorization(d, _sigma_for(args, d.n))),
+    "push": ("parking", lambda p, args: _park.from_path(_inv.push_upper_path(_park.to_path(p)))),
+    "reflect-conjugate": ("factorization-or-visit-word", lambda v, args: reflect_conjugate(v)),
+    "reflect-reverse": ("factorization", lambda f, args: reflect_reverse(f)),
+    "complement": ("sequence", lambda value, args: _park.complement(value)),
+}
+_VIAS = tuple(_MAPS)
 
 
 def _cmd_map(args) -> int:
-    via = args.via
-    text = _read_input(args)
-    fmt = args.format
-
-    if via in ("lower", "L", "upper", "U"):
-        f = _capped(_fact.parse_factorization(text, args.n))
-        seq = _fact.lower(f) if via in ("lower", "L") else _fact.upper(f)
-        print(",".join(str(x) for x in seq))
-    elif via == "l-inverse":
-        p = _park.parse_parking(text)
-        sigma = _sigma_for(args, p.n)
-        print(str(_inv.l_inverse(p, sigma)))
-    elif via == "u-inverse":
-        m = _park.parse_major(text)
-        sigma = _sigma_for(args, m.n)
-        print(str(_inv.u_inverse(m, sigma)))
-    elif via == "theta":
-        p = _park.parse_parking(text)
-        tree = _park.theta(p)
-        print(json.dumps(_trees.tree_to_json(tree)) if fmt == "json"
-              else _trees.format_tree(tree))
-    elif via == "theta-inverse":
-        tree = _trees.parse_tree(text)
-        print(str(_park.theta_inverse(tree)))
-    elif via == "phi-k":
-        if args.k is None:
-            raise CliError("phi-k needs --k")
-        f = _capped(_fact.parse_factorization(text, args.n))
-        print(str(_fact.phi_k(f, args.k)))
-    elif via == "phi-k-inverse":
-        if args.k is None or args.n is None:
-            raise CliError("phi-k-inverse needs --k and --n")
-        g = _capped(_fact.parse_factorization(text, args.n - 1))
-        print(str(_fact.phi_k_inverse(g, args.k, args.n)))
-    elif via == "arch":
-        f = _capped(_fact.parse_factorization(text, args.n))
-        sigma = _sigma_for(args, f.n)
-        print(json.dumps(_arch.arch_to_json(_arch.sigma_diagram(f, sigma))))
-    elif via == "fact":
-        diagram = _capped(_arch.arch_from_json(json.loads(text)))
-        sigma = _sigma_for(args, diagram.n)
-        print(str(_arch.arch_to_factorization(diagram, sigma)))
-    elif via == "push":
-        p = _park.parse_parking(text)
-        pushed = _inv.push_upper_path(_park.to_path(p))
-        print(str(_park.from_path(pushed)))
-    elif via == "reflect-conjugate":
-        try:
-            value = _capped(_fact.parse_factorization(text, args.n))
-        except ValueError:
-            value = parse_full_cycle(text)
-        print(str(reflect_conjugate(value)))
-    elif via == "reflect-reverse":
-        f = _capped(_fact.parse_factorization(text, args.n))
-        print(str(reflect_reverse(f)))
-    elif via == "complement":
-        print(str(_park.complement(_park.parse_sequence(text))))
+    shape, apply = _MAPS[args.via]
+    print(apply(_read(args, shape), args))
     return 0
 
 
@@ -330,23 +329,26 @@ def _cmd_verify(args) -> int:
 # ----------------------------------------------------------------- render
 
 
+def _render_path(value, args) -> str:
+    if args.with_bounce and isinstance(value, _park.MajorSequence):
+        raise CliError("the bounce path is defined for parking functions")
+    bounce_data = _park.cd_sets(value) if args.with_bounce else None
+    draw = _render.render_path_svg if args.format == "svg" else _render.render_path_ascii
+    return draw(_park.to_path(value), bounce_data)
+
+
+def _render_arch(f, args) -> str:
+    sigma = _sigma_for(args, f.n)
+    draw = _render.render_arch_svg if args.format == "svg" else _render.render_arch_ascii
+    return draw(_arch.sigma_diagram(f, sigma), sigma)
+
+
+_RENDERS = {"path": ("sequence", _render_path), "arch": ("factorization", _render_arch)}
+
+
 def _cmd_render(args) -> int:
-    text = _read_input(args)
-    if args.kind == "path":
-        value = _park.parse_sequence(text)
-        path = _park.to_path(value)
-        if args.with_bounce and isinstance(value, _park.MajorSequence):
-            raise CliError("the bounce path is defined for parking functions")
-        bounce_data = _park.bounce(value)[0] if args.with_bounce else None
-        out = (_render.render_path_svg(path, bounce_data) if args.format == "svg"
-               else _render.render_path_ascii(path, bounce_data))
-    elif args.kind == "arch":
-        f = _capped(_fact.parse_factorization(text, args.n))
-        sigma = _sigma_for(args, f.n)
-        diagram = _arch.sigma_diagram(f, sigma)
-        out = (_render.render_arch_svg(diagram, sigma) if args.format == "svg"
-               else _render.render_arch_ascii(diagram, sigma))
-    sys.stdout.write(out)
+    shape, draw = _RENDERS[args.kind]
+    sys.stdout.write(draw(_read(args, shape), args))
     return 0
 
 
@@ -390,8 +392,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("stats", help="all statistics of one object")
-    p.add_argument("--kind", required=True,
-                   choices=["tree", "parking", "major", "factorization"])
+    p.add_argument("--kind", required=True, choices=list(_STATS))
     p.add_argument("--input", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -417,7 +418,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int)
 
     p = sub.add_parser("render", help="draw a path or an arch diagram")
-    p.add_argument("--kind", required=True, choices=["path", "arch"])
+    p.add_argument("--kind", required=True, choices=list(_RENDERS))
     p.add_argument("--input", required=True)
     p.add_argument("--with-bounce", dest="with_bounce", action="store_true")
     p.add_argument("--sigma")

@@ -5,7 +5,7 @@ is omitted by serializers).  Enumeration is exhaustive: every index in
 [0, (n+1)^(n-1)) is unranked to a Pruefer sequence and decoded in linear
 time, so any index range can be listed on its own.  The bulk consumers
 (the two enumerators and the CLI listing) read the raw parent tuples;
-enumerate_trees validates every tree it yields.  forest_roots is the one
+enumerate_trees validates every tree it yields.  is_forest is the one
 forest test: LabelledTree and the arch diagram validity test both use it.
 """
 
@@ -34,7 +34,7 @@ class LabelledTree:
             if not 0 <= self.parent[v] < m:
                 raise ValueError(f"parent[{v}] = {self.parent[v]} out of range")
         # m - 1 edges v -> parent[v] with no cycle span [0, m-1]: a tree on 0
-        if forest_roots(((v, self.parent[v]) for v in range(1, m)), m) is None:
+        if not is_forest(((v, self.parent[v]) for v in range(1, m)), m):
             raise ValueError(f"parent map is not a tree rooted at 0: {self.parent}")
 
     @property
@@ -52,9 +52,8 @@ class LabelledTree:
         return format_tree(self)
 
 
-def forest_roots(edges, size: int) -> list[int] | None:
-    """Union-find over the vertices 0..size-1: the component root of each
-    vertex when the edges form a forest, None once an edge closes a cycle."""
+def is_forest(edges, size: int) -> bool:
+    """Union-find over the vertices 0..size-1: whether no edge closes a cycle."""
     parent = list(range(size))
 
     def find(x: int) -> int:
@@ -66,9 +65,9 @@ def forest_roots(edges, size: int) -> list[int] | None:
     for a, b in edges:
         ra, rb = find(a), find(b)
         if ra == rb:
-            return None
+            return False
         parent[ra] = rb
-    return [find(v) for v in range(size)]
+    return True
 
 
 # ------------------------------------------------------------ enumeration

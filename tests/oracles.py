@@ -19,7 +19,7 @@ from parkfact.parking import (
 )
 from parkfact.polynomials import BivariatePoly, qt_bracket
 from parkfact.permutations import Permutation, compose
-from parkfact.trees import LabelledTree, forest_roots
+from parkfact.trees import LabelledTree
 
 
 def reaches_root_by_walk(parent):
@@ -153,11 +153,25 @@ def pruefer_to_parent_dfs(seq, m):
 def is_minimal_by_graph(f, pi):
     """Minimality by the graph criterion: f multiplies out to pi, and its
     factor graph is a forest whose components are exactly the cycle
-    supports of pi."""
+    supports of pi.  A graph is a forest exactly when it has as many
+    edges as vertices minus components; the components are labelled by a
+    depth-first search from each unlabelled vertex in turn."""
     if f.product() != pi:
         return False
-    roots = forest_roots(((t.lo, t.hi) for t in f.factors), f.n + 1)
-    if roots is None:
+    m = f.n + 1
+    adjacency = [[] for _ in range(m)]
+    for t in f.factors:
+        adjacency[t.lo].append(t.hi)
+        adjacency[t.hi].append(t.lo)
+    roots = [None] * m
+    for root in range(m):
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            if roots[u] is None:
+                roots[u] = root
+                stack.extend(adjacency[u])
+    if len(f.factors) != m - len(set(roots)):
         return False
     cycles = pi.cycles(include_fixed=True)
     return len(set(roots)) == len(cycles) and all(

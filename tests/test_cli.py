@@ -12,10 +12,13 @@ from parkfact.arch import arch_from_json, arch_to_factorization
 from parkfact.cli import _VIAS, main
 from parkfact.factorizations import enumerate_factorizations, restricted_enumerators
 from parkfact.parking import (
+    bounce,
     complement,
+    copinv,
     enumerate_majors,
     enumerate_parking,
     parking_enumerators,
+    pinv,
     to_path,
 )
 from parkfact.permutations import FullCycle
@@ -227,6 +230,16 @@ class TestMap:
         assert code == 1
         assert "unimodal" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("map", "--via", "fact", "--input", '{"n": -1, "arcs": []}'),
+         "ground set size must be nonnegative, got n = -1"),
+        (("map", "--via", "phi-k-inverse", "--k", "1", "--n", "0", "--input", ""),
+         "phi-k-inverse needs --n >= 1, got --n 0"),
+    ])
+    def test_a_ground_set_below_one_is_named_as_given(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_sigma_of_the_wrong_size_exits_one(self, capsys):
         code, out, err = run(capsys, "map", "--via", "l-inverse",
                              "--input", "0,0", "--sigma", "0 1 2 3")
@@ -235,11 +248,18 @@ class TestMap:
 
 
 BIG = "1000000000"
+OVER = 100_001  # one past the single-object cap
+
+
+def star(n):
+    return ",".join(["0:-", *(f"{v}:0" for v in range(1, n + 1))])
 
 
 class TestSingleObjectCap:
-    # n comes from --n, the largest factor entry or the arch JSON "n"; a
-    # billion would ask for a billion-element cycle or product
+    # n comes from --n, the largest factor entry, the arch JSON "n", the
+    # number of sequence entries, the tree's largest vertex or the visit
+    # word's largest entry; a billion would ask for a billion-element cycle
+    # or product
     @pytest.mark.parametrize("argv", [
         ("map", "--via", "arch", "--input", f"(0 {BIG})"),
         ("map", "--via", "phi-k", "--k", "1", "--input", f"(0 {BIG})"),
@@ -254,11 +274,32 @@ class TestSingleObjectCap:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: n = ") and "limit 100000" in err
 
+    # each command here takes about a second or less at this size even
+    # uncapped, so a missing cap fails the test instead of stalling it; the
+    # quadratic ones (push, l-inverse, stats --kind parking) never run here
+    @pytest.mark.parametrize("argv", [
+        ("map", "--via", "theta", "--input", ",".join(["0"] * OVER)),
+        ("stats", "--kind", "major", "--input", ",".join([str(OVER)] * OVER)),
+        ("map", "--via", "complement", "--input", ",".join(["0"] * OVER)),
+        ("map", "--via", "reflect-conjugate", "--input", " ".join(map(str, range(OVER + 1)))),
+        ("map", "--via", "theta-inverse", "--input", star(OVER)),
+    ])
+    def test_every_shape_is_capped(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: n = {OVER} exceeds the single-object limit 100000\n"
+
     def test_the_cap_itself_is_allowed(self, capsys):
         code, out, _ = run(capsys, "map", "--via", "lower", "--input", "(0 100000)")
         assert (code, out) == (0, "0\n")
         code, _, err = run(capsys, "map", "--via", "lower", "--input", "(0 100001)")
         assert code == 1 and "limit 100000" in err
+        cap = OVER - 1
+        code, out, _ = run(capsys, "map", "--via", "complement",
+                           "--input", ",".join(["0"] * cap))
+        assert (code, out) == (0, ",".join([str(cap)] * cap) + "\n")
+        code, out, _ = run(capsys, "map", "--via", "theta-inverse", "--input", star(cap))
+        assert (code, out) == (0, ",".join(["0"] * cap) + "\n")
 
 
 class TestEnumerate:
@@ -325,6 +366,17 @@ class TestStats:
         assert record["pinv"] == "8"
         assert record["copinv"] == "14"
         assert record["jump"] == "12"
+
+    def test_parking_bounce_fields_match_the_library(self, capsys):
+        for n in range(5):
+            for p in enumerate_parking(n):
+                code, out, _ = run(capsys, "stats", "--kind", "parking",
+                                   "--input", str(p), "--format", "json")
+                assert code == 0
+                data, value = bounce(p)
+                record = json.loads(out)
+                assert (record["bounce"], record["contacts"], record["pinv"],
+                        record["copinv"]) == (value, list(data.contacts), pinv(p), copinv(p))
 
     def test_tree_json(self, capsys):
         code, out, _ = run(capsys, "stats", "--kind", "tree",
@@ -552,8 +604,12 @@ class TestParsing:
     def test_unknown_via(self, capsys):
         code, _, err = run(capsys, "map", "--via", "sideways", "--input", "0")
         assert code == 1
-        assert err.startswith("error: argument --via: invalid choice: 'sideways'")
-        assert len(err.splitlines()) == 1
+        assert err == (
+            "error: argument --via: invalid choice: 'sideways' (choose from 'lower', "
+            "'L', 'upper', 'U', 'l-inverse', 'u-inverse', 'theta', 'theta-inverse', "
+            "'phi-k', 'phi-k-inverse', 'arch', 'fact', 'push', 'reflect-conjugate', "
+            "'reflect-reverse', 'complement')\n"
+        )
 
 
 # every subcommand that reads --input, with no --n so the object sets it
