@@ -73,15 +73,12 @@ from .parking import (
     to_path,
 )
 from .permutations import (
-    FactorKind,
     FullCycle,
     Permutation,
     Transposition,
-    classify_factor,
     compose,
     format_permutation,
     full_cycles,
-    is_sigma_contiguous,
     is_unimodal,
     parse_full_cycle,
     parse_permutation,

@@ -1,12 +1,14 @@
 """Minimal transposition factorizations of full cycles.
 
 F_sigma is the set of length-n transposition sequences multiplying out
-(left to right) to the full cycle sigma.  The enumerator walks the
-"remaining" permutation rho_i = pi_i^{-1} sigma: a prefix extends to a
-member of F_sigma exactly when each chosen factor has both endpoints in
-one cycle of rho, so the search has no dead ends.  Lower/upper sequences,
-their area statistics, the restricted families, and the rotation maps
-phi_k all live here.
+(left to right) to the full cycle sigma.  Both routes through it follow
+the "remaining" permutation rho_i = pi_i^{-1} sigma: a prefix extends to
+a member of F_sigma exactly when each chosen factor has both endpoints
+in one cycle of rho, so the search has no dead ends.  The factor stream
+lists the members one by one, for per-object checks; F_sigma(q,t) and
+the five restricted families of F_n come from one memoized walk over
+rho, which sums by state instead of by member.  Lower/upper sequences,
+their area statistics, and the rotation maps phi_k also live here.
 """
 
 from __future__ import annotations
@@ -183,46 +185,61 @@ def total_difference(f: Factorization) -> int:
     return sum(_member_areas(f))
 
 
-@functools.cache
-def factorization_enumerator(sigma: FullCycle) -> BivariatePoly:
-    """F_sigma(q,t): q^(lower area) t^(upper area) summed over F_sigma.
+def _walk(sigma: FullCycle, step=lambda extra, a, b: extra, start=0) -> BivariatePoly:
+    """q^(lower area) t^(upper area) summed over the members of F_sigma
+    whose factors all pass `step`.
 
     A memoized walk over the remaining permutation rho, starting at sigma.
-    Let S(rho) count the factor sequences that take rho to the identity
-    by their lower and upper sums (A, B).  S(identity) = {(0, 0): 1}, and
-    S(rho) sums, over the pairs a < b on one cycle of rho, the terms of
-    S(rho with rho[a], rho[b] swapped) moved to (A + a, B + b).  At the
-    root (A, B) becomes (binom(n,2) - A, B - binom(n,2)).  Every rho met
-    lies on a geodesic from sigma to the identity, i.e. is a noncrossing
-    partition relative to sigma, so the walk visits Catalan(n+1) states
-    (1,430 at n = 7) instead of the (n+1)^(n-1) leaves.  It shares no
-    code with iter_factor_pairs; the tests compare the two.
+    Let S(rho, extra) count the factor sequences that take rho to the
+    identity by their lower and upper sums (A, B).  S(identity, extra) =
+    {(0, 0): 1}, and S(rho, extra) sums, over the pairs a < b on one cycle
+    of rho with extra' = step(extra, a, b) not None, the terms of S(rho
+    with rho[a], rho[b] swapped, extra') moved to (A + a, B + b).  A state
+    other than the identity whose every factor is refused counts nothing.
+    At the root (A, B) becomes (binom(n,2) - A, B - binom(n,2)).  Every rho
+    met lies on a geodesic from sigma to the identity, i.e. is a
+    noncrossing partition relative to sigma, so the walk visits
+    Catalan(n+1) states per extra (1,430 at n = 7) instead of the
+    (n+1)^(n-1) leaves.  It shares no code with iter_factor_pairs; the
+    tests compare the two.
     """
     n = sigma.n
     m = n + 1
+    identity = tuple(range(m))
 
     @functools.cache  # one memo per call, dropped with the closure
-    def sums(rho: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    def sums(rho: tuple[int, ...], extra) -> dict[tuple[int, int], int]:
+        if rho == identity:
+            return {(0, 0): 1}
         out: dict[tuple[int, int], int] = {}
         seen = [False] * m
-        for start in range(m):
+        for first in range(m):
             cycle = []
-            x = start
+            x = first
             while not seen[x]:
                 seen[x] = True
                 cycle.append(x)
                 x = rho[x]
             for a, b in combinations(sorted(cycle), 2):
+                after = step(extra, a, b)
+                if after is None:
+                    continue
                 child = list(rho)
                 child[a], child[b] = child[b], child[a]
-                for (low, high), c in sums(tuple(child)).items():
+                for (low, high), c in sums(tuple(child), after).items():
                     key = low + a, high + b
                     out[key] = out.get(key, 0) + c
-        return out or {(0, 0): 1}
+        return out
 
     binom = math.comb(n, 2)
-    root = sums(sigma.to_permutation().images)
+    root = sums(sigma.to_permutation().images, start)
     return BivariatePoly({(binom - low, high - binom): c for (low, high), c in root.items()})
+
+
+@functools.cache
+def factorization_enumerator(sigma: FullCycle) -> BivariatePoly:
+    """F_sigma(q,t): q^(lower area) t^(upper area) summed over F_sigma."""
+    return _walk(sigma)
 
 
 # ------------------------------------------------------ restricted families
@@ -256,36 +273,21 @@ def restricted_enumerators(n: int) -> RestrictedEnumerators:
 
     simple: contains the factor (0, n); increasing / decreasing: lower
     sequence weakly monotone; max_diff: maximum total difference;
-    perm_lower: the lower sequence is a permutation of 0..n-1.  All five
-    come from one pass over F_n.
+    perm_lower: the lower sequence is a permutation of 0..n-1.  Each
+    family is one filtered memoized walk, whose extra state is the last
+    lower letter or the set of lower letters used; simple is F_n minus the
+    members without (0, n).  The total degree of a term is the total
+    difference, so max_diff is the top-degree part of F_n.
     """
     sigma = FullCycle.canonical(n)
-    simple: dict[tuple[int, int], int] = {}
-    increasing: dict[tuple[int, int], int] = {}
-    decreasing: dict[tuple[int, int], int] = {}
-    perm: dict[tuple[int, int], int] = {}
-    by_diff: dict[int, dict[tuple[int, int], int]] = {}
-    for pairs in iter_factor_pairs(sigma):
-        lows = [a for a, _ in pairs]
-        key = _areas(pairs, n)
-        if any(a == 0 and b == n for a, b in pairs):
-            simple[key] = simple.get(key, 0) + 1
-        if all(lows[i] <= lows[i + 1] for i in range(len(lows) - 1)):
-            increasing[key] = increasing.get(key, 0) + 1
-        if all(lows[i] >= lows[i + 1] for i in range(len(lows) - 1)):
-            decreasing[key] = decreasing.get(key, 0) + 1
-        if sorted(lows) == list(range(n)):
-            perm[key] = perm.get(key, 0) + 1
-        bucket = by_diff.setdefault(sum(key), {})
-        bucket[key] = bucket.get(key, 0) + 1
-
-    max_diff = BivariatePoly(by_diff[max(by_diff)]) if by_diff else BivariatePoly.one()
+    f_n = factorization_enumerator(sigma)
+    top = f_n.degree
     return RestrictedEnumerators(
-        BivariatePoly(simple),
-        BivariatePoly(increasing),
-        BivariatePoly(decreasing),
-        max_diff,
-        BivariatePoly(perm),
+        simple=f_n - _walk(sigma, lambda _, a, b: None if (a, b) == (0, n) else 0),
+        increasing=_walk(sigma, lambda last, a, b: a if a >= last else None),
+        decreasing=_walk(sigma, lambda last, a, b: a if a <= last else None, n),
+        max_diff=BivariatePoly({k: c for k, c in f_n.terms() if sum(k) == top}),
+        perm_lower=_walk(sigma, lambda used, a, b: None if used >> a & 1 else used | 1 << a),
     )
 
 

@@ -9,7 +9,6 @@ are properties of the word, not of the underlying function.
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass, replace
 from itertools import permutations as _itertools_permutations
@@ -240,35 +239,6 @@ def window_cycles(images, word) -> int | None:
         count += 1
         start = k + 1
     return count
-
-
-def is_sigma_contiguous(pi: Permutation, sigma: FullCycle) -> bool:
-    """True iff every cycle of pi is a window of sigma's word, traversed
-    in word order.  Fixed points are length-1 windows."""
-    if pi.n != sigma.n:
-        raise ValueError(f"size mismatch: [{pi.n}] vs [{sigma.n}]")
-    return window_cycles(pi.images, sigma.word) is not None
-
-
-class FactorKind(enum.Enum):
-    CUT = "cut"
-    JOIN = "join"
-
-
-def classify_factor(rho: Permutation, tau: Transposition) -> FactorKind:
-    """JOIN if tau's endpoints lie in distinct cycles of rho, CUT otherwise.
-
-    Multiplying rho by tau merges two cycles (join) or splits one (cut),
-    so the cycle count of rho * tau differs from rho's by exactly one.
-    """
-    if tau.hi > rho.n:
-        raise ValueError(f"transposition {tau} exceeds ground set [0, {rho.n}]")
-    x = rho(tau.lo)
-    while x != tau.lo:
-        if x == tau.hi:
-            return FactorKind.CUT
-        x = rho(x)
-    return FactorKind.JOIN
 
 
 def _gamma(x: int, n: int) -> int:

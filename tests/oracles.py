@@ -9,7 +9,7 @@ from collections import Counter
 from itertools import product
 
 from parkfact.arch import ArchDiagram
-from parkfact.factorizations import iter_factor_pairs
+from parkfact.factorizations import RestrictedEnumerators, iter_factor_pairs
 from parkfact.inverse_maps import sigma_sides
 from parkfact.parking import (
     ParkingEnumerators,
@@ -18,7 +18,7 @@ from parkfact.parking import (
     _parking_tuples,
 )
 from parkfact.polynomials import BivariatePoly, qt_bracket
-from parkfact.permutations import Permutation, compose
+from parkfact.permutations import FullCycle, Permutation, compose
 from parkfact.trees import LabelledTree
 
 
@@ -342,3 +342,30 @@ def factorization_enumerator_by_stream(sigma):
         lows, highs = zip(*pairs) if pairs else ((), ())
         counts[binom - sum(lows), sum(highs) - binom] += 1
     return BivariatePoly(counts)
+
+
+def restricted_enumerators_by_stream(n):
+    """The five restricted families of F_n, each summed leaf by leaf over
+    the factor stream of the canonical cycle."""
+    binom = math.comb(n, 2)
+    simple, increasing, decreasing, perm = Counter(), Counter(), Counter(), Counter()
+    by_diff = {}
+    for pairs in iter_factor_pairs(FullCycle.canonical(n)):
+        lows = [a for a, _ in pairs]
+        key = binom - sum(lows), sum(b for _, b in pairs) - binom
+        if (0, n) in pairs:
+            simple[key] += 1
+        if all(lows[i] <= lows[i + 1] for i in range(len(lows) - 1)):
+            increasing[key] += 1
+        if all(lows[i] >= lows[i + 1] for i in range(len(lows) - 1)):
+            decreasing[key] += 1
+        if sorted(lows) == list(range(n)):
+            perm[key] += 1
+        by_diff.setdefault(sum(key), Counter())[key] += 1
+    return RestrictedEnumerators(
+        BivariatePoly(simple),
+        BivariatePoly(increasing),
+        BivariatePoly(decreasing),
+        BivariatePoly(by_diff[max(by_diff)]),
+        BivariatePoly(perm),
+    )

@@ -7,10 +7,13 @@ from oracles import (
     factorization_enumerator_by_stream,
     is_minimal_by_graph,
     product_by_compose,
+    restricted_enumerators_by_stream,
 )
 
+from parkfact import factorizations
 from parkfact.factorizations import (
     Factorization,
+    RestrictedEnumerators,
     _rotate_down,
     _rotate_up,
     area_lower,
@@ -293,6 +296,45 @@ class TestRestricted:
         for n in range(1, 5):
             r = restricted_enumerators(n)
             assert r.perm_lower == inversion_enumerator(n).at_q(0)
+
+    def test_walk_matches_the_stream(self):
+        for n in range(7):
+            walk, stream = restricted_enumerators(n), restricted_enumerators_by_stream(n)
+            for field in RestrictedEnumerators._fields:
+                assert getattr(walk, field) == getattr(stream, field), (n, field)
+
+    def test_closed_forms_past_brute_force(self):
+        t = BivariatePoly.var_t()
+        for n in (7, 8):
+            r = restricted_enumerators(n)
+            assert r.increasing == BivariatePoly.monomial(1, 0, n) * catalan_qt(n)
+            assert r.decreasing == catalan_qt(n).at_t(1).shift_t(n)
+            assert r.max_diff == qt_factorial_product(n)
+            assert r.simple == t * qt_bracket(n) * (
+                factorization_enumerator(FullCycle.canonical(n - 1))
+            )
+
+    def test_the_enumerators_read_no_stream(self, monkeypatch):
+        def refuse(sigma):
+            raise AssertionError("the factor stream was read")
+
+        caches = (factorization_enumerator, restricted_enumerators)
+        for cached in caches:
+            cached.cache_clear()
+        monkeypatch.setattr(factorizations, "iter_factor_pairs", refuse)
+        try:
+            assert factorization_enumerator(FullCycle.canonical(5)) == inversion_enumerator(5)
+            r = restricted_enumerators(5)
+            assert r.perm_lower == inversion_enumerator(5).at_q(0)
+            assert r.max_diff == qt_factorial_product(5)
+        finally:
+            for cached in caches:
+                cached.cache_clear()
+
+    @pytest.mark.slow
+    def test_walk_matches_the_stream_at_seven(self):
+        # opt-in (pytest -m slow): all five families, 262,144 leaves
+        assert restricted_enumerators(7) == restricted_enumerators_by_stream(7)
 
     def test_max_diff_is_triangle_number(self):
         for n in range(1, 5):
