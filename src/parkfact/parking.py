@@ -419,21 +419,20 @@ def _bounce_pass(n: int) -> tuple[BivariatePoly, BivariatePoly, BivariatePoly]:
     one contacts helper.  Only pinv depends on where the labels go: theta's
     tree has the same shape for every parking function of a content, the
     positions of height h hanging under position h of the label word, so
-    _pinv_histogram walks the label placements over that fixed shape.
+    one memoized walk over the label placements (_pinv_walk), shared by
+    every content of the pass, gives each content's pinv histogram.
     """
     counts: Counter[tuple[int, int, int]] = Counter()
     top = math.comb(n, 2)
+    histogram = _pinv_walk(n)
     for content in combinations_with_replacement(range(n), n):
         if not _counting_test(content, n):
             continue
         sizes = [content.count(h) for h in range(n + 1)]
-        reach = list(accumulate(sizes))
-        _, b = _contacts(reach)
+        _, b = _contacts(list(accumulate(sizes)))
         a = top - sum(content)
-        groups = [(h, reach[h] - size + 1, size) for h, size in enumerate(sizes) if size]
-        for below, c in enumerate(_pinv_histogram(groups, n)):
-            if c:
-                counts[a, b, below] += c
+        for below, c in histogram(sizes).items():
+            counts[a, b, below] += c
     rows = counts.items()
     return (
         BivariatePoly(((a, 0), c) for (a, _, _), c in rows),
@@ -442,40 +441,62 @@ def _bounce_pass(n: int) -> tuple[BivariatePoly, BivariatePoly, BivariatePoly]:
     )
 
 
-def _pinv_histogram(groups: list[tuple[int, int, int]], n: int) -> list[int]:
-    """hist[k] counts the parking functions of one content with pinv k.
+def _pinv_walk(n: int):
+    """histogram(sizes) -> {k: the parking functions of one content with pinv k},
+    where sizes[h] counts the entries equal to h.
 
-    groups lists (h, start, size) for every nonempty height h: its labels,
-    in decreasing order, fill positions start.. of the label word and hang
-    under position h.  A depth-first search over ordered set partitions of
-    1..n gives group h each combination of the labels left; chain[pos] has
-    a bit for every label on the path from position pos up to the root
-    (label 0, which has none), so a label x placed under position h adds
-    the labels above it that exceed x.  The last nonempty group takes the
-    labels left.
+    The labels of height h, in decreasing order, fill the next sizes[h]
+    positions of the label word and hang under position h; a label x placed
+    under position h adds the labels on h's root chain that exceed x (label
+    0 at the root counts none).  The walk places one height's labels at a
+    time.  Only the relative order of the labels left matters, so a state
+    is (shape, chains):
+    - shape lists (offset, size) for each height left, where offset is its
+      parent's position minus the next free position, or -1 once that
+      parent is labelled, so states of different contents can meet;
+    - chains holds, for each labelled position that is still a parent, in
+      position order, its profile: the j-th entry counts the labels on its
+      root chain above the j-th smallest label left.
+    A height's pinv share is its parent's profile (chains[0]) summed at the
+    chosen indices; the other profiles are restricted to the labels left,
+    and a new parent position's profile is its parent's, restricted, plus 1
+    wherever its own label is larger.  The memo is shared by every content
+    and dropped with the returned function.
     """
-    hist = [0] * (math.comb(n, 2) + 1)
-    chain = [0] * (n + 1)
-    last = len(groups) - 1
 
-    def place(g: int, labels: list[int], pinv: int) -> None:
-        h, start, size = groups[g]
-        above = chain[h]
-        if g == last:
-            hist[pinv + sum((above >> (x + 1)).bit_count() for x in labels)] += 1
-            return
-        for chosen in combinations(labels, size):
-            share = pinv
-            for pos, x in enumerate(chosen, start):
-                chain[pos] = above | 1 << x
-                share += (above >> (x + 1)).bit_count()
-            place(g + 1, [x for x in labels if x not in chosen], share)
+    @functools.cache
+    def splits(k: int, size: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        # (chosen, left): each way to take `size` of k indices, and the rest
+        return tuple((chosen, tuple(j for j in range(k) if j not in chosen))
+                     for chosen in combinations(range(k), size))
 
-    if groups:
-        place(0, list(range(n, 0, -1)), 0)
-    else:
-        hist[0] = 1  # n = 0: the empty parking function
-    return hist
+    @functools.cache
+    def walk(shape: tuple[tuple[int, int], ...], chains) -> dict[int, int]:
+        if not shape:
+            return {0: 1}
+        size, rest = shape[0][1], shape[1:]
+        child = tuple((max(offset - size, -1), s) for offset, s in rest)
+        above, others = chains[0], chains[1:]
+        # the next `size` free positions get the chosen labels in decreasing
+        # order; a later height whose parent is among them becomes fresh, and
+        # its parent, at offset i, holds chosen[size - 1 - i]
+        fresh = [size - 1 - offset for offset, _ in rest if 0 <= offset < size]
+        get = above.__getitem__
+        out: dict[int, int] = {}
+        for chosen, left in splits(len(above), size):
+            kept = [tuple(map(profile.__getitem__, left)) for profile in others]
+            if fresh:
+                base = tuple(map(get, left))
+                for i in fresh:
+                    below = chosen[i] - i  # the labels left below chosen[i]
+                    kept.append(tuple([v + 1 for v in base[:below]]) + base[below:])
+            share = sum(map(get, chosen))
+            for k, c in walk(child, tuple(kept)).items():
+                out[k + share] = out.get(k + share, 0) + c
+        return out
+
+    root = ((0,) * n,)
+    return lambda sizes: walk(tuple((h - 1, size) for h, size in enumerate(sizes) if size), root)
 
 
 @functools.cache

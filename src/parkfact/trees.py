@@ -3,8 +3,10 @@
 Trees are parent vectors rooted at 0 (parent[0] is the self-sentinel and
 is omitted by serializers).  Enumeration is exhaustive: every index in
 [0, (n+1)^(n-1)) is unranked to a Pruefer sequence and decoded in linear
-time, so any index range can be listed on its own.  The bulk consumers
-(the two enumerators and the CLI listing) read the raw parent tuples;
+time, so any index range can be listed on its own.  The full stream
+decodes the n + 1 codes that differ only in their first digit together,
+with two runs of the one decode loop.  The bulk consumers (the two
+enumerators and the CLI listing) read the raw parent tuples;
 enumerate_trees validates every tree it yields.  is_forest is the one
 forest test: LabelledTree and the arch diagram validity test both use it.
 """
@@ -78,17 +80,11 @@ def tree_count(n: int) -> int:
     return 1 if n == 0 else (n + 1) ** (n - 1)
 
 
-def _pruefer_to_parent(seq: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """Decode a Pruefer sequence over [0, m-1] into a parent vector on 0:
-    linear decode rooted at m-1, then reverse the path from 0 to m-1."""
-    degree = [1] * m
-    for x in seq:
-        degree[x] += 1
-    parent = [0] * m
-    ptr = 0
-    while degree[ptr] != 1:
-        ptr += 1
-    leaf = ptr
+def _decode(seq, degree: list[int], parent: list[int], ptr: int, leaf: int) -> list[int]:
+    """The linear Pruefer decode loop over [0, m-1] from the state (ptr,
+    leaf), where degree[v] is 1 + the count of v in seq: each x in seq
+    takes the current leaf as its child, and the last leaf hangs under the
+    root m - 1."""
     for x in seq:
         parent[leaf] = x
         degree[x] -= 1
@@ -99,13 +95,27 @@ def _pruefer_to_parent(seq: tuple[int, ...], m: int) -> tuple[int, ...]:
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    parent[leaf] = root = m - 1
+    parent[leaf] = len(parent) - 1
+    return parent
 
+
+def _reroot(parent: list[int]) -> list[int]:
+    """Root the tree at 0 by reversing the path from 0 to the root m - 1."""
+    root = len(parent) - 1
     v = prev = 0
     while v != root:
         parent[v], prev, v = prev, v, parent[v]
     parent[root] = prev
-    return tuple(parent)
+    return parent
+
+
+def _pruefer_to_parent(seq: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """Decode a Pruefer sequence over [0, m-1] into a parent vector on 0."""
+    degree = [1] * m
+    for x in seq:
+        degree[x] += 1
+    leaf = degree.index(1)
+    return tuple(_reroot(_decode(seq, degree, [0] * m, leaf, leaf)))
 
 
 def unrank_tree(n: int, index: int) -> LabelledTree:
@@ -123,9 +133,41 @@ def unrank_tree(n: int, index: int) -> LabelledTree:
 
 def _parent_tuples(n: int) -> Iterator[tuple[int, ...]]:
     """Decoded parent tuples of every tree on [n], in unrank_tree order:
-    the Pruefer digits run as an odometer, least significant first."""
-    for digits in _cartesian(range(n + 1), repeat=max(n - 1, 0)):
-        yield _pruefer_to_parent(digits[::-1], n + 1)
+    the Pruefer digits run as an odometer, least significant first.
+
+    The n + 1 codes of a block share every digit but the first, s0.  With
+    u1 < u2 the two smallest vertices missing from the rest, every s0 != u1
+    leaves the same decode state after step 0 (ptr = leaf = u2), so one
+    decode serves them all, differing only in parent[u1] = s0; s0 = u1
+    decodes from parent[u2] = u1, leaf = u1.  If u1 != 0 the leaf u1 is off
+    the path from 0 to the root, so one reroot serves the block too.
+    """
+    m = n + 1
+    if n < 2:
+        yield _pruefer_to_parent((), m)
+        return
+    for digits in _cartesian(range(m), repeat=n - 2):
+        rest = digits[::-1]
+        degree = [1] * m
+        for x in rest:
+            degree[x] += 1
+        u1 = degree.index(1)
+        u2 = degree.index(1, u1 + 1)
+        hung = [0] * m
+        hung[u2] = u1
+        first = tuple(_reroot(_decode(rest, degree[:], hung, u2, u1)))
+        shared = _decode(rest, degree, [0] * m, u2, u2)
+        if u1:
+            _reroot(shared)
+        for s0 in range(m):
+            if s0 == u1:
+                yield first
+            elif u1:
+                shared[u1] = s0
+                yield tuple(shared)
+            else:
+                shared[0] = s0
+                yield tuple(_reroot(shared[:]))
 
 
 def enumerate_trees(n: int) -> Iterator[LabelledTree]:

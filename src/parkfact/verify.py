@@ -196,9 +196,10 @@ def check_unimodal(n_max: int) -> str | None:
                 uppers.add(tuple(b for _, b in pairs))
             if size != expected:
                 return f"|F_sigma| = {size} for sigma={sigma}"
-            if not all(_park.is_parking(seq) for seq in lowers):
+            # membership reads only the multiset of entries: once per content
+            if not all(_park.is_parking(seq) for seq in {tuple(sorted(w)) for w in lowers}):
                 return f"a lower sequence escapes P_n for sigma={sigma}"
-            if not all(_park.is_major(seq) for seq in uppers):
+            if not all(_park.is_major(seq) for seq in {tuple(sorted(w)) for w in uppers}):
                 return f"an upper sequence escapes M_n for sigma={sigma}"
             uni = is_unimodal(sigma)
             unimodal_seen += uni

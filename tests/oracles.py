@@ -6,7 +6,7 @@ generators and decoders against them exhaustively at small n.
 
 import math
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 from parkfact.arch import ArchDiagram
 from parkfact.factorizations import RestrictedEnumerators, iter_factor_pairs
@@ -101,6 +101,42 @@ def bounce_pass_by_tuples(n):
         BivariatePoly(((b, 0), c) for (_, b, _), c in rows),
         BivariatePoly(((below, b - below), c) for (_, b, below), c in rows),
     )
+
+
+def pinv_histogram_by_dfs(groups, n):
+    """hist[k] counts the parking functions of one content with pinv k.
+
+    groups lists (h, start, size) for every nonempty height h: its labels,
+    in decreasing order, fill positions start.. of the label word and hang
+    under position h.  A depth-first search over ordered set partitions of
+    1..n gives group h each combination of the labels left; chain[pos] has
+    a bit for every label on the path from position pos up to the root
+    (label 0, which has none), so a label x placed under position h adds
+    the labels above it that exceed x.  The last nonempty group takes the
+    labels left.
+    """
+    hist = [0] * (math.comb(n, 2) + 1)
+    chain = [0] * (n + 1)
+    last = len(groups) - 1
+
+    def place(g, labels, pinv):
+        h, start, size = groups[g]
+        above = chain[h]
+        if g == last:
+            hist[pinv + sum((above >> (x + 1)).bit_count() for x in labels)] += 1
+            return
+        for chosen in combinations(labels, size):
+            share = pinv
+            for pos, x in enumerate(chosen, start):
+                chain[pos] = above | 1 << x
+                share += (above >> (x + 1)).bit_count()
+            place(g + 1, [x for x in labels if x not in chosen], share)
+
+    if groups:
+        place(0, list(range(n, 0, -1)), 0)
+    else:
+        hist[0] = 1  # n = 0: the empty parking function
+    return hist
 
 
 def tree_recursion_by_dict(n_max):

@@ -7,6 +7,7 @@ intentionally kept in this module rather than the unit tests.
 """
 
 import ast
+import hashlib
 import importlib
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from parkfact import parking as _park
 from parkfact import polynomials as _poly
 from parkfact import trees as _trees
 from parkfact import verify
+from parkfact.cli import main
 from parkfact.polynomials import BivariatePoly
 
 
@@ -176,6 +178,25 @@ def test_each_suite_is_its_module_function():
     # values that are the same object, and times verify.check_<suite>
     for name, run in verify.SUITES.items():
         assert run is getattr(verify, "check_" + name.replace("-", "_")), name
+
+
+# SHA-256 of the stdout of the three n = 7 calls that the benchmark gates,
+# copied from perfbench/gates.py: a slip in the tree stream's order, a
+# line's text or a polynomial's terms fails here too, not only there
+_F7_SHA = "8388bb6488b3e8c1fbc76917e5dfaf1f025302b9ced9cc83b15a21f3808f14a3"
+GATED_OUTPUTS = {
+    "enumerate --kind trees --n 7":
+        "8d8b509520107fda71c79f989532238c9ab6305b4a403b7e686e73467c973edf",
+    "poly --name F --n 7": _F7_SHA,
+    "poly --name B --n 7": _F7_SHA,
+}
+
+
+@pytest.mark.parametrize("command", list(GATED_OUTPUTS))
+def test_gated_output_is_unchanged(command, capsys):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GATED_OUTPUTS[command]
 
 
 def test_bounce_fails_on_a_wrong_pointwise_value(monkeypatch):

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given
@@ -9,6 +9,7 @@ from oracles import (
     is_parking_by_sort,
     parking_by_sweep,
     parking_enumerators_by_one_loop,
+    pinv_histogram_by_dfs,
 )
 
 from parkfact.parking import (
@@ -18,8 +19,10 @@ from parkfact.parking import (
     ParkingFunction,
     _bounce_kernel,
     _bounce_pass,
+    _counting_test,
     _park_kernel,
     _parking_tuples,
+    _pinv_walk,
     area,
     bounce,
     cd_sets,
@@ -41,7 +44,7 @@ from parkfact.parking import (
     theta_inverse,
     to_path,
 )
-from parkfact.polynomials import BivariatePoly
+from parkfact.polynomials import BivariatePoly, tree_recursion_I
 from parkfact.trees import enumerate_trees, tree_count, tree_stats
 
 P9 = ParkingFunction((1, 3, 1, 7, 0, 7, 0, 1, 4))
@@ -322,6 +325,22 @@ class TestParkProcess:
     def test_content_major_pass_matches_the_per_tuple_route(self):
         for n in range(7):
             assert _bounce_pass(n) == bounce_pass_by_tuples(n)
+
+    def test_pinv_walk_matches_the_dfs_content_by_content(self):
+        for n in range(7):
+            histogram = _pinv_walk(n)
+            for content in combinations_with_replacement(range(n), n):
+                if not _counting_test(content, n):
+                    continue
+                sizes = [content.count(h) for h in range(n + 1)]
+                reach = list(accumulate(sizes))
+                groups = [(h, reach[h] - size + 1, size) for h, size in enumerate(sizes) if size]
+                expected = {k: c for k, c in enumerate(pinv_histogram_by_dfs(groups, n)) if c}
+                assert histogram(sizes) == expected, content
+
+    def test_pinv_pass_matches_the_recursion_at_eight(self):
+        # 4.78M parking functions through one memoized walk, about 2 s
+        assert _bounce_pass(8)[2] == tree_recursion_I(8)[8]
 
     def test_enumerators(self):
         enums = parking_enumerators(2)

@@ -61,7 +61,14 @@ class TestEnumeration:
             assert sum(1 for _ in enumerate_trees(n)) == tree_count(n)
 
     def test_count_at_seven(self):
-        assert sum(1 for _ in enumerate_trees(7)) == tree_count(7)
+        # every tree of the n = 7 stream is valid, and the block decode
+        # equals the decode of each code of the odometer on its own
+        codes = product(range(8), repeat=6)
+        count = 0
+        for t, digits in zip(enumerate_trees(7), codes, strict=True):
+            assert t.parent == _pruefer_to_parent(digits[::-1], 8)
+            count += 1
+        assert count == tree_count(7)
 
     def test_generators_agree(self):
         # the parent-vector sweep and the Pruefer stream give the same family
