@@ -75,7 +75,6 @@ from .parking import (
 from .permutations import (
     FullCycle,
     Permutation,
-    Transposition,
     compose,
     format_permutation,
     full_cycles,

@@ -144,7 +144,7 @@ def sigma_diagram(f: Factorization, sigma: FullCycle) -> ArchDiagram:
     validity is a separate question."""
     if f.n != sigma.n:
         raise ValueError(f"size mismatch: [{f.n}] vs [{sigma.n}]")
-    return ArchDiagram(sigma.n + 1, tuple(_sigma_arcs(f.pairs(), sigma.positions())))
+    return ArchDiagram(sigma.n + 1, tuple(_sigma_arcs(f.factors, sigma.positions())))
 
 
 def rotator(diagram: ArchDiagram, vertex: int) -> tuple[int, ...]:
@@ -178,8 +178,8 @@ def arch_to_factorization(diagram: ArchDiagram, sigma: FullCycle) -> Factorizati
     if diagram.n != sigma.n:
         raise ValueError(f"size mismatch: [{diagram.n}] vs [{sigma.n}]")
     _checked_runs(diagram)
-    pairs = (sorted((sigma.word[l], sigma.word[r])) for l, r, _ in diagram.arcs)
-    return Factorization.from_pairs(pairs, sigma.n)
+    ends = ((sigma.word[l], sigma.word[r]) for l, r, _ in diagram.arcs)
+    return Factorization([(a, b) if a < b else (b, a) for a, b in ends], sigma.n)
 
 
 def caps(diagram: ArchDiagram) -> tuple[Arc, ...]:

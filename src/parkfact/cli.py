@@ -137,41 +137,62 @@ def _print_poly(poly, fmt: str) -> None:
 # -------------------------------------------------------------- enumerate
 
 
-def _cmd_enumerate(args) -> int:
-    n = _guard_n(args.n)
-    kind = args.kind
-    fmt = args.format
-    if kind == "trees":
+def _list_trees(n, args):
+    if args.format == "json":
         # raw parent tuples: no LabelledTree per line; the tests validate
         # this decoder's every tree for n <= 7
-        lines = ((json.dumps(_trees._parent_json(p)) for p in _trees._parent_tuples(n))
-                 if fmt == "json" else _trees._tree_lines(n))
-        sys.stdout.writelines(line + "\n" for line in lines)
-    elif kind == "parking":
-        for p in _park.enumerate_parking(n):
-            print(json.dumps(_park.sequence_to_json(p)) if fmt == "json" else str(p))
-    elif kind == "majors":
-        for m in _park.enumerate_majors(n):
-            print(json.dumps(_park.sequence_to_json(m)) if fmt == "json" else str(m))
-    elif kind == "factorizations":
-        sigma = _sigma_for(args, n)
-        for f in _fact.enumerate_factorizations(sigma):
-            print(json.dumps(_fact.factorization_to_json(f)) if fmt == "json"
-                  else str(f))
-    elif kind == "arch":
-        sigma = _sigma_for(args, n)
-        for f in _fact.enumerate_factorizations(sigma):
-            diagram = _arch.sigma_diagram(f, sigma)
-            if fmt == "json":
-                print(json.dumps(_arch.arch_to_json(diagram)))
-            else:
-                arcs = "".join(f"({l},{r},{lab})" for l, r, lab in diagram.arcs)
-                print(f"n={diagram.n} {arcs}")
-    elif kind == "unimodal":
-        if n < 1:
-            raise CliError("unimodal enumeration needs n >= 1")
-        for sigma in unimodal_cycles(n):
-            print(str(sigma))
+        return (json.dumps(_trees._parent_json(p)) for p in _trees._parent_tuples(n))
+    return _trees._tree_lines(n)
+
+
+def _list_sequences(generate):
+    return lambda n, args: (json.dumps(_park.sequence_to_json(p)) if args.format == "json"
+                            else str(p) for p in generate(n))
+
+
+def _list_factorizations(n, args):
+    for f in _fact.enumerate_factorizations(_sigma_for(args, n)):
+        yield json.dumps(_fact.factorization_to_json(f)) if args.format == "json" else str(f)
+
+
+def _list_arch(n, args):
+    sigma = _sigma_for(args, n)
+    for f in _fact.enumerate_factorizations(sigma):
+        diagram = _arch.sigma_diagram(f, sigma)
+        if args.format == "json":
+            yield json.dumps(_arch.arch_to_json(diagram))
+        else:
+            arcs = "".join(f"({l},{r},{lab})" for l, r, lab in diagram.arcs)
+            yield f"n={diagram.n} {arcs}"
+
+
+def _list_unimodal(n, args):
+    if n < 1:
+        raise CliError("unimodal enumeration needs n >= 1")
+    return map(str, unimodal_cycles(n))
+
+
+# each --kind: (whether it reads --sigma, its output lines for n); the key
+# order is the order --help lists
+_ENUMERATIONS = {
+    "trees": (False, _list_trees),
+    "parking": (False, _list_sequences(_park.enumerate_parking)),
+    "majors": (False, _list_sequences(_park.enumerate_majors)),
+    "factorizations": (True, _list_factorizations),
+    "arch": (True, _list_arch),
+    "unimodal": (False, _list_unimodal),
+}
+
+
+def _refuse_sigma(args, reads_sigma: bool, what: str) -> None:
+    if args.sigma is not None and not reads_sigma:
+        raise CliError(f"{what} does not read --sigma")
+
+
+def _cmd_enumerate(args) -> int:
+    reads_sigma, lines = _ENUMERATIONS[args.kind]
+    _refuse_sigma(args, reads_sigma, f"enumerate --kind {args.kind}")
+    sys.stdout.writelines(line + "\n" for line in lines(_guard_n(args.n), args))
     return 0
 
 
@@ -203,7 +224,7 @@ def _factorization_record(f) -> dict:
         "lower": list(_fact.lower(f)), "upper": list(_fact.upper(f)),
     }
     if _fact._is_full_cycle_product(len(f.factors), pi.images):
-        a_l, a_u = _fact._areas(f.pairs(), f.n)
+        a_l, a_u = _fact._areas(f.factors, f.n)
         record.update(area_lower=a_l, area_upper=a_u, total_difference=a_l + a_u)
         record["simple"] = _fact.is_simple(f)
         if record["simple"]:
@@ -269,39 +290,31 @@ def _cmd_map(args) -> int:
 # ------------------------------------------------------------------- poly
 
 
-def _cmd_poly(args) -> int:
-    name = args.name
-    fmt = args.format
-    if name in ("I", "D", "C"):
-        # computed by recursion, no object enumeration, so no safety limit;
-        # the identities tying these to the brute-force sums are what
-        # 'verify' checks
-        n = _guard_n(args.n, limit=math.inf)
-        if name == "I":
-            poly = _poly.tree_recursion_I(n)[n]
-        elif name == "D":
-            poly = _poly.tree_recursion_I(n)[n].diagonal()
-        else:
-            poly = _poly.catalan_qt(n)
-        _print_poly(poly, fmt)
-        return 0
+# each --name: (whether it reads --sigma, its cap on n, its enumerator of
+# n); the key order is the order --help lists.  I, D and C are recursions
+# with no object enumeration, so no safety limit ('verify' ties them to the
+# brute-force sums); the others obey it (None).
+_POLYS = {
+    "I": (False, math.inf, lambda n, args: _poly.tree_recursion_I(n)[n]),
+    "F": (True, None, lambda n, args: _fact.factorization_enumerator(_sigma_for(args, n))),
+    "B": (False, None, lambda n, args: _park._bounce_pass(n)[2]),
+    "D": (False, math.inf, lambda n, args: _poly.tree_recursion_I(n)[n].diagonal()),
+    "C": (False, math.inf, lambda n, args: _poly.catalan_qt(n)),
+    "Fhat": (False, None, lambda n, args: _fact.restricted_enumerators(n).simple),
+    "Finc": (False, None, lambda n, args: _fact.restricted_enumerators(n).increasing),
+    "Fdec": (False, None, lambda n, args: _fact.restricted_enumerators(n).decreasing),
+    "Fmax": (False, None, lambda n, args: _fact.restricted_enumerators(n).max_diff),
+    "Fperm": (False, None, lambda n, args: _fact.restricted_enumerators(n).perm_lower),
+    "area": (False, None, lambda n, args: _park._bounce_pass(n)[0]),
+    "bounce": (False, None, lambda n, args: _park._bounce_pass(n)[1]),
+    "jump": (False, None, lambda n, args: _park._jump_pass(n)),
+}
 
-    n = _guard_n(args.n)
-    if name == "F":
-        sigma = _sigma_for(args, n)
-        poly = _fact.factorization_enumerator(sigma)
-    elif name in ("Fhat", "Finc", "Fdec", "Fmax", "Fperm"):
-        r = _fact.restricted_enumerators(n)
-        poly = {
-            "Fhat": r.simple, "Finc": r.increasing, "Fdec": r.decreasing,
-            "Fmax": r.max_diff, "Fperm": r.perm_lower,
-        }[name]
-    elif name in ("B", "area", "bounce"):  # the bounce kernel alone
-        area_poly, bounce_poly, pinv_copinv = _park._bounce_pass(n)
-        poly = {"B": pinv_copinv, "area": area_poly, "bounce": bounce_poly}[name]
-    elif name == "jump":
-        poly = _park._jump_pass(n)
-    _print_poly(poly, fmt)
+
+def _cmd_poly(args) -> int:
+    reads_sigma, limit, compute = _POLYS[args.name]
+    _refuse_sigma(args, reads_sigma, f"poly --name {args.name}")
+    _print_poly(compute(_guard_n(args.n, limit), args), args.format)
     return 0
 
 
@@ -384,9 +397,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list a family of objects")
-    p.add_argument("--kind", required=True,
-                   choices=["trees", "parking", "majors", "factorizations",
-                            "arch", "unimodal"])
+    p.add_argument("--kind", required=True, choices=list(_ENUMERATIONS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sigma")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -406,9 +417,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("poly", help="print a named enumerator")
-    p.add_argument("--name", required=True,
-                   choices=["I", "F", "B", "D", "C", "Fhat", "Finc", "Fdec",
-                            "Fmax", "Fperm", "area", "bounce", "jump"])
+    p.add_argument("--name", required=True, choices=list(_POLYS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sigma")
     p.add_argument("--format", choices=["text", "json"], default="text")

@@ -9,6 +9,8 @@ lists the members one by one, for per-object checks; F_sigma(q,t) and
 the five restricted families of F_n come from one memoized walk over
 rho, which sums by state instead of by member.  Lower/upper sequences,
 their area statistics, and the rotation maps phi_k also live here.
+A Factorization holds its factors as the raw (lo, hi) pairs that every
+kernel reads; its constructor is the one place a factor is checked.
 """
 
 from __future__ import annotations
@@ -19,42 +21,42 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .permutations import FullCycle, Permutation, Transposition, _cycle_groups, swap_product
+from .permutations import FullCycle, Permutation, _cycle_groups, swap_product
 from .polynomials import BivariatePoly
 
 
 @dataclass(frozen=True, slots=True)
 class Factorization:
-    """An ordered sequence of transpositions on the ground set [n]."""
+    """An ordered sequence of transpositions on the ground set [n], each
+    a raw (lo, hi) tuple of ints with 0 <= lo < hi <= n."""
 
-    factors: tuple[Transposition, ...]
+    factors: tuple[tuple[int, int], ...]
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+        factors = tuple(self.factors)
+        object.__setattr__(self, "factors", factors)
+        # checked in this order: every factor's shape and order, n, every range
+        for pair in factors:
+            if not (type(pair) is tuple and len(pair) == 2
+                    and type(pair[0]) is type(pair[1]) is int):
+                raise ValueError(f"factor {pair!r} is not a pair of ints")
+            if not 0 <= pair[0] < pair[1]:
+                raise ValueError(f"transposition needs 0 <= lo < hi, got {pair}")
         if self.n < 0:
             raise ValueError(f"ground set size must be nonnegative, got n = {self.n}")
-        for t in self.factors:
-            if t.hi > self.n:
-                raise ValueError(f"factor {t} exceeds ground set [0, {self.n}]")
-
-    @classmethod
-    def from_pairs(cls, pairs, n: int) -> "Factorization":
-        """The factorization on [n] whose factors are the raw (lo, hi) pairs."""
-        return cls(tuple(Transposition(a, b) for a, b in pairs), n)
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The factors as raw (lo, hi) tuples, the form the kernels read."""
-        return tuple((t.lo, t.hi) for t in self.factors)
+        for a, b in factors:
+            if b > self.n:
+                raise ValueError(f"factor ({a} {b}) exceeds ground set [0, {self.n}]")
 
     def product(self) -> Permutation:
-        return Permutation(tuple(swap_product(self.pairs(), self.n)))
+        return Permutation(tuple(swap_product(self.factors, self.n)))
 
     def __len__(self) -> int:
         return len(self.factors)
 
     def __str__(self) -> str:
-        return "".join(str(t) for t in self.factors)
+        return "".join(f"({a} {b})" for a, b in self.factors)
 
 
 def is_minimal_for(f: Factorization, pi: Permutation) -> bool:
@@ -132,7 +134,7 @@ def enumerate_factorizations(sigma: FullCycle) -> Iterator[Factorization]:
     """Each member of F_sigma exactly once; |F_sigma| = (n+1)^(n-1)."""
     n = sigma.n
     for pairs in iter_factor_pairs(sigma):
-        yield Factorization.from_pairs(pairs, n)
+        yield Factorization(pairs, n)
 
 
 # ------------------------------------------------------------- statistics
@@ -140,12 +142,12 @@ def enumerate_factorizations(sigma: FullCycle) -> Iterator[Factorization]:
 
 def lower(f: Factorization) -> tuple[int, ...]:
     """First coordinates of the normalized factors."""
-    return tuple(t.lo for t in f.factors)
+    return tuple(a for a, _ in f.factors)
 
 
 def upper(f: Factorization) -> tuple[int, ...]:
     """Second coordinates of the normalized factors."""
-    return tuple(t.hi for t in f.factors)
+    return tuple(b for _, b in f.factors)
 
 
 def _is_full_cycle_product(length: int, images) -> bool:
@@ -164,10 +166,9 @@ def _areas(pairs, n: int) -> tuple[int, int]:
 
 
 def _member_areas(f: Factorization) -> tuple[int, int]:
-    pairs = f.pairs()
-    if not _is_full_cycle_product(len(pairs), swap_product(pairs, f.n)):
+    if not _is_full_cycle_product(len(f), swap_product(f.factors, f.n)):
         raise ValueError(f"{f} is not a minimal factorization of a full cycle")
-    return _areas(pairs, f.n)
+    return _areas(f.factors, f.n)
 
 
 def area_lower(f: Factorization) -> int:
@@ -247,13 +248,13 @@ def factorization_enumerator(sigma: FullCycle) -> BivariatePoly:
 
 def is_simple(f: Factorization) -> bool:
     """Simple means the factor (0, n) occurs."""
-    return any(t.lo == 0 and t.hi == f.n for t in f.factors)
+    return (0, f.n) in f.factors
 
 
 def simple_index(f: Factorization) -> int:
     """1-based position of the factor (0, n); for a member of F_n the
     position is unique, and the scan insists on that."""
-    hits = [i for i, t in enumerate(f.factors, start=1) if t.lo == 0 and t.hi == f.n]
+    hits = [i for i, pair in enumerate(f.factors, start=1) if pair == (0, f.n)]
     if len(hits) != 1:
         raise ValueError(f"{f} has {len(hits)} copies of (0 {f.n}), expected one")
     return hits[0]
@@ -316,11 +317,11 @@ def phi_k(f: Factorization, k: int) -> Factorization:
     n = f.n
     if not 1 <= k <= len(f.factors):
         raise ValueError(f"k = {k} outside 1..{len(f.factors)}")
-    if f.factors[k - 1] != Transposition(0, n):
+    if f.factors[k - 1] != (0, n):
         raise ValueError(f"factor {k} of {f} is not (0 {n})")
     if not is_minimal_for(f, FullCycle.canonical(n).to_permutation()):
         raise ValueError(f"{f} is not a minimal factorization of the canonical cycle")
-    return Factorization.from_pairs(_rotate_down(f.pairs(), k), n - 1)
+    return Factorization(_rotate_down(f.factors, k), n - 1)
 
 
 def phi_k_inverse(g: Factorization, k: int, n: int) -> Factorization:
@@ -329,7 +330,7 @@ def phi_k_inverse(g: Factorization, k: int, n: int) -> Factorization:
         raise ValueError(f"k = {k} outside 1..{n}")
     if not is_minimal_for(g, FullCycle.canonical(n - 1).to_permutation()):
         raise ValueError(f"{g} is not a minimal factorization of the canonical cycle")
-    return Factorization.from_pairs(_rotate_up(g.pairs(), k, n), n)
+    return Factorization(_rotate_up(g.factors, k, n), n)
 
 
 # -------------------------------------------------------------- text forms
@@ -340,11 +341,12 @@ def parse_factorization(text: str, n: int | None = None) -> Factorization:
     for entries in _cycle_groups(text):
         if len(entries) != 2:
             raise ValueError(f"factor {entries} is not a pair")
-        factors.append(Transposition.of(*entries))
+        a, b = entries
+        factors.append((a, b) if a < b else (b, a))
     if n is None:
-        n = max((t.hi for t in factors), default=0)
+        n = max((b for _, b in factors), default=0)
     return Factorization(tuple(factors), n)
 
 
 def factorization_to_json(f: Factorization) -> dict:
-    return {"n": f.n, "factors": [[t.lo, t.hi] for t in f.factors]}
+    return {"n": f.n, "factors": [list(pair) for pair in f.factors]}

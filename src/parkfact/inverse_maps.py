@@ -30,7 +30,6 @@ from .parking import (
 )
 from .permutations import (
     FullCycle,
-    Transposition,
     is_unimodal,
     reflect_conjugate,
     swap_product,
@@ -171,7 +170,7 @@ def l_inverse(
             images[a], images[c] = images[c], images[a]
             pre[images[a]], pre[images[c]] = a, c
 
-    result = Factorization.from_pairs(taus[1:], n)
+    result = Factorization(taus[1:], n)
     if check and result.product() != sigma.to_permutation():
         raise AssertionError(f"reconstruction for {p} missed {sigma}")
     return result
@@ -251,13 +250,9 @@ def non_unimodal_witness(
 
     p = ParkingFunction((0,) * (n - 1) + (word[valley],))
 
-    def star_chain(skip: int, last: Transposition) -> Factorization:
-        factors = [
-            Transposition(0, word[k]) for k in range(1, n + 1) if k != skip
-        ]
-        factors.append(last)
-        return Factorization(tuple(factors), n)
+    def star_chain(skip: int, last: tuple[int, int]) -> Factorization:
+        return Factorization([(0, word[k]) for k in range(1, n + 1) if k != skip] + [last], n)
 
-    f1 = star_chain(valley, Transposition(word[valley], word[valley + 1]))
-    f2 = star_chain(valley - 1, Transposition(word[valley], word[valley - 1]))
+    f1 = star_chain(valley, (word[valley], word[valley + 1]))
+    f2 = star_chain(valley - 1, (word[valley], word[valley - 1]))
     return p, f1, f2

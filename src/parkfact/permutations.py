@@ -2,9 +2,10 @@
 
 The composition convention throughout the library is left to right:
 ``compose(a, b)`` maps i to b(a(i)), and ``a * b`` means the same thing.
-Transpositions are normalized with lo < hi, and full cycles are kept in
-word-of-visit form (0, s_1, ..., s_n) because unimodality and contiguity
-are properties of the word, not of the underlying function.
+A transposition is a raw (lo, hi) int pair with lo < hi, read by
+swap_product; full cycles are kept in word-of-visit form (0, s_1, ...,
+s_n) because unimodality and contiguity are properties of the word, not
+of the underlying function.
 """
 
 from __future__ import annotations
@@ -84,38 +85,6 @@ class Permutation:
 
     def __str__(self) -> str:
         return format_permutation(self)
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class Transposition:
-    """An unordered pair written with lo < hi."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if not 0 <= self.lo < self.hi:
-            raise ValueError(f"transposition needs 0 <= lo < hi, got ({self.lo}, {self.hi})")
-
-    @classmethod
-    def of(cls, a: int, b: int) -> "Transposition":
-        """Normalized constructor, accepting the pair in either order."""
-        return cls(a, b) if a < b else cls(b, a)
-
-    def apply(self, x: int) -> int:
-        if x == self.lo:
-            return self.hi
-        if x == self.hi:
-            return self.lo
-        return x
-
-    def to_permutation(self, n: int) -> Permutation:
-        if self.hi > n:
-            raise ValueError(f"transposition {self} exceeds ground set [0, {n}]")
-        return Permutation.from_cycles([(self.lo, self.hi)], n)
-
-    def __str__(self) -> str:
-        return f"({self.lo} {self.hi})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,28 +210,18 @@ def window_cycles(images, word) -> int | None:
     return count
 
 
-def _gamma(x: int, n: int) -> int:
-    return n - x
-
-
 def reflect_conjugate(value, n: int | None = None):
-    """Conjugation by the order-reversing involution i -> n - i.
+    """Conjugation by the order-reversing involution gamma: i -> n - i.
 
-    Transpositions map endpoint-wise (n is required); full cycles map to
-    the conjugated cycle re-rooted at 0; factorizations map factor-wise,
-    carrying F_sigma onto F_(gamma sigma gamma).
+    Full cycles map to the conjugated cycle re-rooted at 0; factorizations
+    map factor-wise, (a, b) to (n - b, n - a), carrying F_sigma onto
+    F_(gamma sigma gamma).
     """
-    if isinstance(value, Transposition):
-        if n is None:
-            raise ValueError("reflect_conjugate of a transposition needs n")
-        if value.hi > n:
-            raise ValueError(f"transposition {value} exceeds ground set [0, {n}]")
-        return Transposition.of(_gamma(value.lo, n), _gamma(value.hi, n))
     if isinstance(value, FullCycle):
         if n is not None and n != value.n:
             raise ValueError(f"size mismatch: [{value.n}] vs [{n}]")
         m = value.n
-        flipped = tuple(_gamma(v, m) for v in value.word)
+        flipped = tuple(m - v for v in value.word)
         zero_at = flipped.index(0)
         return FullCycle(flipped[zero_at:] + flipped[:zero_at])
     factors = getattr(value, "factors", None)
@@ -270,9 +229,7 @@ def reflect_conjugate(value, n: int | None = None):
         m = value.n
         if n is not None and n != m:
             raise ValueError(f"size mismatch: [{m}] vs [{n}]")
-        return replace(
-            value, factors=tuple(reflect_conjugate(t, m) for t in factors)
-        )
+        return replace(value, factors=tuple((m - b, m - a) for a, b in factors))
     raise TypeError(f"cannot reflect a {type(value).__name__}")
 
 
@@ -286,10 +243,7 @@ def reflect_reverse(factorization):
     if factors is None:
         raise TypeError("reflect_reverse expects a factorization")
     m = factorization.n
-    return replace(
-        factorization,
-        factors=tuple(reflect_conjugate(t, m) for t in reversed(factors)),
-    )
+    return replace(factorization, factors=tuple((m - b, m - a) for a, b in reversed(factors)))
 
 
 # ------------------------------------------------------------ text forms

@@ -257,7 +257,7 @@ def check_l_inverse(n_max: int) -> str | None:
 
 def _word(pairs, n: int) -> str:
     """The wire text of a raw factor sequence, for a counterexample."""
-    return str(_fact.Factorization.from_pairs(pairs, n))
+    return str(_fact.Factorization(pairs, n))
 
 
 @_suite("arch-criterion", 4,

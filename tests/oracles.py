@@ -196,9 +196,9 @@ def is_minimal_by_graph(f, pi):
         return False
     m = f.n + 1
     adjacency = [[] for _ in range(m)]
-    for t in f.factors:
-        adjacency[t.lo].append(t.hi)
-        adjacency[t.hi].append(t.lo)
+    for a, b in f.factors:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
     roots = [None] * m
     for root in range(m):
         stack = [root]
@@ -219,8 +219,8 @@ def product_by_compose(f):
     """Multiply a factorization out as a chain of validated permutations,
     one per factor, composed left to right."""
     result = Permutation.identity(f.n)
-    for t in f.factors:
-        result = compose(result, t.to_permutation(f.n))
+    for pair in f.factors:
+        result = compose(result, Permutation.from_cycles([pair], f.n))
     return result
 
 

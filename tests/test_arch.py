@@ -36,7 +36,7 @@ from parkfact.factorizations import (
     is_simple,
     parse_factorization,
 )
-from parkfact.permutations import FullCycle, Transposition, full_cycles, parse_full_cycle
+from parkfact.permutations import FullCycle, full_cycles, parse_full_cycle
 
 WORKED_F = parse_factorization("(1 4)(1 5)(3 4)(0 2)(0 4)", 5)
 WORKED_SIGMA = parse_full_cycle("0 2 4 5 1 3")
@@ -119,7 +119,7 @@ class TestValidity:
             for sigma in full_cycles(n):
                 target = sigma.to_permutation()
                 for word in product(pairs, repeat=n):
-                    f = Factorization(tuple(Transposition(a, b) for a, b in word), n)
+                    f = Factorization(word, n)
                     member = f.product() == target
                     d = sigma_diagram(f, sigma)
                     assert member == is_valid_arch(d)
@@ -153,7 +153,7 @@ def assert_matches_kernels(f, sigma):
     """Every public reader and builder gives what its raw-arc kernel gives
     on the diagram of f over sigma."""
     m = sigma.n + 1
-    arcs = _sigma_arcs(f.pairs(), sigma.positions())
+    arcs = _sigma_arcs(f.factors, sigma.positions())
     d = sigma_diagram(f, sigma)
     assert d.arcs == tuple(arcs) and d.n_vertices == m
     rotators = _rotators(arcs, m)
@@ -182,7 +182,7 @@ class TestKernels:
             pairs = list(combinations(range(n + 1), 2))
             for sigma in full_cycles(n):
                 for word in product(pairs, repeat=n):
-                    assert_matches_kernels(Factorization.from_pairs(word, n), sigma)
+                    assert_matches_kernels(Factorization(word, n), sigma)
 
     def test_every_diagram_of_the_family(self):
         for n in range(6):

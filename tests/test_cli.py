@@ -110,6 +110,13 @@ class TestPoly:
             code, out, _ = run(capsys, "poly", "--name", name, "--n", "4")
             assert (code, out) == (0, f"{poly}\n")
 
+    @pytest.mark.parametrize("name", ["I", "B", "D", "C", "Fhat", "Finc", "Fdec",
+                                      "Fmax", "Fperm", "area", "bounce", "jump"])
+    def test_names_without_sigma_refuse_it(self, capsys, name):
+        code, out, err = run(capsys, "poly", "--name", name, "--n", "3",
+                             "--sigma", "0 2 1 3")
+        assert (code, out, err) == (1, "", f"error: poly --name {name} does not read --sigma\n")
+
 
 class TestMap:
     def test_l_inverse_worked_example(self, capsys):
@@ -327,6 +334,13 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--kind", "majors", "--n", "3")
         assert code == 0
         assert out.splitlines() == [str(m) for m in enumerate_majors(3)]
+
+    @pytest.mark.parametrize("kind", ["trees", "parking", "majors", "unimodal"])
+    def test_kinds_without_sigma_refuse_it(self, capsys, kind):
+        code, out, err = run(capsys, "enumerate", "--kind", kind, "--n", "1",
+                             "--sigma", "0 9 9")
+        assert (code, out, err) == (
+            1, "", f"error: enumerate --kind {kind} does not read --sigma\n")
 
     def test_arch_json_decodes_to_the_factorizations(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--kind", "arch", "--n", "3",
@@ -590,6 +604,16 @@ class TestParsing:
         # argparse stores an empty list, not a string, for --input=--
         code, out, err = run(capsys, *command, "--input=--")
         assert (code, out, err) == (1, "", "error: --input needs a value\n")
+
+    @pytest.mark.parametrize("text, err", [
+        ("(1 1)", "error: transposition needs 0 <= lo < hi, got (1, 1)\n"),
+        ("(2 -1)", "error: transposition needs 0 <= lo < hi, got (-1, 2)\n"),
+        ("(0 5)", "error: factor (0 5) exceeds ground set [0, 3]\n"),
+        ("(1 2 3)", "error: factor [1, 2, 3] is not a pair\n"),
+        ("(1 2)(3", "error: stray text outside cycle groups: '(1 2)(3'\n"),
+    ])
+    def test_factor_diagnostics(self, capsys, text, err):
+        assert run(capsys, "map", "--via", "lower", "--n", "3", "--input", text) == (1, "", err)
 
     def test_unknown_via(self, capsys):
         code, _, err = run(capsys, "map", "--via", "sideways", "--input", "0")

@@ -1,3 +1,4 @@
+import doctest
 import os
 import subprocess
 import sys
@@ -16,3 +17,9 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_tour_runs():
+    # the README's library tour is a doctest; a stale example fails here
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.failed == 0

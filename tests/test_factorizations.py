@@ -37,7 +37,6 @@ from parkfact.parking import _bounce_pass, is_major, is_parking
 from parkfact.permutations import (
     FullCycle,
     Permutation,
-    Transposition,
     full_cycles,
     parse_permutation,
     reflect_reverse,
@@ -78,12 +77,27 @@ class TestProduct:
             pairs = list(combinations(range(n + 1), 2))
             for length in range(n + 1):
                 for word in product(pairs, repeat=length):
-                    f = Factorization(tuple(Transposition(a, b) for a, b in word), n)
+                    f = Factorization(word, n)
                     assert f.product() == product_by_compose(f)
 
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError, match="nonnegative"):
             Factorization((), -3)
+
+    def test_factors_are_raw_pairs(self):
+        f = Factorization(((0, 1),), 1)
+        assert f.factors == ((0, 1),) and str(f) == "(0 1)"
+        assert f.product() == FullCycle.canonical(1).to_permutation()
+
+    @pytest.mark.parametrize("factor, message", [
+        ((1, 0), r"0 <= lo < hi, got \(1, 0\)"),
+        ((0, 2), r"factor \(0 2\) exceeds ground set \[0, 1\]"),
+        ((0, 1, 1), r"factor \(0, 1, 1\) is not a pair of ints"),
+        ((0, "1"), r"factor \(0, '1'\) is not a pair of ints"),
+    ])
+    def test_rejects_malformed_factor(self, factor, message):
+        with pytest.raises(ValueError, match=message):
+            Factorization((factor,), 1)
 
 
 class TestMinimality:
@@ -116,7 +130,7 @@ class TestMinimality:
             pairs = list(combinations(range(n + 1), 2))
             for length in range(n + 2):
                 for word in product(pairs, repeat=length):
-                    f = Factorization(tuple(Transposition(a, b) for a, b in word), n)
+                    f = Factorization(word, n)
                     for pi in perms:
                         assert is_minimal_for(f, pi) == is_minimal_by_graph(f, pi)
 
@@ -356,7 +370,7 @@ class TestSimpleAndPhi:
     def test_unique_simple_factor_in_members(self):
         for n in range(1, 6):
             for f in enumerate_factorizations(FullCycle.canonical(n)):
-                hits = [t for t in f.factors if t == Transposition(0, n)]
+                hits = [t for t in f.factors if t == (0, n)]
                 assert len(hits) <= 1
                 if hits:
                     assert simple_index(f) == f.factors.index(hits[0]) + 1
@@ -399,8 +413,8 @@ class TestSimpleAndPhi:
                     continue
                 k = simple_index(f)
                 g = phi_k(f, k)
-                assert g.pairs() == _rotate_down(f.pairs(), k)
-                assert phi_k_inverse(g, k, n).pairs() == _rotate_up(g.pairs(), k, n)
+                assert g.factors == _rotate_down(f.factors, k)
+                assert phi_k_inverse(g, k, n).factors == _rotate_up(g.factors, k, n)
 
 
 class TestDuality:
@@ -422,10 +436,7 @@ class TestTextForms:
         assert fact("(0 1)(0 2)").n == 2
 
     def test_parse_whitespace_and_commas(self):
-        assert fact(" (1, 2) ( 0 1 ) ").factors == (
-            Transposition(1, 2),
-            Transposition(0, 1),
-        )
+        assert fact(" (1, 2) ( 0 1 ) ").factors == ((1, 2), (0, 1))
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -436,4 +447,4 @@ class TestTextForms:
     def test_json_round_trip(self):
         obj = factorization_to_json(F9)
         assert obj["n"] == 9
-        assert Factorization.from_pairs(map(tuple, obj["factors"]), obj["n"]) == F9
+        assert Factorization(tuple(map(tuple, obj["factors"])), obj["n"]) == F9

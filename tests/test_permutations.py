@@ -9,7 +9,6 @@ from parkfact.factorizations import Factorization, parse_factorization
 from parkfact.permutations import (
     FullCycle,
     Permutation,
-    Transposition,
     compose,
     format_permutation,
     full_cycles,
@@ -78,14 +77,11 @@ class TestCycleForm:
 
 
 class TestTransposition:
+    # a transposition is a raw (lo, hi) factor of a factorization
     def test_normalization_required(self):
-        with pytest.raises(ValueError):
-            Transposition(2, 1)
-        assert Transposition.of(2, 1) == Transposition(1, 2)
-
-    def test_apply(self):
-        t = Transposition(1, 4)
-        assert (t.apply(1), t.apply(4), t.apply(2)) == (4, 1, 2)
+        with pytest.raises(ValueError, match=r"0 <= lo < hi, got \(2, 1\)"):
+            Factorization(((2, 1),), 2)
+        assert parse_factorization("(2 1)").factors == ((1, 2),)
 
 
 class TestFullCycle:
@@ -172,17 +168,18 @@ class TestSwapProduct:
 
 class TestReflect:
     def test_conjugate_transposition(self):
-        assert reflect_conjugate(Transposition(0, 2), 3) == Transposition(1, 3)
-        with pytest.raises(ValueError):
-            reflect_conjugate(Transposition(0, 2))
+        assert reflect_conjugate(Factorization(((0, 2),), 3)).factors == ((1, 3),)
+        with pytest.raises(ValueError, match="size mismatch"):
+            reflect_conjugate(Factorization(((0, 2),), 3), 4)
 
     def test_conjugate_canonical_cycle(self):
         assert reflect_conjugate(FullCycle.canonical(4)).word == (0, 4, 3, 2, 1)
 
     def test_conjugate_is_involution(self):
         for n in range(1, 7):
-            for t in [Transposition(a, b) for a in range(n) for b in range(a + 1, n + 1)]:
-                assert reflect_conjugate(reflect_conjugate(t, n), n) == t
+            for pair in itertools.combinations(range(n + 1), 2):
+                f = Factorization((pair,), n)
+                assert reflect_conjugate(reflect_conjugate(f, n), n) == f
             for sigma in full_cycles(min(n, 4)):
                 assert reflect_conjugate(reflect_conjugate(sigma)) == sigma
 
