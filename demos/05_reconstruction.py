@@ -12,14 +12,12 @@ from parkfact import (
     FullCycle,
     MajorSequence,
     ParkingFunction,
-    from_path,
     l_inverse,
     lower,
     non_unimodal_witness,
     omega,
     parse_full_cycle,
-    push_upper_path,
-    to_path,
+    push,
     u_inverse,
     upper,
 )
@@ -31,9 +29,9 @@ p = ParkingFunction((2, 4, 0, 1, 4, 0))
 print(f"p = {p}")
 for word in ("0 1 2 3 4 5 6", "0 2 3 5 6 4 1"):
     sigma = parse_full_cycle(word)
-    om = omega(sigma, p)
+    order = omega(sigma, p)
     f = l_inverse(p, sigma, check=True)
-    print(f"  sigma = {sigma}: processing order {om.order}")
+    print(f"  sigma = {sigma}: processing order {order}")
     print(f"    l_inverse(p) = {f}")
     assert lower(f) == p.entries
 print()
@@ -45,9 +43,8 @@ print(f"  upper sequence check: {upper(g) == m.entries}")
 print()
 
 p9 = ParkingFunction((1, 3, 1, 7, 0, 7, 0, 1, 4))
-pushed = push_upper_path(to_path(p9))
 print(f"pushing the labels of {p9} northeast gives the upper path of")
-print(f"  {from_path(pushed)}")
+print(f"  {push(p9)}")
 print()
 
 sigma = FullCycle((0, 2, 1, 3))

@@ -40,11 +40,10 @@ from .factorizations import (
     upper,
 )
 from .inverse_maps import (
-    OmegaOrder,
     l_inverse,
     non_unimodal_witness,
     omega,
-    push_upper_path,
+    push,
     sigma_sides,
     u_inverse,
 )

@@ -172,26 +172,30 @@ def _list_unimodal(n, args):
     return map(str, unimodal_cycles(n))
 
 
-# each --kind: (whether it reads --sigma, its output lines for n); the key
-# order is the order --help lists
+# each --kind: (the options it reads besides the required --n, its output
+# lines for n); the key order is the order --help lists
 _ENUMERATIONS = {
-    "trees": (False, _list_trees),
-    "parking": (False, _list_sequences(_park.enumerate_parking)),
-    "majors": (False, _list_sequences(_park.enumerate_majors)),
-    "factorizations": (True, _list_factorizations),
-    "arch": (True, _list_arch),
-    "unimodal": (False, _list_unimodal),
+    "trees": ((), _list_trees),
+    "parking": ((), _list_sequences(_park.enumerate_parking)),
+    "majors": ((), _list_sequences(_park.enumerate_majors)),
+    "factorizations": (("sigma",), _list_factorizations),
+    "arch": (("sigma",), _list_arch),
+    "unimodal": ((), _list_unimodal),
 }
 
 
-def _refuse_sigma(args, reads_sigma: bool, what: str) -> None:
-    if args.sigma is not None and not reads_sigma:
-        raise CliError(f"{what} does not read --sigma")
+def _refuse_unread(args, reads: tuple[str, ...], what: str) -> None:
+    """Refuse each of --sigma, --n, --k and --with-bounce that is given but
+    not among the options `what` reads."""
+    for option in ("sigma", "n", "k", "with_bounce"):
+        value = getattr(args, option, None)
+        if value is not None and value is not False and option not in reads:
+            raise CliError(f"{what} does not read --{option.replace('_', '-')}")
 
 
 def _cmd_enumerate(args) -> int:
-    reads_sigma, lines = _ENUMERATIONS[args.kind]
-    _refuse_sigma(args, reads_sigma, f"enumerate --kind {args.kind}")
+    reads, lines = _ENUMERATIONS[args.kind]
+    _refuse_unread(args, ("n", *reads), f"enumerate --kind {args.kind}")
     sys.stdout.writelines(line + "\n" for line in lines(_guard_n(args.n), args))
     return 0
 
@@ -234,15 +238,19 @@ def _factorization_record(f) -> dict:
     return record
 
 
-# each --kind reads the shape of its own name
+# each --kind reads the shape of its own name: (the options it reads, its
+# record)
 _STATS = {
-    "tree": _tree_record, "parking": _parking_record,
-    "major": lambda m: _sequence_record(m, "major"), "factorization": _factorization_record,
+    "tree": ((), _tree_record), "parking": ((), _parking_record),
+    "major": ((), lambda m: _sequence_record(m, "major")),
+    "factorization": (("n",), _factorization_record),
 }
 
 
 def _cmd_stats(args) -> int:
-    record = _STATS[args.kind](_read(args, args.kind))
+    reads, make_record = _STATS[args.kind]
+    _refuse_unread(args, reads, f"stats --kind {args.kind}")
+    record = make_record(_read(args, args.kind))
     if args.format == "json":
         print(json.dumps(record))
     else:
@@ -259,30 +267,37 @@ def _theta(p, args):
     return json.dumps(_trees.tree_to_json(tree)) if args.format == "json" else tree
 
 
-_LOWER = ("factorization", lambda f, args: ",".join(map(str, _fact.lower(f))))
-_UPPER = ("factorization", lambda f, args: ",".join(map(str, _fact.upper(f))))
-# each --via's input shape and map; the key order is the order --help lists
+_LOWER = ("factorization", ("n",), lambda f, args: ",".join(map(str, _fact.lower(f))))
+_UPPER = ("factorization", ("n",), lambda f, args: ",".join(map(str, _fact.upper(f))))
+# each --via's input shape, the options it reads and its map; the key order
+# is the order --help lists
 _MAPS = {
     "lower": _LOWER, "L": _LOWER, "upper": _UPPER, "U": _UPPER,
-    "l-inverse": ("parking", lambda p, args: _inv.l_inverse(p, _sigma_for(args, p.n))),
-    "u-inverse": ("major", lambda m, args: _inv.u_inverse(m, _sigma_for(args, m.n))),
-    "theta": ("parking", _theta),
-    "theta-inverse": ("tree", lambda tree, args: _park.theta_inverse(tree)),
-    "phi-k": ("phi-k", lambda f, args: _fact.phi_k(f, args.k)),
-    "phi-k-inverse": ("phi-k-inverse", lambda g, args: _fact.phi_k_inverse(g, args.k, args.n)),
-    "arch": ("factorization", lambda f, args: json.dumps(
+    "l-inverse": ("parking", ("sigma",),
+                  lambda p, args: _inv.l_inverse(p, _sigma_for(args, p.n))),
+    "u-inverse": ("major", ("sigma",),
+                  lambda m, args: _inv.u_inverse(m, _sigma_for(args, m.n))),
+    "theta": ("parking", (), _theta),
+    "theta-inverse": ("tree", (), lambda tree, args: _park.theta_inverse(tree)),
+    "phi-k": ("phi-k", ("n", "k"), lambda f, args: _fact.phi_k(f, args.k)),
+    "phi-k-inverse": ("phi-k-inverse", ("n", "k"),
+                      lambda g, args: _fact.phi_k_inverse(g, args.k, args.n)),
+    "arch": ("factorization", ("sigma", "n"), lambda f, args: json.dumps(
         _arch.arch_to_json(_arch.sigma_diagram(f, _sigma_for(args, f.n))))),
-    "fact": ("arch", lambda d, args: _arch.arch_to_factorization(d, _sigma_for(args, d.n))),
-    "push": ("parking", lambda p, args: _park.from_path(_inv.push_upper_path(_park.to_path(p)))),
-    "reflect-conjugate": ("factorization-or-visit-word", lambda v, args: reflect_conjugate(v)),
-    "reflect-reverse": ("factorization", lambda f, args: reflect_reverse(f)),
-    "complement": ("sequence", lambda value, args: _park.complement(value)),
+    "fact": ("arch", ("sigma",),
+             lambda d, args: _arch.arch_to_factorization(d, _sigma_for(args, d.n))),
+    "push": ("parking", (), lambda p, args: _inv.push(p)),
+    "reflect-conjugate": ("factorization-or-visit-word", ("n",),
+                          lambda v, args: reflect_conjugate(v)),
+    "reflect-reverse": ("factorization", ("n",), lambda f, args: reflect_reverse(f)),
+    "complement": ("sequence", (), lambda value, args: _park.complement(value)),
 }
 _VIAS = tuple(_MAPS)
 
 
 def _cmd_map(args) -> int:
-    shape, apply = _MAPS[args.via]
+    shape, reads, apply = _MAPS[args.via]
+    _refuse_unread(args, reads, f"map --via {args.via}")
     print(apply(_read(args, shape), args))
     return 0
 
@@ -290,30 +305,30 @@ def _cmd_map(args) -> int:
 # ------------------------------------------------------------------- poly
 
 
-# each --name: (whether it reads --sigma, its cap on n, its enumerator of
-# n); the key order is the order --help lists.  I, D and C are recursions
-# with no object enumeration, so no safety limit ('verify' ties them to the
-# brute-force sums); the others obey it (None).
+# each --name: (the options it reads besides the required --n, its cap on
+# n, its enumerator of n); the key order is the order --help lists.  I, D
+# and C are recursions with no object enumeration, so no safety limit
+# ('verify' ties them to the brute-force sums); the others obey it (None).
 _POLYS = {
-    "I": (False, math.inf, lambda n, args: _poly.tree_recursion_I(n)[n]),
-    "F": (True, None, lambda n, args: _fact.factorization_enumerator(_sigma_for(args, n))),
-    "B": (False, None, lambda n, args: _park._bounce_pass(n)[2]),
-    "D": (False, math.inf, lambda n, args: _poly.tree_recursion_I(n)[n].diagonal()),
-    "C": (False, math.inf, lambda n, args: _poly.catalan_qt(n)),
-    "Fhat": (False, None, lambda n, args: _fact.restricted_enumerators(n).simple),
-    "Finc": (False, None, lambda n, args: _fact.restricted_enumerators(n).increasing),
-    "Fdec": (False, None, lambda n, args: _fact.restricted_enumerators(n).decreasing),
-    "Fmax": (False, None, lambda n, args: _fact.restricted_enumerators(n).max_diff),
-    "Fperm": (False, None, lambda n, args: _fact.restricted_enumerators(n).perm_lower),
-    "area": (False, None, lambda n, args: _park._bounce_pass(n)[0]),
-    "bounce": (False, None, lambda n, args: _park._bounce_pass(n)[1]),
-    "jump": (False, None, lambda n, args: _park._jump_pass(n)),
+    "I": ((), math.inf, lambda n, args: _poly.tree_recursion_I(n)[n]),
+    "F": (("sigma",), None, lambda n, args: _fact.factorization_enumerator(_sigma_for(args, n))),
+    "B": ((), None, lambda n, args: _park._bounce_pass(n)[2]),
+    "D": ((), math.inf, lambda n, args: _poly.tree_recursion_I(n)[n].diagonal()),
+    "C": ((), math.inf, lambda n, args: _poly.catalan_qt(n)),
+    "Fhat": ((), None, lambda n, args: _fact.restricted_enumerators(n).simple),
+    "Finc": ((), None, lambda n, args: _fact.restricted_enumerators(n).increasing),
+    "Fdec": ((), None, lambda n, args: _fact.restricted_enumerators(n).decreasing),
+    "Fmax": ((), None, lambda n, args: _fact.restricted_enumerators(n).max_diff),
+    "Fperm": ((), None, lambda n, args: _fact.restricted_enumerators(n).perm_lower),
+    "area": ((), None, lambda n, args: _park._bounce_pass(n)[0]),
+    "bounce": ((), None, lambda n, args: _park._bounce_pass(n)[1]),
+    "jump": ((), None, lambda n, args: _park._jump_pass(n)),
 }
 
 
 def _cmd_poly(args) -> int:
-    reads_sigma, limit, compute = _POLYS[args.name]
-    _refuse_sigma(args, reads_sigma, f"poly --name {args.name}")
+    reads, limit, compute = _POLYS[args.name]
+    _refuse_unread(args, ("n", *reads), f"poly --name {args.name}")
     _print_poly(compute(_guard_n(args.n, limit), args), args.format)
     return 0
 
@@ -356,11 +371,16 @@ def _render_arch(f, args) -> str:
     return draw(_arch.sigma_diagram(f, sigma), sigma)
 
 
-_RENDERS = {"path": ("sequence", _render_path), "arch": ("factorization", _render_arch)}
+# each --kind's input shape, the options it reads and its drawing
+_RENDERS = {
+    "path": ("sequence", ("with_bounce",), _render_path),
+    "arch": ("factorization", ("sigma", "n"), _render_arch),
+}
 
 
 def _cmd_render(args) -> int:
-    shape, draw = _RENDERS[args.kind]
+    shape, reads, draw = _RENDERS[args.kind]
+    _refuse_unread(args, reads, f"render --kind {args.kind}")
     sys.stdout.write(draw(_read(args, shape), args))
     return 0
 

@@ -17,17 +17,8 @@ sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .factorizations import Factorization
-from .parking import (
-    LabelledDyckPath,
-    MajorSequence,
-    ParkingFunction,
-    _label_groups,
-    complement,
-    to_path,
-)
+from .parking import MajorSequence, ParkingFunction, _label_groups, complement
 from .permutations import (
     FullCycle,
     is_unimodal,
@@ -48,24 +39,13 @@ def sigma_sides(sigma: FullCycle) -> tuple[frozenset[int], frozenset[int]]:
     return frozenset(word[:peak]), frozenset(word[peak + 1 :])
 
 
-@dataclass(frozen=True, slots=True)
-class OmegaOrder:
+def omega(sigma: FullCycle, p: ParkingFunction) -> tuple[int, ...]:
     """Half-edge processing order for one (sigma, p) pair.
 
-    order lists the 1-based indices of p grouped by entry value from
-    n-1 down to 0, each group read increasingly for sigma-left values and
-    decreasingly for sigma-right ones.  side[j-1] records which case the
-    value of index j falls in.
+    The 1-based indices of p grouped by entry value from n-1 down to 0,
+    each group read increasingly for sigma-left values and decreasingly
+    for sigma-right ones.
     """
-
-    order: tuple[int, ...]
-    side: tuple[str, ...]
-
-    def side_of(self, index: int) -> str:
-        return self.side[index - 1]
-
-
-def omega(sigma: FullCycle, p: ParkingFunction) -> OmegaOrder:
     if sigma.n != p.n:
         raise ValueError(f"size mismatch: [{sigma.n}] vs [{p.n}]")
     if not is_unimodal(sigma):
@@ -75,8 +55,7 @@ def omega(sigma: FullCycle, p: ParkingFunction) -> OmegaOrder:
     order: list[int] = []
     for value in range(p.n - 1, -1, -1):
         order.extend(reversed(groups[value]) if value in left_values else groups[value])
-    sides = tuple("left" if a in left_values else "right" for a in p.entries)
-    return OmegaOrder(tuple(order), sides)
+    return tuple(order)
 
 
 def _check_entry_invariants(
@@ -132,16 +111,16 @@ def l_inverse(
     bounded window, window ends, partner above a), and the product of the
     result is checked to be sigma.
     """
-    om = omega(sigma, p)
+    order = omega(sigma, p)
     n = sigma.n
     word = sigma.word
     pos = sigma.positions()
     taus: list[tuple[int, int] | None] = [None] * (n + 1)
     images = list(range(n + 1))
     pre = list(range(n + 1))
-    for step, j in enumerate(om.order, start=1):
+    for step, j in enumerate(order, start=1):
         a = p.entries[j - 1]
-        left = om.side_of(j) == "left"
+        left = pos[a] < pos[n]  # a is sigma-left
         if check:
             _check_entry_invariants(sigma, pos, taus, images, pre, step, a, left)
         # the window at a meets the next window (left case) or the previous
@@ -191,41 +170,34 @@ def u_inverse(m: MajorSequence, sigma: FullCycle) -> Factorization:
     return reflect_conjugate(mirrored)
 
 
-def push_upper_path(path_lower: LabelledDyckPath) -> LabelledDyckPath:
-    """Slide the lower path's labels northeast to produce the upper path.
+def push(p: ParkingFunction) -> MajorSequence:
+    """Slide the labels of p's lower path northeast; their resting heights
+    are the upper sequence of p's canonical preimage.
 
-    Each label starts at the left endpoint of its step and is processed
-    left to right; it advances diagonally while off the path or on a
-    point whose original label is larger, and rests at the first path
-    point that is unlabelled or carries a smaller label.  Its resting
-    height is its height on the upper path.
+    Each label starts at the left end of its step and moves along its
+    diagonal x - y.  It rests at the first later path point on that
+    diagonal that is unlabelled or starts a step with a smaller label: its
+    next smaller element, if each point is tagged with the label of the
+    step it starts, and 0 where the path leaves a height.  One walk along
+    the path, with a stack of waiting labels per diagonal, rests them all.
     """
-    if path_lower.side != "below":
-        raise ValueError("push_upper_path expects a lower (below-side) path")
-    n = path_lower.n
-    if n == 0:
-        return LabelledDyckPath((), (), "above")
-    on_path = set(path_lower.lattice_points())
-    start_label = {
-        (j - 1, path_lower.heights[j - 1]): path_lower.labels[j - 1]
-        for j in range(1, n + 1)
-    }
-    rest_height: dict[int, int] = {}
-    for j in range(1, n + 1):
-        label = path_lower.labels[j - 1]
-        x, y = j - 1, path_lower.heights[j - 1]
-        while True:
-            x += 1
-            y += 1
-            if x > n:
-                raise AssertionError(f"label {label} escaped the grid")
-            if (x, y) in on_path:
-                original = start_label.get((x, y))
-                if original is None or original < label:
-                    break
-        rest_height[label] = y
-    entries = tuple(rest_height[label] for label in range(1, n + 1))
-    return to_path(MajorSequence(entries))
+    if not isinstance(p, ParkingFunction):
+        raise ValueError("push expects a parking function")
+    n = p.n
+    rest = [0] * n
+    waiting: list[list[int]] = [[] for _ in range(n + 1)]  # by diagonal x - y
+    x = 0
+    for y, group in enumerate(_label_groups(p.entries)):
+        for tag in (*group, 0):
+            stack = waiting[x - y]
+            while stack and stack[-1] > tag:
+                rest[stack.pop() - 1] = y
+            if tag:
+                stack.append(tag)
+                x += 1
+    if any(waiting):
+        raise AssertionError(f"a label of {p} never came to rest")
+    return MajorSequence(tuple(rest))
 
 
 def non_unimodal_witness(

@@ -275,9 +275,9 @@ def bounce(p: ParkingFunction) -> tuple[BounceData, int]:
 
 def theta(p: ParkingFunction) -> LabelledTree:
     """The tree whose vertex v has children C[v]; a bijection onto trees."""
-    _, w, groups, _, _, _ = _bounce_kernel(p.entries)
+    groups = _label_groups(p.entries)
     parent = [0] * (p.n + 1)
-    for vertex, group in zip(w, groups):
+    for vertex, group in zip((0, *chain.from_iterable(groups)), groups):
         for child in group:
             parent[child] = vertex
     return LabelledTree(tuple(parent))

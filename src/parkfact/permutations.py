@@ -210,7 +210,7 @@ def window_cycles(images, word) -> int | None:
     return count
 
 
-def reflect_conjugate(value, n: int | None = None):
+def reflect_conjugate(value):
     """Conjugation by the order-reversing involution gamma: i -> n - i.
 
     Full cycles map to the conjugated cycle re-rooted at 0; factorizations
@@ -218,8 +218,6 @@ def reflect_conjugate(value, n: int | None = None):
     F_(gamma sigma gamma).
     """
     if isinstance(value, FullCycle):
-        if n is not None and n != value.n:
-            raise ValueError(f"size mismatch: [{value.n}] vs [{n}]")
         m = value.n
         flipped = tuple(m - v for v in value.word)
         zero_at = flipped.index(0)
@@ -227,8 +225,6 @@ def reflect_conjugate(value, n: int | None = None):
     factors = getattr(value, "factors", None)
     if factors is not None:
         m = value.n
-        if n is not None and n != m:
-            raise ValueError(f"size mismatch: [{m}] vs [{n}]")
         return replace(value, factors=tuple((m - b, m - a) for a, b in factors))
     raise TypeError(f"cannot reflect a {type(value).__name__}")
 

@@ -26,7 +26,7 @@ from . import inverse_maps as _inv
 from . import parking as _park
 from . import polynomials as _poly
 from . import trees as _trees
-from .parking import MajorSequence, ParkingFunction
+from .parking import ParkingFunction
 from .permutations import (
     FullCycle, full_cycles, is_unimodal, swap_product, unimodal_cycles,
 )
@@ -431,15 +431,12 @@ def check_worked_examples(n_max: int | None) -> str | None:
 
 @_suite("pushing", 5, "pushed labels reproduce the upper path for all p, n <= {n}")
 def check_pushing(n_max: int) -> str | None:
-    pushed = _inv.push_upper_path(_park.to_path(ParkingFunction(_F9_LOWER)))
-    if pushed != _park.to_path(MajorSequence(_F9_UPPER)):
+    if _inv.push(ParkingFunction(_F9_LOWER)).entries != _F9_UPPER:
         return "length-9 pushing example does not reproduce the upper path"
     for n in range(n_max + 1):
         sigma = FullCycle.canonical(n)
         for p in _park.enumerate_parking(n):
-            pushed = _inv.push_upper_path(_park.to_path(p))
-            expected = _park.to_path(MajorSequence(_fact.upper(_inv.l_inverse(p, sigma))))
-            if pushed != expected:
+            if _inv.push(p).entries != _fact.upper(_inv.l_inverse(p, sigma)):
                 return f"pushing misses the upper path for p={p}"
 
 

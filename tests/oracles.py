@@ -16,6 +16,7 @@ from parkfact.parking import (
     _bounce_kernel,
     _park_kernel,
     _parking_tuples,
+    to_path,
 )
 from parkfact.polynomials import BivariatePoly, qt_bracket
 from parkfact.permutations import FullCycle, Permutation, compose
@@ -325,6 +326,27 @@ def omega_by_scan(sigma, p):
             group.reverse()
         order.extend(group)
     return tuple(order)
+
+
+def push_by_lattice_walk(p):
+    """The pushed heights of p's labels, by sliding each label diagonally
+    one lattice point at a time until it reaches a path point that starts
+    no step or starts the step of a smaller label."""
+    path = to_path(p)
+    n = path.n
+    on_path = set(path.lattice_points())
+    start_label = {(j, h): label for j, (h, label) in enumerate(zip(path.heights, path.labels))}
+    rest = [0] * n
+    for j, (h, label) in enumerate(zip(path.heights, path.labels)):
+        x, y = j, h
+        while True:
+            x += 1
+            y += 1
+            assert x <= n, f"label {label} escaped the grid"
+            if (x, y) in on_path and start_label.get((x, y), 0) < label:
+                break
+        rest[label - 1] = y
+    return tuple(rest)
 
 
 def factor_pairs_by_recursion(sigma):

@@ -129,7 +129,7 @@ BREAKS = {
                              2, "round trip fails for f=(0 1), k=1"),
     "special-families": (_poly, "qt_factorial_product", lambda n: ZERO, 2, "n=1:"),
     "worked-examples": (_fact, "lower", lambda f: (), None, "lower(f9)"),
-    "pushing": (_inv, "push_upper_path", lambda path: path, 2, "length-9"),
+    "pushing": (_inv, "push", lambda p: p, 2, "length-9"),
     "symmetry": (_trees, "inversion_enumerator",
                  lambda n: BivariatePoly.var_q().shift_t(n), 2, "I_0"),
 }

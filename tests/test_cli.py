@@ -1,7 +1,11 @@
+import hashlib
+import importlib.util
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -283,7 +287,7 @@ class TestSingleObjectCap:
 
     # each command here takes about a second or less at this size even
     # uncapped, so a missing cap fails the test instead of stalling it; the
-    # quadratic ones (push, l-inverse, stats --kind parking) never run here
+    # quadratic ones (l-inverse, stats --kind parking) never run here
     @pytest.mark.parametrize("argv", [
         ("map", "--via", "theta", "--input", ",".join(["0"] * OVER)),
         ("stats", "--kind", "major", "--input", ",".join([str(OVER)] * OVER)),
@@ -307,6 +311,73 @@ class TestSingleObjectCap:
         assert (code, out) == (0, ",".join([str(cap)] * cap) + "\n")
         code, out, _ = run(capsys, "map", "--via", "theta-inverse", "--input", star(cap))
         assert (code, out) == (0, ",".join(["0"] * cap) + "\n")
+
+    @pytest.mark.parametrize("staircase", [False, True])
+    def test_push_is_linear_up_to_the_cap(self, capsys, staircase):
+        # push must stay linear: a point-by-point diagonal walk took 3.5 s
+        # on the staircase at n = 4,000 and would take about 35 minutes here
+        def text(n):
+            return ",".join(map(str, range(n) if staircase else [0] * n))
+
+        cap = OVER - 1
+        expected = [str(cap)] * cap if staircase else map(str, range(1, cap + 1))
+        code, out, _ = run(capsys, "map", "--via", "push", "--input", text(cap))
+        assert (code, out) == (0, ",".join(expected) + "\n")
+        code, out, err = run(capsys, "map", "--via", "push", "--input", text(OVER))
+        assert (code, out) == (1, "")
+        assert err == f"error: n = {OVER} exceeds the single-object limit 100000\n"
+
+
+# the options each map, stats and render entry reads, of --sigma, --n, --k
+# and --with-bounce; every other of them that its subcommand declares is
+# refused
+READS = {
+    **{("map", "--via", via): ("--n",) for via in ("lower", "L", "upper", "U")},
+    ("map", "--via", "l-inverse"): ("--sigma",),
+    ("map", "--via", "u-inverse"): ("--sigma",),
+    ("map", "--via", "theta"): (),
+    ("map", "--via", "theta-inverse"): (),
+    ("map", "--via", "phi-k"): ("--n", "--k"),
+    ("map", "--via", "phi-k-inverse"): ("--n", "--k"),
+    ("map", "--via", "arch"): ("--sigma", "--n"),
+    ("map", "--via", "fact"): ("--sigma",),
+    ("map", "--via", "push"): (),
+    ("map", "--via", "reflect-conjugate"): ("--n",),
+    ("map", "--via", "reflect-reverse"): ("--n",),
+    ("map", "--via", "complement"): (),
+    **{("stats", "--kind", kind): () for kind in ("tree", "parking", "major")},
+    ("stats", "--kind", "factorization"): ("--n",),
+    ("render", "--kind", "path"): ("--with-bounce",),
+    ("render", "--kind", "arch"): ("--sigma", "--n"),
+}
+DECLARED = {"map": ("--sigma", "--n", "--k"), "stats": ("--n",),
+            "render": ("--sigma", "--n", "--with-bounce")}
+OPTION_ARGV = {"--sigma": ("--sigma", "0 9 9"), "--n": ("--n", "7"), "--k": ("--k", "1"),
+               "--with-bounce": ("--with-bounce",)}
+
+
+class TestUnreadOptions:
+    def test_every_entry_is_listed(self):
+        assert sorted(command[2] for command in READS if command[0] == "map") == sorted(_VIAS)
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, reads in READS.items()
+        for option in DECLARED[command[0]] if option not in reads
+    ])
+    def test_refused_with_one_error_line(self, capsys, command, option):
+        code, out, err = run(capsys, *command, "--input", "0,0", *OPTION_ARGV[option])
+        assert (code, out, err) == (1, "", f"error: {' '.join(command)} does not read {option}\n")
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, reads in READS.items() for option in reads
+    ])
+    def test_read_options_are_not_refused(self, capsys, command, option):
+        _, _, err = run(capsys, *command, "--input", "0,0", *OPTION_ARGV[option])
+        assert "does not read" not in err
+
+    def test_n_zero_counts_as_given(self, capsys):
+        code, _, err = run(capsys, "map", "--via", "theta", "--input", "0", "--n", "0")
+        assert (code, err) == (1, "error: map --via theta does not read --n\n")
 
 
 class TestEnumerate:
@@ -672,3 +743,34 @@ class TestFuzz:
     def test_any_json_arch_exits_zero_or_one_error_line(self, obj):
         text = json.dumps(obj)
         assert_clean_exit(*run_quietly(["map", "--via", "fact", f"--input={text}"]))
+
+
+def benchmark_calls(seed, count):
+    """The argv lists of perfbench/inputs.build_calls, the map-calls
+    workload's seeded calls; the benchmark is loaded, never changed."""
+    path = Path(__file__).parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # dataclasses look their module up
+    spec.loader.exec_module(inputs)
+    return [call.argv for call in inputs.build_calls(seed, count)]
+
+
+def output_digest(argvs):
+    """SHA-256 over the (argv, exit, stdout, stderr) record of each call."""
+    digest = hashlib.sha256()
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
+    return digest.hexdigest()
+
+
+# the digest of the 1,000 seed-1 benchmark calls; a change that alters any
+# output on purpose re-pins it and says why in CHANGES.md
+BENCHMARK_CALLS_DIGEST = "9309f458f059cadd2022d880f47b7ad78c8df95c81b3ab8c62adfb915587f3f5"
+
+
+def test_benchmark_calls_are_byte_identical():
+    assert output_digest(benchmark_calls(1, 1000)) == BENCHMARK_CALLS_DIGEST

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import omega_by_scan
+from oracles import omega_by_scan, push_by_lattice_walk
 
 from parkfact.factorizations import (
     enumerate_factorizations,
@@ -13,7 +15,7 @@ from parkfact.inverse_maps import (
     l_inverse,
     non_unimodal_witness,
     omega,
-    push_upper_path,
+    push,
     sigma_sides,
     u_inverse,
 )
@@ -21,7 +23,6 @@ from parkfact.parking import (
     MajorSequence,
     ParkingFunction,
     enumerate_parking,
-    to_path,
 )
 from parkfact.permutations import FullCycle, full_cycles, is_unimodal, parse_full_cycle, unimodal_cycles
 from parkfact.verify import run_suite
@@ -39,23 +40,22 @@ class TestOmega:
         assert right == {1, 4}
 
     def test_worked_example(self):
-        om = omega(SIGMA6, P6)
-        assert om.order == (5, 2, 1, 4, 3, 6)
+        assert omega(SIGMA6, P6) == (5, 2, 1, 4, 3, 6)
 
     def test_canonical_all_left(self):
         sigma = FullCycle.canonical(4)
         left, right = sigma_sides(sigma)
         assert left == {0, 1, 2, 3} and right == frozenset()
-        assert omega(sigma, ParkingFunction((0, 0, 0, 0))).order == (1, 2, 3, 4)
+        assert omega(sigma, ParkingFunction((0, 0, 0, 0))) == (1, 2, 3, 4)
 
     def test_entries_weakly_decreasing_along_order(self):
         for n in range(1, 6):
             for sigma in unimodal_cycles(n):
                 for p in enumerate_parking(n):
-                    om = omega(sigma, p)
-                    along = [p.entries[j - 1] for j in om.order]
+                    order = omega(sigma, p)
+                    along = [p.entries[j - 1] for j in order]
                     assert along == sorted(along, reverse=True)
-                    assert om.order == omega_by_scan(sigma, p)
+                    assert order == omega_by_scan(sigma, p)
 
     def test_rejects_non_unimodal(self):
         with pytest.raises(ValueError):
@@ -101,9 +101,7 @@ class TestLInverse:
         f = l_inverse(p, sigma, check=True)
         assert lower(f) == p.entries
         assert f.product() == sigma.to_permutation()
-        assert push_upper_path(to_path(p)) == to_path(
-            MajorSequence(upper(f))
-        )
+        assert push(p).entries == upper(f)
         m = MajorSequence(tuple(p.n - a for a in p.entries))
         assert upper(u_inverse(m, sigma)) == m.entries
 
@@ -168,38 +166,40 @@ class TestUInverse:
 
 class TestPush:
     def test_worked_example(self):
-        assert push_upper_path(to_path(P9)) == to_path(M9)
+        assert push(P9) == M9
 
     def test_single(self):
-        pushed = push_upper_path(to_path(ParkingFunction((0,))))
-        assert pushed == to_path(MajorSequence((1,)))
+        assert push(ParkingFunction((0,))) == MajorSequence((1,))
 
     def test_empty(self):
-        pushed = push_upper_path(to_path(ParkingFunction(())))
-        assert pushed.side == "above" and pushed.n == 0
+        assert push(ParkingFunction(())) == MajorSequence(())
 
     def test_matches_the_inverse_map(self):
         sigma = {n: FullCycle.canonical(n) for n in range(5)}
         for n in range(5):
             for p in enumerate_parking(n):
-                expected = to_path(
-                    MajorSequence(upper(l_inverse(p, sigma[n])))
-                )
-                assert push_upper_path(to_path(p)) == expected
+                assert push(p).entries == upper(l_inverse(p, sigma[n]))
 
     def test_labels_never_descend(self):
         for p in enumerate_parking(4):
-            lower_path = to_path(p)
-            pushed = push_upper_path(lower_path)
-            start = {
-                lower_path.labels[j]: lower_path.heights[j] for j in range(4)
-            }
-            rest = {pushed.labels[j]: pushed.heights[j] for j in range(4)}
-            assert all(rest[label] > start[label] for label in start)
+            assert all(b > a for a, b in zip(p.entries, push(p).entries))
 
     def test_rejects_upper_paths(self):
         with pytest.raises(ValueError):
-            push_upper_path(to_path(M9))
+            push(M9)
+
+    def test_matches_the_lattice_walk(self):
+        # exhaustively for n <= 6, then on seeded uniform parking functions
+        # (cycle lemma: one diagonal shift of a random word parks)
+        for n in range(7):
+            for p in enumerate_parking(n):
+                assert push(p).entries == push_by_lattice_walk(p)
+        rng = random.Random(19)
+        for n in rng.sample(range(7, 201), 40):
+            word = [rng.randrange(n + 1) for _ in range(n)]
+            shifts = (tuple((a + s) % (n + 1) for a in word) for s in range(n + 1))
+            p = ParkingFunction(next(e for e in shifts if is_parking(e)))
+            assert push(p).entries == push_by_lattice_walk(p)
 
 
 class TestWitness:

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
@@ -245,6 +246,21 @@ class TestTheta:
         n = 5
         t = theta(ParkingFunction(tuple(range(n))))
         assert t.parent == (0, 0, 1, 2, 3, 4)
+
+    def test_staircase_memory_stays_linear(self):
+        # the staircase maps to a path, where every D bitmask of the bounce
+        # kernel holds all the labels above its vertex: about n^2/2 bits,
+        # 55 MiB at n = 20,000; theta needs only the label groups
+        n = 20_000
+        p = ParkingFunction(tuple(range(n)))
+        tracemalloc.start()
+        try:
+            t = theta(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.parent == (0, *range(n))
+        assert peak < 10 * 2**20, peak
 
     def test_bijection(self):
         for n in range(5):

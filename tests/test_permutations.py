@@ -169,8 +169,6 @@ class TestSwapProduct:
 class TestReflect:
     def test_conjugate_transposition(self):
         assert reflect_conjugate(Factorization(((0, 2),), 3)).factors == ((1, 3),)
-        with pytest.raises(ValueError, match="size mismatch"):
-            reflect_conjugate(Factorization(((0, 2),), 3), 4)
 
     def test_conjugate_canonical_cycle(self):
         assert reflect_conjugate(FullCycle.canonical(4)).word == (0, 4, 3, 2, 1)
@@ -179,7 +177,7 @@ class TestReflect:
         for n in range(1, 7):
             for pair in itertools.combinations(range(n + 1), 2):
                 f = Factorization((pair,), n)
-                assert reflect_conjugate(reflect_conjugate(f, n), n) == f
+                assert reflect_conjugate(reflect_conjugate(f)) == f
             for sigma in full_cycles(min(n, 4)):
                 assert reflect_conjugate(reflect_conjugate(sigma)) == sigma
 
