@@ -175,19 +175,19 @@ def _list_unimodal(n, args):
 # each --kind: (the options it reads besides the required --n, its output
 # lines for n); the key order is the order --help lists
 _ENUMERATIONS = {
-    "trees": ((), _list_trees),
-    "parking": ((), _list_sequences(_park.enumerate_parking)),
-    "majors": ((), _list_sequences(_park.enumerate_majors)),
-    "factorizations": (("sigma",), _list_factorizations),
-    "arch": (("sigma",), _list_arch),
+    "trees": (("format",), _list_trees),
+    "parking": (("format",), _list_sequences(_park.enumerate_parking)),
+    "majors": (("format",), _list_sequences(_park.enumerate_majors)),
+    "factorizations": (("sigma", "format"), _list_factorizations),
+    "arch": (("sigma", "format"), _list_arch),
     "unimodal": ((), _list_unimodal),
 }
 
 
 def _refuse_unread(args, reads: tuple[str, ...], what: str) -> None:
-    """Refuse each of --sigma, --n, --k and --with-bounce that is given but
-    not among the options `what` reads."""
-    for option in ("sigma", "n", "k", "with_bounce"):
+    """Refuse each of --sigma, --n, --k, --with-bounce and --format that is
+    given but not among the options `what` reads."""
+    for option in ("sigma", "n", "k", "with_bounce", "format"):
         value = getattr(args, option, None)
         if value is not None and value is not False and option not in reads:
             raise CliError(f"{what} does not read --{option.replace('_', '-')}")
@@ -238,8 +238,8 @@ def _factorization_record(f) -> dict:
     return record
 
 
-# each --kind reads the shape of its own name: (the options it reads, its
-# record)
+# each --kind reads the shape of its own name: (the options it reads
+# besides --format, its record)
 _STATS = {
     "tree": ((), _tree_record), "parking": ((), _parking_record),
     "major": ((), lambda m: _sequence_record(m, "major")),
@@ -249,7 +249,7 @@ _STATS = {
 
 def _cmd_stats(args) -> int:
     reads, make_record = _STATS[args.kind]
-    _refuse_unread(args, reads, f"stats --kind {args.kind}")
+    _refuse_unread(args, ("format", *reads), f"stats --kind {args.kind}")
     record = make_record(_read(args, args.kind))
     if args.format == "json":
         print(json.dumps(record))
@@ -277,7 +277,7 @@ _MAPS = {
                   lambda p, args: _inv.l_inverse(p, _sigma_for(args, p.n))),
     "u-inverse": ("major", ("sigma",),
                   lambda m, args: _inv.u_inverse(m, _sigma_for(args, m.n))),
-    "theta": ("parking", (), _theta),
+    "theta": ("parking", ("format",), _theta),
     "theta-inverse": ("tree", (), lambda tree, args: _park.theta_inverse(tree)),
     "phi-k": ("phi-k", ("n", "k"), lambda f, args: _fact.phi_k(f, args.k)),
     "phi-k-inverse": ("phi-k-inverse", ("n", "k"),
@@ -305,7 +305,7 @@ def _cmd_map(args) -> int:
 # ------------------------------------------------------------------- poly
 
 
-# each --name: (the options it reads besides the required --n, its cap on
+# each --name: (the options it reads besides --n and --format, its cap on
 # n, its enumerator of n); the key order is the order --help lists.  I, D
 # and C are recursions with no object enumeration, so no safety limit
 # ('verify' ties them to the brute-force sums); the others obey it (None).
@@ -328,7 +328,7 @@ _POLYS = {
 
 def _cmd_poly(args) -> int:
     reads, limit, compute = _POLYS[args.name]
-    _refuse_unread(args, ("n", *reads), f"poly --name {args.name}")
+    _refuse_unread(args, ("n", "format", *reads), f"poly --name {args.name}")
     _print_poly(compute(_guard_n(args.n, limit), args), args.format)
     return 0
 
@@ -371,7 +371,7 @@ def _render_arch(f, args) -> str:
     return draw(_arch.sigma_diagram(f, sigma), sigma)
 
 
-# each --kind's input shape, the options it reads and its drawing
+# each --kind's input shape, the options it reads besides --format, its drawing
 _RENDERS = {
     "path": ("sequence", ("with_bounce",), _render_path),
     "arch": ("factorization", ("sigma", "n"), _render_arch),
@@ -380,7 +380,7 @@ _RENDERS = {
 
 def _cmd_render(args) -> int:
     shape, reads, draw = _RENDERS[args.kind]
-    _refuse_unread(args, reads, f"render --kind {args.kind}")
+    _refuse_unread(args, ("format", *reads), f"render --kind {args.kind}")
     sys.stdout.write(draw(_read(args, shape), args))
     return 0
 
@@ -420,13 +420,13 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", required=True, choices=list(_ENUMERATIONS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sigma")
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--format", choices=["text", "json"])
 
     p = sub.add_parser("stats", help="all statistics of one object")
     p.add_argument("--kind", required=True, choices=list(_STATS))
     p.add_argument("--input", required=True)
     p.add_argument("--n", type=int)
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--format", choices=["text", "json"])
 
     p = sub.add_parser("map", help="apply a named bijection")
     p.add_argument("--via", required=True, choices=_VIAS)
@@ -434,13 +434,13 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--format", choices=["text", "json"])
 
     p = sub.add_parser("poly", help="print a named enumerator")
     p.add_argument("--name", required=True, choices=list(_POLYS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sigma")
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--format", choices=["text", "json"])
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True)

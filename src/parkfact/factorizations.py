@@ -4,13 +4,15 @@ F_sigma is the set of length-n transposition sequences multiplying out
 (left to right) to the full cycle sigma.  Both routes through it follow
 the "remaining" permutation rho_i = pi_i^{-1} sigma: a prefix extends to
 a member of F_sigma exactly when each chosen factor has both endpoints
-in one cycle of rho, so the search has no dead ends.  The factor stream
-lists the members one by one, for per-object checks; F_sigma(q,t) and
-the five restricted families of F_n come from one memoized walk over
-rho, which sums by state instead of by member.  Lower/upper sequences,
-their area statistics, and the rotation maps phi_k also live here.
-A Factorization holds its factors as the raw (lo, hi) pairs that every
-kernel reads; its constructor is the one place a factor is checked.
+in one cycle of rho, so the search has no dead ends.  That rule is
+written once, as the per-call memo of _moves, and both routes read it:
+the factor stream lists the members one by one, for per-object checks;
+F_sigma(q,t) and the five restricted families of F_n come from one
+memoized walk over rho, which sums by state instead of by member.
+Lower/upper sequences, their area statistics, and the rotation maps
+phi_k also live here.  A Factorization holds its factors as the raw
+(lo, hi) pairs that every kernel reads; its constructor is the one place
+a factor is checked.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .permutations import FullCycle, Permutation, _cycle_groups, swap_product
@@ -70,64 +71,58 @@ def is_minimal_for(f: Factorization, pi: Permutation) -> bool:
 # ------------------------------------------------------------ enumeration
 
 
+def _moves(m: int):
+    """A per-call memo moves(rho) of the pairs a < b on one cycle of rho,
+    in sorted order: the factors that may come next.  The pairs are
+    objects of one shared table, so a memo entry holds no fresh tuples."""
+    table = [[(a, b) for b in range(m)] for a in range(m)]
+
+    @functools.cache
+    def moves(rho: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+        least = [-1] * m  # the least point of each point's cycle
+        for first in range(m):
+            x = first
+            while least[x] < 0:
+                least[x] = first
+                x = rho[x]
+        return tuple([table[a][b] for a in range(m) for b in range(a + 1, m)
+                      if least[a] == least[b]])
+
+    return moves
+
+
 def iter_factor_pairs(sigma: FullCycle) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield the factor sequences of F_sigma as raw (lo, hi) tuples.
 
-    Depth-first, with an explicit stack: at step i the remaining
-    permutation rho must lose a cycle, so the candidate factors are exactly
-    the vertex pairs lying on a common nontrivial cycle of rho, tried in
-    sorted order, which makes the stream deterministic.  A child's
-    candidates are its parent's minus the pairs that the chosen factor
-    (a b) splits apart: those with one end on the new cycle through a.
-    After n - 1 factors rho is one transposition, the last factor: the
-    candidate (x, y) with rho[x] == y.
+    Depth-first over the moves of each state, tried in sorted order, which
+    makes the stream deterministic; rho is one list that each factor is
+    swapped into and out of.  After n - 1 factors rho is one
+    transposition, whose single move is the last factor.
     """
     n = sigma.n
-    m = n + 1
-    rho = list(sigma.to_permutation().images)
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    if n < 2:  # () for n = 0, ((0, 1),) for n = 1
-        yield tuple(pairs)
+    if n == 0:
+        yield ()
         return
-    last = n - 2
-    lists = [pairs] + [None] * last  # lists[d]: the candidates at depth d
-    pos = [0] * last
-    chosen = [None] * last
-    d = 0
-    while d >= 0:
-        cands = lists[d]
-        if d == last:
-            head = tuple(chosen)
-            for pair in cands:
-                a, b = pair
-                rho[a], rho[b] = rho[b], rho[a]
-                for p in cands:  # the one transposition left in rho
-                    if rho[p[0]] == p[1]:
-                        yield (*head, pair, p)
-                        break
-                rho[a], rho[b] = rho[b], rho[a]
-            d -= 1
-            continue
-        if chosen[d] is not None:
-            a, b = chosen[d]
+    moves = _moves(n + 1)
+    rho = list(sigma.to_permutation().images)
+    prefix: list[tuple[int, int]] = []
+    stack = [iter(moves(tuple(rho)))]  # stack[d]: the untried moves at depth d
+    while stack:
+        for pair in stack[-1]:
+            a, b = pair
             rho[a], rho[b] = rho[b], rho[a]
-        i = pos[d]
-        if i == len(cands):
-            chosen[d] = None
-            d -= 1
-            continue
-        pos[d] = i + 1
-        chosen[d] = (a, b) = cands[i]
-        rho[a], rho[b] = rho[b], rho[a]
-        cycle = {a}
-        x = rho[a]
-        while x != a:
-            cycle.add(x)
-            x = rho[x]
-        d += 1
-        lists[d] = [p for p in cands if (p[0] in cycle) is (p[1] in cycle)]
-        if d < last:
-            pos[d] = 0
+            here = moves(tuple(rho))
+            if len(stack) < n - 1:
+                prefix.append(pair)
+                stack.append(iter(here))
+                break
+            yield (*prefix, pair, *here)  # here: the one move left, none if n = 1
+            rho[a], rho[b] = rho[b], rho[a]
+        else:
+            stack.pop()
+            if prefix:
+                a, b = prefix.pop()
+                rho[a], rho[b] = rho[b], rho[a]
 
 
 def enumerate_factorizations(sigma: FullCycle) -> Iterator[Factorization]:
@@ -201,35 +196,27 @@ def _walk(sigma: FullCycle, step=lambda extra, a, b: extra, start=0) -> Bivariat
     met lies on a geodesic from sigma to the identity, i.e. is a
     noncrossing partition relative to sigma, so the walk visits
     Catalan(n+1) states per extra (1,430 at n = 7) instead of the
-    (n+1)^(n-1) leaves.  It shares no code with iter_factor_pairs; the
-    tests compare the two.
+    (n+1)^(n-1) leaves.  It reads the same moves as iter_factor_pairs; the
+    tests compare the two sums, and the stream with a recursive oracle.
     """
     n = sigma.n
-    m = n + 1
-    identity = tuple(range(m))
+    moves = _moves(n + 1)
 
     @functools.cache  # one memo per call, dropped with the closure
     def sums(rho: tuple[int, ...], extra) -> dict[tuple[int, int], int]:
-        if rho == identity:
+        here = moves(rho)
+        if not here:  # rho is the identity
             return {(0, 0): 1}
         out: dict[tuple[int, int], int] = {}
-        seen = [False] * m
-        for first in range(m):
-            cycle = []
-            x = first
-            while not seen[x]:
-                seen[x] = True
-                cycle.append(x)
-                x = rho[x]
-            for a, b in combinations(sorted(cycle), 2):
-                after = step(extra, a, b)
-                if after is None:
-                    continue
-                child = list(rho)
-                child[a], child[b] = child[b], child[a]
-                for (low, high), c in sums(tuple(child), after).items():
-                    key = low + a, high + b
-                    out[key] = out.get(key, 0) + c
+        for a, b in here:
+            after = step(extra, a, b)
+            if after is None:
+                continue
+            child = list(rho)
+            child[a], child[b] = child[b], child[a]
+            for (low, high), c in sums(tuple(child), after).items():
+                key = low + a, high + b
+                out[key] = out.get(key, 0) + c
         return out
 
     binom = math.comb(n, 2)

@@ -202,13 +202,19 @@ class BounceData:
     in decreasing order, the labels at the height where v sits in w;
     D[v] adds, recursively, everything below those labels.  Vertex 0
     receives the height-0 labels, matching the tree picture where they
-    are the root's children.
+    are the root's children.  D is built from w and C when it is read,
+    since it holds about n^2/2 labels on the staircase.
     """
 
     contacts: tuple[int, ...]
     w: tuple[int, ...]
     C: tuple[tuple[int, ...], ...]
-    D: tuple[frozenset[int], ...]
+
+    @property
+    def D(self) -> tuple[frozenset[int], ...]:
+        masks, _ = _masks(self.w, [self.C[v] for v in self.w])
+        return tuple(frozenset(x for x in range(len(self.w)) if mask >> x & 1)
+                     for mask in masks)
 
 
 def _contacts(reach: list[int]) -> tuple[list[int], int]:
@@ -231,27 +237,28 @@ def _contacts(reach: list[int]) -> tuple[list[int], int]:
     return contacts, value
 
 
-def _bounce_kernel(entries: tuple[int, ...]):
-    """(contacts, w, groups, masks, bounce, pinv) of a parking tuple.
-
-    groups[i] is the C set of the vertex w[i]; masks[v] holds D[v] with
-    bit x for label x.  bounce is summed over the contacts; pinv counts the
-    D-elements below their vertex.
-    """
-    n = len(entries)
-    groups = _label_groups(entries)
-    w = [0, *chain.from_iterable(groups)]
-    contacts, value = _contacts(list(accumulate(map(len, groups))))
-
-    masks = [0] * (n + 1)
+def _masks(w, groups) -> tuple[list[int], int]:
+    """masks[v] holds D[v] with bit x for label x, where groups[i] is the C
+    set of the vertex w[i]; plus pinv, the D-elements below their vertex."""
+    masks = [0] * len(w)
     below = 0
-    for i in range(n, -1, -1):
+    for i in range(len(w) - 1, -1, -1):
         mask = 0
         for j in groups[i]:
             mask |= masks[j] | 1 << j
         v = w[i]
         masks[v] = mask
         below += (mask & ((1 << v) - 1)).bit_count()
+    return masks, below
+
+
+def _bounce_kernel(entries: tuple[int, ...]):
+    """(contacts, w, groups, masks, bounce, pinv) of a parking tuple:
+    bounce is summed over the contacts; masks and pinv come from _masks."""
+    groups = _label_groups(entries)
+    w = [0, *chain.from_iterable(groups)]
+    contacts, value = _contacts(list(accumulate(map(len, groups))))
+    masks, below = _masks(w, groups)
     return contacts, w, groups, masks, value, below
 
 
@@ -265,12 +272,13 @@ def bounce(p: ParkingFunction) -> tuple[BounceData, int]:
     The statistic also equals the total size of the D sets, pinv + copinv;
     the bounce verify suite checks that identity.
     """
-    contacts, w, groups, masks, value, _ = _bounce_kernel(p.entries)
+    groups = _label_groups(p.entries)
+    w = (0, *chain.from_iterable(groups))
+    contacts, value = _contacts(list(accumulate(map(len, groups))))
     C: list[tuple[int, ...]] = [()] * (p.n + 1)
     for vertex, group in zip(w, groups):
         C[vertex] = tuple(group)
-    D = tuple(frozenset(x for x in range(p.n + 1) if mask >> x & 1) for mask in masks)
-    return BounceData(tuple(contacts), tuple(w), tuple(C), D), value
+    return BounceData(tuple(contacts), w, tuple(C)), value
 
 
 def theta(p: ParkingFunction) -> LabelledTree:

@@ -180,15 +180,30 @@ def test_each_suite_is_its_module_function():
         assert run is getattr(verify, "check_" + name.replace("-", "_")), name
 
 
-# SHA-256 of the stdout of the three n = 7 calls that the benchmark gates,
-# copied from perfbench/gates.py: a slip in the tree stream's order, a
-# line's text or a polynomial's terms fails here too, not only there
+# SHA-256 of the stdout of each call: the first three are the n = 7 calls
+# that the benchmark gates, copied from perfbench/gates.py, so a slip in the
+# tree stream's order, a line's text or a polynomial's terms fails here too,
+# not only there; the rest pin the factor stream's order and the memoized
+# walk's sums on calls that no benchmark gate covers
 _F7_SHA = "8388bb6488b3e8c1fbc76917e5dfaf1f025302b9ced9cc83b15a21f3808f14a3"
 GATED_OUTPUTS = {
     "enumerate --kind trees --n 7":
         "8d8b509520107fda71c79f989532238c9ab6305b4a403b7e686e73467c973edf",
     "poly --name F --n 7": _F7_SHA,
     "poly --name B --n 7": _F7_SHA,
+    "enumerate --kind factorizations --n 6":
+        "912b4635b69d99d43c9e299d0cc799b21f1b26dbd261abeb44e0d83e51e09d57",
+    "enumerate --kind arch --n 5 --sigma 0,2,4,5,3,1":
+        "2b426f13bf97ff537f68e9e99a1ec3dc9acce881e98db5213bbce87338273b33",
+    "enumerate --kind factorizations --n 5 --sigma 0,3,1,5,2,4":
+        "9aba13a0d976e6c4dc8d51aa7fc026fca7d942ccfe3030a104da9f8bb114b0bf",
+    "poly --name F --n 6 --sigma 0,3,1,5,2,4,6":
+        "04f0937717a9b5945930277431794815fe17adf4627a3d01c3cb1e7379297ed0",
+    "poly --name Fhat --n 7":
+        "d42f4e35c7a8559656e80513f8d19021774814fff2b81a9f449fd70608dd0c84",
+    "poly --name Fperm --n 7":
+        "faa0323a1726c1b01a6588868287e91dc189149fe2688c8e51485b1a8bbead38",
+    "explore --n 5": "f798b655fd1413d71a566fab923a9be5b8e9167626db73d64bb8886eafe2eba7",
 }
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -312,6 +313,21 @@ class TestSingleObjectCap:
         code, out, _ = run(capsys, "map", "--via", "theta-inverse", "--input", star(cap))
         assert (code, out) == (0, ",".join(["0"] * cap) + "\n")
 
+    def test_bounce_render_memory_stays_linear(self, capsys):
+        # the renderers read only the bounce contacts; every D set of the
+        # staircase holds the labels above its vertex, about n^2/2 in all,
+        # 190.8 MiB at this size when they were built
+        staircase = ",".join(map(str, range(2_000)))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "render", "--kind", "path", "--with-bounce",
+                                 "--format", "svg", "--input", staircase)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "") and "#cc0000" in out
+        assert peak < 10 * 2**20, peak
+
     @pytest.mark.parametrize("staircase", [False, True])
     def test_push_is_linear_up_to_the_cap(self, capsys, staircase):
         # push must stay linear: a point-by-point diagonal walk took 3.5 s
@@ -354,6 +370,10 @@ DECLARED = {"map": ("--sigma", "--n", "--k"), "stats": ("--n",),
             "render": ("--sigma", "--n", "--with-bounce")}
 OPTION_ARGV = {"--sigma": ("--sigma", "0 9 9"), "--n": ("--n", "7"), "--k": ("--k", "1"),
                "--with-bounce": ("--with-bounce",)}
+# the map and stats entries that read --format json; every other map entry
+# refuses it (render's --format takes svg or ascii, and both kinds read it)
+FORMAT_READERS = {("map", "--via", "theta"),
+                  *(command for command in READS if command[0] == "stats")}
 
 
 class TestUnreadOptions:
@@ -374,6 +394,15 @@ class TestUnreadOptions:
     def test_read_options_are_not_refused(self, capsys, command, option):
         _, _, err = run(capsys, *command, "--input", "0,0", *OPTION_ARGV[option])
         assert "does not read" not in err
+
+    @pytest.mark.parametrize("command", [command for command in READS if command[0] != "render"])
+    def test_format_is_refused_unless_read(self, capsys, command):
+        code, out, err = run(capsys, *command, "--input", "0,0", "--format", "json")
+        if command in FORMAT_READERS:
+            assert "does not read" not in err
+        else:
+            assert (code, out, err) == (
+                1, "", f"error: {' '.join(command)} does not read --format\n")
 
     def test_n_zero_counts_as_given(self, capsys):
         code, _, err = run(capsys, "map", "--via", "theta", "--input", "0", "--n", "0")
@@ -412,6 +441,12 @@ class TestEnumerate:
                              "--sigma", "0 9 9")
         assert (code, out, err) == (
             1, "", f"error: enumerate --kind {kind} does not read --sigma\n")
+
+    def test_unimodal_refuses_format(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--kind", "unimodal", "--n", "3",
+                             "--format", "json")
+        assert (code, out, err) == (
+            1, "", "error: enumerate --kind unimodal does not read --format\n")
 
     def test_arch_json_decodes_to_the_factorizations(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--kind", "arch", "--n", "3",

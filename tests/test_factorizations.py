@@ -1,5 +1,5 @@
 import math
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, zip_longest
 
 import pytest
 from oracles import (
@@ -167,6 +167,13 @@ class TestEnumeration:
         cycles = [sigma for n in range(6) for sigma in full_cycles(n)]
         for sigma in cycles + [FullCycle.canonical(6)]:
             assert list(iter_factor_pairs(sigma)) == list(factor_pairs_by_recursion(sigma))
+
+    @pytest.mark.slow
+    def test_stream_matches_the_recursive_walk_at_seven(self):
+        # opt-in (pytest -m slow): 262,144 sequences, compared one by one
+        sigma = FullCycle.canonical(7)
+        pairs = zip_longest(iter_factor_pairs(sigma), factor_pairs_by_recursion(sigma))
+        assert all(ours == theirs for ours, theirs in pairs)
 
     def test_count_at_seven(self):
         sigma = FullCycle.canonical(7)

@@ -185,15 +185,15 @@ class TestBounce:
         for n in range(1, 6):
             for p in enumerate_parking(n):
                 data, _ = bounce(p)
-                contacts = data.contacts
+                contacts, D = data.contacts, data.D  # D is built on each read
                 for idx in range(len(contacts) - 1):
                     lo, hi = contacts[idx], contacts[idx + 1]
                     run = [data.w[m] for m in range(lo + 1, hi + 1)]
                     union: set[int] = set()
                     total = 0
                     for v in run:
-                        union |= data.D[v]
-                        total += len(data.D[v])
+                        union |= D[v]
+                        total += len(D[v])
                     assert total == len(union)  # pairwise disjoint
                     assert union == {data.w[m] for m in range(hi + 1, n + 1)}
                     assert len(union) == n - hi
@@ -286,9 +286,9 @@ class TestTheta:
         # the bitmask counts against the D sets, element by element
         for n in range(7):
             for p in enumerate_parking(n):
-                data, _ = bounce(p)
-                below = sum(1 for v in range(n + 1) for x in data.D[v] if x < v)
-                above = sum(1 for v in range(n + 1) for x in data.D[v] if x > v)
+                D = bounce(p)[0].D  # built on each read
+                below = sum(1 for v in range(n + 1) for x in D[v] if x < v)
+                above = sum(1 for v in range(n + 1) for x in D[v] if x > v)
                 assert (pinv(p), copinv(p)) == (below, above)
 
 
