@@ -33,8 +33,9 @@ print(render_path_ascii(path, data))
 
 print("label word w        =", data.w)
 print("C sets (children):  ", {v: data.C[v] for v in range(10) if data.C[v]})
+D = data.D()
 print("D sets (descendants):",
-      {v: sorted(data.D[v]) for v in range(10) if data.D[v]})
+      {v: sorted(D[v]) for v in range(10) if D[v]})
 print(f"pinv(p), copinv(p)  = {pinv(p)}, {copinv(p)}   (sum = bounce)")
 
 tree = theta(p)

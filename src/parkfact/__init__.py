@@ -54,7 +54,6 @@ from .parking import (
     ParkingFunction,
     area,
     bounce,
-    cd_sets,
     complement,
     copinv,
     enumerate_majors,

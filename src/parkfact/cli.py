@@ -215,10 +215,12 @@ def _sequence_record(value, family: str, **stats) -> dict:
 
 
 def _parking_record(p) -> dict:
-    contacts, _, _, _, bounce, pinv = _park._bounce_kernel(p.entries)
+    data, bounce = _park.bounce(p)
+    pinv, copinv, _ = _trees.tree_stats(_park.theta(p))
     stalls, jump, cojump = _park.park_process(p)
-    return _sequence_record(p, "parking", bounce=bounce, contacts=contacts, pinv=pinv,
-                            copinv=bounce - pinv, jump=jump, cojump=cojump, stalls=list(stalls))
+    return _sequence_record(p, "parking", bounce=bounce, contacts=list(data.contacts),
+                            pinv=pinv, copinv=copinv, jump=jump, cojump=cojump,
+                            stalls=list(stalls))
 
 
 def _factorization_record(f) -> dict:
@@ -341,6 +343,8 @@ def _cmd_verify(args) -> int:
         names = _verify.resolve_suites(args.suite)
     except ValueError as exc:
         raise CliError(str(exc))
+    if len(names) == 1 and names[0] in _verify.SIZELESS:
+        _refuse_unread(args, (), f"verify --suite {names[0]}")
     if args.n is not None:
         _guard_n(args.n)
     failures = 0
@@ -360,7 +364,7 @@ def _cmd_verify(args) -> int:
 def _render_path(value, args) -> str:
     if args.with_bounce and isinstance(value, _park.MajorSequence):
         raise CliError("the bounce path is defined for parking functions")
-    bounce_data = _park.cd_sets(value) if args.with_bounce else None
+    bounce_data = _park.bounce(value)[0] if args.with_bounce else None
     draw = _render.render_path_svg if args.format == "svg" else _render.render_path_ascii
     return draw(_park.to_path(value), bounce_data)
 

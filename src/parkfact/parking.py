@@ -4,8 +4,10 @@ A length-n parking function sorts to a'_i <= i-1; its coordinate-wise
 complement (n - a_i) is a major sequence.  Both embed as labelled lattice
 paths (weakly below, resp. above, the diagonal) with equal-height labels
 written in decreasing order left to right.  The bounce machinery computes
-the diagonal contact points together with the label sets C_v / D_v that
-turn a parking function into a rooted tree.
+the diagonal contact points together with the label sets C_v, the
+children of v in the rooted tree theta(p); BounceData.D() returns its
+descendant sets D_v.  pinv and copinv are inv and coinv of that tree,
+read by the one tree-statistics kernel in O(n + depth) steps.
 
 Kernels (the generator, bounce, the parking process) run on raw entry
 tuples; validated values are built only by the public functions.
@@ -22,7 +24,7 @@ from typing import Iterator, NamedTuple, Union
 
 from .permutations import _parse_groups
 from .polynomials import BivariatePoly
-from .trees import LabelledTree
+from .trees import LabelledTree, _tree_stats
 
 
 def _counting_test(entries, n: int) -> bool:
@@ -199,22 +201,23 @@ class BounceData:
     """Bounce-path contacts plus the label sets hanging off each vertex.
 
     w is the left-to-right label word prefixed with w_0 = 0.  C[v] holds,
-    in decreasing order, the labels at the height where v sits in w;
-    D[v] adds, recursively, everything below those labels.  Vertex 0
-    receives the height-0 labels, matching the tree picture where they
-    are the root's children.  D is built from w and C when it is read,
-    since it holds about n^2/2 labels on the staircase.
+    in decreasing order, the labels at the height where v sits in w: the
+    children of v in theta(p).  Vertex 0 receives the height-0 labels,
+    the root's children.
     """
 
     contacts: tuple[int, ...]
     w: tuple[int, ...]
     C: tuple[tuple[int, ...], ...]
 
-    @property
     def D(self) -> tuple[frozenset[int], ...]:
-        masks, _ = _masks(self.w, [self.C[v] for v in self.w])
-        return tuple(frozenset(x for x in range(len(self.w)) if mask >> x & 1)
-                     for mask in masks)
+        """D[v], the descendants of v in theta(p), built from C in one
+        reverse pass over w (every child sits to the right of its parent).
+        They hold about n^2/2 labels on the staircase."""
+        D: list[frozenset[int]] = [frozenset()] * len(self.w)
+        for v in reversed(self.w):
+            D[v] = frozenset(self.C[v]).union(*(D[child] for child in self.C[v]))
+        return tuple(D)
 
 
 def _contacts(reach: list[int]) -> tuple[list[int], int]:
@@ -237,40 +240,11 @@ def _contacts(reach: list[int]) -> tuple[list[int], int]:
     return contacts, value
 
 
-def _masks(w, groups) -> tuple[list[int], int]:
-    """masks[v] holds D[v] with bit x for label x, where groups[i] is the C
-    set of the vertex w[i]; plus pinv, the D-elements below their vertex."""
-    masks = [0] * len(w)
-    below = 0
-    for i in range(len(w) - 1, -1, -1):
-        mask = 0
-        for j in groups[i]:
-            mask |= masks[j] | 1 << j
-        v = w[i]
-        masks[v] = mask
-        below += (mask & ((1 << v) - 1)).bit_count()
-    return masks, below
-
-
-def _bounce_kernel(entries: tuple[int, ...]):
-    """(contacts, w, groups, masks, bounce, pinv) of a parking tuple:
-    bounce is summed over the contacts; masks and pinv come from _masks."""
-    groups = _label_groups(entries)
-    w = [0, *chain.from_iterable(groups)]
-    contacts, value = _contacts(list(accumulate(map(len, groups))))
-    masks, below = _masks(w, groups)
-    return contacts, w, groups, masks, value, below
-
-
-def cd_sets(p: ParkingFunction) -> BounceData:
-    return bounce(p)[0]
-
-
 def bounce(p: ParkingFunction) -> tuple[BounceData, int]:
     """Bounce data plus the statistic sum(n - i_j) over the contacts.
 
-    The statistic also equals the total size of the D sets, pinv + copinv;
-    the bounce verify suite checks that identity.
+    The statistic also equals the depth of theta(p), pinv + copinv; the
+    bounce verify suite checks that identity.
     """
     groups = _label_groups(p.entries)
     w = (0, *chain.from_iterable(groups))
@@ -283,12 +257,17 @@ def bounce(p: ParkingFunction) -> tuple[BounceData, int]:
 
 def theta(p: ParkingFunction) -> LabelledTree:
     """The tree whose vertex v has children C[v]; a bijection onto trees."""
-    groups = _label_groups(p.entries)
-    parent = [0] * (p.n + 1)
+    return LabelledTree(_theta_parent(p.entries))
+
+
+def _theta_parent(entries: tuple[int, ...]) -> tuple[int, ...]:
+    """theta's parent vector: each label at height h hangs under w_h."""
+    groups = _label_groups(entries)
+    parent = [0] * (len(entries) + 1)
     for vertex, group in zip((0, *chain.from_iterable(groups)), groups):
         for child in group:
             parent[child] = vertex
-    return LabelledTree(tuple(parent))
+    return tuple(parent)
 
 
 def theta_inverse(tree: LabelledTree) -> ParkingFunction:
@@ -313,14 +292,13 @@ def theta_inverse(tree: LabelledTree) -> ParkingFunction:
 
 
 def pinv(p: ParkingFunction) -> int:
-    """Sum over vertices of the D-elements smaller than the vertex."""
-    return _bounce_kernel(p.entries)[5]
+    """Sum over vertices of the D-elements smaller than the vertex: inv(theta(p))."""
+    return _tree_stats(_theta_parent(p.entries))[0]
 
 
 def copinv(p: ParkingFunction) -> int:
-    """Sum over vertices of the D-elements larger than the vertex."""
-    _, _, _, _, value, below = _bounce_kernel(p.entries)
-    return value - below
+    """Sum over vertices of the D-elements larger than the vertex: coinv(theta(p))."""
+    return _tree_stats(_theta_parent(p.entries))[1]
 
 
 # ------------------------------------------------------- parking process

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from itertools import product as _cartesian
 from typing import Callable
 
@@ -44,14 +44,16 @@ class CheckResult:
 
 
 SUITES: dict[str, Callable[[int | None], CheckResult]] = {}
+SIZELESS: set[str] = set()
 
 
 def _suite(name: str, default: int | None, claim: str):
     """Register a check as suite `name`: n_max defaults to `default`, and a
     pass reports `claim` with {n} set to n_max.  A suite whose default is
-    None has no size and ignores n_max.  The wrapper is both the module's
-    check_<suite> and the SUITES value, so perfbench's tracer, which
-    rebinds one object in both places, times every suite."""
+    None has no size, ignores n_max and is listed in SIZELESS, so the CLI
+    refuses --n for it.  The wrapper is both the module's check_<suite>
+    and the SUITES value, so perfbench's tracer, which rebinds one object
+    in both places, times every suite."""
 
     def register(check: Callable[[int | None], str | None]):
         @functools.wraps(check)
@@ -63,6 +65,8 @@ def _suite(name: str, default: int | None, claim: str):
             return CheckResult(name, False, failure)
 
         SUITES[name] = run
+        if default is None:
+            SIZELESS.add(name)
         return run
 
     return register
@@ -157,9 +161,10 @@ def check_bounce(n_max: int) -> str | None:
         if not (b_poly == i_poly == f_poly):
             return f"n={n}: B_n = {b_poly}, I_n = {i_poly}, F_n = {f_poly}"
         for entries in _park._parking_tuples(n):
-            *_, masks, value, _ = _park._bounce_kernel(entries)
-            # pinv + copinv counts every D-element once
-            if sum(mask.bit_count() for mask in masks) != value:
+            # two routes to one number: the contact sum, and the depth of
+            # theta's tree (pinv + copinv) from the tree kernel
+            _, value = _park._contacts(list(accumulate(map(len, _park._label_groups(entries)))))
+            if _trees._tree_stats(_park._theta_parent(entries))[2] != value:
                 return f"pinv+copinv != bounce for p={ParkingFunction(entries)}"
 
 
@@ -411,9 +416,10 @@ def check_worked_examples(n_max: int | None) -> str | None:
     for v, expected in _TABLE3_C.items():
         if set(data.C[v]) != expected:
             return f"C[{v}] = {set(data.C[v])}, expected {expected}"
+    D = data.D()
     for v, expected in _TABLE3_D.items():
-        if set(data.D[v]) != expected:
-            return f"D[{v}] = {set(data.D[v])}, expected {expected}"
+        if set(D[v]) != expected:
+            return f"D[{v}] = {set(D[v])}, expected {expected}"
     if _park.pinv(p) != 8 or _park.copinv(p) != 14:
         return f"pinv/copinv = {_park.pinv(p)}/{_park.copinv(p)}"
 

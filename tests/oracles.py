@@ -6,14 +6,15 @@ generators and decoders against them exhaustively at small n.
 
 import math
 from collections import Counter
-from itertools import combinations, product
+from itertools import accumulate, chain, combinations, product
 
 from parkfact.arch import ArchDiagram
 from parkfact.factorizations import RestrictedEnumerators, iter_factor_pairs
 from parkfact.inverse_maps import sigma_sides
 from parkfact.parking import (
     ParkingEnumerators,
-    _bounce_kernel,
+    _contacts,
+    _label_groups,
     _park_kernel,
     _parking_tuples,
     to_path,
@@ -68,6 +69,33 @@ def parking_by_sweep(n):
     for entries in product(range(n), repeat=n):
         if is_parking_by_sort(entries):
             yield entries
+
+
+def _masks(w, groups) -> tuple[list[int], int]:
+    """masks[v] holds D[v] with bit x for label x, where groups[i] is the C
+    set of the vertex w[i]; plus pinv, the D-elements below their vertex."""
+    masks = [0] * len(w)
+    below = 0
+    for i in range(len(w) - 1, -1, -1):
+        mask = 0
+        for j in groups[i]:
+            mask |= masks[j] | 1 << j
+        v = w[i]
+        masks[v] = mask
+        below += (mask & ((1 << v) - 1)).bit_count()
+    return masks, below
+
+
+def _bounce_kernel(entries: tuple[int, ...]):
+    """(contacts, w, groups, masks, bounce, pinv) of a parking tuple, by the
+    paper's definition of the D sets: D[v] is C[v] together with the D sets
+    of its members, one bitmask per vertex.  bounce is summed over the
+    contacts; masks and pinv come from _masks."""
+    groups = _label_groups(entries)
+    w = [0, *chain.from_iterable(groups)]
+    contacts, value = _contacts(list(accumulate(map(len, groups))))
+    masks, below = _masks(w, groups)
+    return contacts, w, groups, masks, value, below
 
 
 def parking_enumerators_by_one_loop(n):

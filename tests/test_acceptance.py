@@ -215,15 +215,15 @@ def test_gated_output_is_unchanged(command, capsys):
 
 
 def test_bounce_fails_on_a_wrong_pointwise_value(monkeypatch):
-    # the enumerator pass does not call the per-object kernel, so only the
-    # pointwise check sees a bounce value one too large on p = 0
-    kernel = _park._bounce_kernel
+    # the enumerator comparison reads only inv and coinv of the tree kernel,
+    # so only the pointwise check sees a depth one too large for theta(0)
+    kernel = _trees._tree_stats
 
-    def off_by_one(entries):
-        *head, value, below = kernel(entries)
-        return (*head, value + (entries == (0,)), below)
+    def off_by_one(parent):
+        i, c, d = kernel(parent)
+        return i, c, d + (tuple(parent) == (0, 0))
 
-    monkeypatch.setattr(_park, "_bounce_kernel", off_by_one)
+    monkeypatch.setattr(_trees, "_tree_stats", off_by_one)
     result = verify.run_suite("bounce", 2)
     assert result.ok is False
     assert result.detail == "pinv+copinv != bounce for p=0"

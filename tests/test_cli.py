@@ -558,6 +558,11 @@ class TestVerify:
         assert code == 0
         assert out.splitlines() == ALL_SUITES_AT_FOUR
 
+    @pytest.mark.parametrize("suite, n", [("worked-examples", "5"), ("polynomial-pins", "2")])
+    def test_n_is_refused_by_a_sizeless_suite(self, capsys, suite, n):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", n)
+        assert (code, out, err) == (1, "", f"error: verify --suite {suite} does not read --n\n")
+
     @staticmethod
     def run_with_extra_pairs(capsys, monkeypatch, extra):
         # only the per-object loop of simple-decomposition reads the stream

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import accumulate, combinations_with_replacement, product
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import (
+    _bounce_kernel,
     bounce_pass_by_tuples,
     is_major_by_sort,
     is_parking_by_sort,
@@ -18,15 +20,14 @@ from parkfact.parking import (
     MajorSequence,
     ParkingEnumerators,
     ParkingFunction,
-    _bounce_kernel,
     _bounce_pass,
+    _contacts,
     _counting_test,
     _park_kernel,
     _parking_tuples,
     _pinv_walk,
     area,
     bounce,
-    cd_sets,
     complement,
     copinv,
     enumerate_majors,
@@ -46,7 +47,7 @@ from parkfact.parking import (
     to_path,
 )
 from parkfact.polynomials import BivariatePoly, tree_recursion_I
-from parkfact.trees import enumerate_trees, tree_count, tree_stats
+from parkfact.trees import enumerate_trees, tree_count
 
 P9 = ParkingFunction((1, 3, 1, 7, 0, 7, 0, 1, 4))
 M9 = MajorSequence((2, 5, 3, 8, 6, 9, 7, 6, 5))
@@ -185,7 +186,7 @@ class TestBounce:
         for n in range(1, 6):
             for p in enumerate_parking(n):
                 data, _ = bounce(p)
-                contacts, D = data.contacts, data.D  # D is built on each read
+                contacts, D = data.contacts, data.D()
                 for idx in range(len(contacts) - 1):
                     lo, hi = contacts[idx], contacts[idx + 1]
                     run = [data.w[m] for m in range(lo + 1, hi + 1)]
@@ -201,32 +202,62 @@ class TestBounce:
     def test_stall_is_an_internal_error(self):
         # (1, 1) is not parking: the ball finds no entry at height 0
         with pytest.raises(AssertionError, match="stalled"):
-            _bounce_kernel((1, 1))
+            _contacts([0, 2, 2])
 
     def test_self_exclusion(self):
         for p in enumerate_parking(4):
-            data, _ = bounce(p)
-            assert all(v not in data.D[v] for v in range(5))
+            D = bounce(p)[0].D()
+            assert all(v not in D[v] for v in range(5))
 
 
 class TestCDSets:
     def test_table_pins(self):
-        data = cd_sets(P9)
+        data = bounce(P9)[0]
+        D = data.D()
         N = set(range(1, 10))
         assert set(data.C[9]) == {4, 6}
-        assert set(data.D[3]) == {4, 6, 9}
-        assert set(data.D[7]) == N - {5, 7}
-        assert set(data.D[0]) == N
+        assert set(D[3]) == {4, 6, 9}
+        assert set(D[7]) == N - {5, 7}
+        assert set(D[0]) == N
         assert data.C[7] == (8, 3, 1)  # decreasing, matching the path labels
         assert data.C[0] == (7, 5)
 
     def test_two_zeros(self):
-        data = cd_sets(ParkingFunction((0, 0)))
+        data = bounce(ParkingFunction((0, 0)))[0]
+        D = data.D()
         assert data.w == (0, 2, 1)
         assert data.C[0] == (2, 1)
         assert data.C[1] == () and data.C[2] == ()
-        assert data.D[0] == {1, 2}
-        assert data.D[1] == frozenset() and data.D[2] == frozenset()
+        assert D[0] == {1, 2}
+        assert D[1] == frozenset() and D[2] == frozenset()
+
+    @staticmethod
+    def assert_matches_the_mask_oracle(p):
+        # pinv, copinv and D() read theta's tree; the oracle builds one
+        # bitmask per vertex from the paper's recursive D-set definition
+        *_, masks, value, below = _bounce_kernel(p.entries)
+        total = sum(mask.bit_count() for mask in masks)
+        data, b = bounce(p)
+        assert (pinv(p), copinv(p), b) == (below, total - below, value)
+        assert data.D() == tuple(frozenset(x for x in range(p.n + 1) if mask >> x & 1)
+                                 for mask in masks)
+
+    def test_matches_the_mask_oracle_exhaustively(self):
+        for n in range(7):
+            for p in enumerate_parking(n):
+                self.assert_matches_the_mask_oracle(p)
+
+    def test_matches_the_mask_oracle_on_seeded_inputs(self):
+        # seeded uniform parking functions (cycle lemma: one diagonal shift
+        # of a random word parks), each round-tripped through theta
+        rng = random.Random(22)
+        for _ in range(200):
+            n = rng.randint(7, 200)
+            word = [rng.randrange(n + 1) for _ in range(n)]
+            shifts = (tuple((a + s) % (n + 1) for a in word) for s in range(n + 1))
+            p = ParkingFunction(next(e for e in shifts if is_parking(e)))
+            assert theta_inverse(theta(p)) == p
+            self.assert_matches_the_mask_oracle(p)
 
 
 class TestTheta:
@@ -248,9 +279,9 @@ class TestTheta:
         assert t.parent == (0, 0, 1, 2, 3, 4)
 
     def test_staircase_memory_stays_linear(self):
-        # the staircase maps to a path, where every D bitmask of the bounce
-        # kernel holds all the labels above its vertex: about n^2/2 bits,
-        # 55 MiB at n = 20,000; theta needs only the label groups
+        # the staircase maps to a path, where each vertex's D set holds all
+        # the labels above it: about n^2/2 labels in all (as bitmasks, 55 MiB
+        # at n = 20,000); theta needs only the label groups
         n = 20_000
         p = ParkingFunction(tuple(range(n)))
         tracemalloc.start()
@@ -271,25 +302,9 @@ class TestTheta:
             for t in enumerate_trees(n):
                 assert theta(theta_inverse(t)) == t
 
-    def test_statistics_transport(self):
-        for n in range(5):
-            for p in enumerate_parking(n):
-                i, c, _ = tree_stats(theta(p))
-                assert pinv(p) == i
-                assert copinv(p) == c
-
     def test_pinv_pins(self):
         assert pinv(P9) == 8
         assert copinv(P9) == 14
-
-    def test_pinv_plus_copinv_is_bounce(self):
-        # the bitmask counts against the D sets, element by element
-        for n in range(7):
-            for p in enumerate_parking(n):
-                D = bounce(p)[0].D  # built on each read
-                below = sum(1 for v in range(n + 1) for x in D[v] if x < v)
-                above = sum(1 for v in range(n + 1) for x in D[v] if x > v)
-                assert (pinv(p), copinv(p)) == (below, above)
 
 
 class TestParkProcess:
