@@ -25,21 +25,20 @@ path = to_path(p)
 print(f"path heights        = {path.heights}")
 print(f"path labels         = {path.labels}   (ties broken decreasingly)")
 
-data, value = bounce(p)
-print(f"bounce contacts     = {data.contacts}")
+contacts, value = bounce(p)
+print(f"bounce contacts     = {contacts}")
 print(f"bounce(p)           = {value}   (sum of n - i over the contacts)")
 print()
-print(render_path_ascii(path, data))
+print(render_path_ascii(path, contacts))
 
-print("label word w        =", data.w)
-print("C sets (children):  ", {v: data.C[v] for v in range(10) if data.C[v]})
-D = data.D()
+print("label word w        =", (0, *path.labels))
+tree = theta(p)
+print(f"theta(p)            = {format_tree(tree)}   (each label at height h hangs under w_h)")
+C, D = tree.children(), tree.descendants()
+print("C sets (children):  ", {v: C[v] for v in range(10) if C[v]})
 print("D sets (descendants):",
       {v: sorted(D[v]) for v in range(10) if D[v]})
 print(f"pinv(p), copinv(p)  = {pinv(p)}, {copinv(p)}   (sum = bounce)")
-
-tree = theta(p)
-print(f"theta(p)            = {format_tree(tree)}")
 
 proc = park_process(p)
 print(f"parking stalls      = {proc.stalls}")

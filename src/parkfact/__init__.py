@@ -48,7 +48,6 @@ from .inverse_maps import (
     u_inverse,
 )
 from .parking import (
-    BounceData,
     LabelledDyckPath,
     MajorSequence,
     ParkingFunction,

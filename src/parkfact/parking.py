@@ -3,11 +3,12 @@
 A length-n parking function sorts to a'_i <= i-1; its coordinate-wise
 complement (n - a_i) is a major sequence.  Both embed as labelled lattice
 paths (weakly below, resp. above, the diagonal) with equal-height labels
-written in decreasing order left to right.  The bounce machinery computes
-the diagonal contact points together with the label sets C_v, the
-children of v in the rooted tree theta(p); BounceData.D() returns its
-descendant sets D_v.  pinv and copinv are inv and coinv of that tree,
-read by the one tree-statistics kernel in O(n + depth) steps.
+written in decreasing order left to right.  bounce reads the diagonal
+contact points off the entry counts.  The label sets C_v and D_v are the
+children and the descendants of v in the rooted tree theta(p), so they
+are read from that tree (LabelledTree.children and descendants), and
+pinv and copinv are its inv and coinv, read by the one tree-statistics
+kernel in O(n + depth) steps.
 
 Kernels (the generator, bounce, the parking process) run on raw entry
 tuples; validated values are built only by the public functions.
@@ -196,36 +197,12 @@ def from_path(path: LabelledDyckPath) -> Sequencelike:
 # ----------------------------------------------------------------- bounce
 
 
-@dataclass(frozen=True, slots=True)
-class BounceData:
-    """Bounce-path contacts plus the label sets hanging off each vertex.
-
-    w is the left-to-right label word prefixed with w_0 = 0.  C[v] holds,
-    in decreasing order, the labels at the height where v sits in w: the
-    children of v in theta(p).  Vertex 0 receives the height-0 labels,
-    the root's children.
-    """
-
-    contacts: tuple[int, ...]
-    w: tuple[int, ...]
-    C: tuple[tuple[int, ...], ...]
-
-    def D(self) -> tuple[frozenset[int], ...]:
-        """D[v], the descendants of v in theta(p), built from C in one
-        reverse pass over w (every child sits to the right of its parent).
-        They hold about n^2/2 labels on the staircase."""
-        D: list[frozenset[int]] = [frozenset()] * len(self.w)
-        for v in reversed(self.w):
-            D[v] = frozenset(self.C[v]).union(*(D[child] for child in self.C[v]))
-        return tuple(D)
-
-
-def _contacts(reach: list[int]) -> tuple[list[int], int]:
+def _contacts(reach: list[int]) -> tuple[tuple[int, ...], int]:
     """Bounce contacts and the statistic sum(n - i_j) over them, read off
     reach[h] = #{entries <= h} for h in 0..n.
 
-    The one bounce implementation: the per-object kernel and the
-    content-major pass both call it.  A reach that does not grow is not
+    The one bounce implementation: bounce and the content-major pass both
+    call it.  A reach that does not grow is not
     a parking content, and the ball would stall (AssertionError).
     """
     n = len(reach) - 1
@@ -237,26 +214,21 @@ def _contacts(reach: list[int]) -> tuple[list[int], int]:
             raise AssertionError(f"bounce stalled at {contacts[-1]} on reach {reach}")
         contacts.append(nxt)
         value += n - nxt
-    return contacts, value
+    return tuple(contacts), value
 
 
-def bounce(p: ParkingFunction) -> tuple[BounceData, int]:
-    """Bounce data plus the statistic sum(n - i_j) over the contacts.
+def bounce(p: ParkingFunction) -> tuple[tuple[int, ...], int]:
+    """The bounce contacts plus the statistic sum(n - i_j) over them.
 
     The statistic also equals the depth of theta(p), pinv + copinv; the
     bounce verify suite checks that identity.
     """
-    groups = _label_groups(p.entries)
-    w = (0, *chain.from_iterable(groups))
-    contacts, value = _contacts(list(accumulate(map(len, groups))))
-    C: list[tuple[int, ...]] = [()] * (p.n + 1)
-    for vertex, group in zip(w, groups):
-        C[vertex] = tuple(group)
-    return BounceData(tuple(contacts), w, tuple(C)), value
+    return _contacts(list(accumulate(map(len, _label_groups(p.entries)))))
 
 
 def theta(p: ParkingFunction) -> LabelledTree:
-    """The tree whose vertex v has children C[v]; a bijection onto trees."""
+    """The tree in which each label at height h hangs under w_h, where
+    w = (0, *to_path(p).labels) is the label word; a bijection onto trees."""
     return LabelledTree(_theta_parent(p.entries))
 
 

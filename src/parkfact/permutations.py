@@ -245,16 +245,26 @@ def reflect_reverse(factorization):
 # ------------------------------------------------------------ text forms
 
 _CYCLE_GROUP = re.compile(r"\(([^()]*)\)")
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def _int_token(text: str) -> int:
+    """The integer an ASCII decimal token spells, optionally negative; int()
+    alone would also read '+1', '1_0' and non-ASCII digits."""
+    if not _INT_TOKEN.fullmatch(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def _entries(body: str) -> list[int]:
+    return [_int_token(x) for x in re.split(r"[,\s]+", body.strip()) if x]
 
 
 def _cycle_groups(text: str) -> list[list[int]]:
     """Entries of each parenthesized group; text outside groups is an error."""
     if _CYCLE_GROUP.sub("", text).strip():
         raise ValueError(f"stray text outside cycle groups: {text!r}")
-    return [
-        [int(x) for x in re.split(r"[,\s]+", body.strip()) if x]
-        for body in _CYCLE_GROUP.findall(text)
-    ]
+    return [_entries(body) for body in _CYCLE_GROUP.findall(text)]
 
 
 def _parse_groups(text: str) -> list[list[int]]:
@@ -262,7 +272,7 @@ def _parse_groups(text: str) -> list[list[int]]:
     if not stripped:
         return []
     if "(" not in stripped:
-        return [[int(x) for x in re.split(r"[,\s]+", stripped) if x]]
+        return [_entries(stripped)]
     return _cycle_groups(stripped)
 
 

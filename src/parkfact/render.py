@@ -7,7 +7,7 @@ styles only, so renders are snapshot-testable and diffable.
 from __future__ import annotations
 
 from .arch import ArchDiagram
-from .parking import BounceData, LabelledDyckPath
+from .parking import LabelledDyckPath
 from .permutations import FullCycle
 
 _CELL = 40  # svg pixels per lattice unit
@@ -16,11 +16,10 @@ _CELL = 40  # svg pixels per lattice unit
 # ------------------------------------------------------------------ paths
 
 
-def render_path_ascii(
-    path: LabelledDyckPath, bounce_data: BounceData | None = None
-) -> str:
+def render_path_ascii(path: LabelledDyckPath, contacts: tuple[int, ...] | None = None) -> str:
     """Grid of n rows: step labels sit on their squares, '#' shades the
-    region between path and diagonal, 'b' marks the bounce path."""
+    region between path and diagonal, 'b' marks the bounce path through
+    the given contacts."""
     n = path.n
     if n == 0:
         return "(empty path)\n"
@@ -38,9 +37,8 @@ def render_path_ascii(
             for y in range(j, h):
                 put(j - 1, y, "#")
 
-    if bounce_data is not None:
-        for idx in range(len(bounce_data.contacts) - 1):
-            lo, hi = bounce_data.contacts[idx], bounce_data.contacts[idx + 1]
+    if contacts is not None:
+        for lo, hi in zip(contacts, contacts[1:]):
             for x in range(lo, hi):
                 put(x, lo, "b")
             for y in range(lo, hi):
@@ -56,9 +54,7 @@ def render_path_ascii(
     return "\n".join(lines) + "\n"
 
 
-def render_path_svg(
-    path: LabelledDyckPath, bounce_data: BounceData | None = None
-) -> str:
+def render_path_svg(path: LabelledDyckPath, contacts: tuple[int, ...] | None = None) -> str:
     n = max(path.n, 1)
     size = n * _CELL + 2 * _CELL
     ox = oy = _CELL  # margins
@@ -103,11 +99,9 @@ def render_path_svg(
                 f'font-family="sans-serif" font-size="16">{path.labels[j - 1]}</text>'
             )
 
-    if bounce_data is not None:
-        contacts = bounce_data.contacts
+    if contacts is not None:
         bounce_pts = [(0, 0)]
-        for idx in range(len(contacts) - 1):
-            lo, hi = contacts[idx], contacts[idx + 1]
+        for lo, hi in zip(contacts, contacts[1:]):
             bounce_pts.append((hi, lo))
             bounce_pts.append((hi, hi))
         points = " ".join(f"{px(x)},{py(y)}" for x, y in bounce_pts)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Iterator
 
+from .permutations import _int_token
 from .polynomials import BivariatePoly
 
 
@@ -49,6 +50,18 @@ class LabelledTree:
         for v in range(1, len(self.parent)):
             out[self.parent[v]].append(v)
         return tuple(tuple(c) for c in out)
+
+    def descendants(self) -> tuple[frozenset[int], ...]:
+        """Descendant sets indexed by vertex: each vertex joins the set of
+        every vertex on its root chain, one step per ancestor, so time and
+        memory are O(n + depth), about n^2/2 labels on the path."""
+        out: list[list[int]] = [[] for _ in self.parent]
+        for v in range(1, len(self.parent)):
+            u = v
+            while u:
+                u = self.parent[u]
+                out[u].append(v)
+        return tuple(map(frozenset, out))
 
     def __str__(self) -> str:
         return format_tree(self)
@@ -253,12 +266,12 @@ def parse_tree(text: str) -> LabelledTree:
         if not cell:
             continue
         vertex_text, _, parent_text = cell.partition(":")
-        v = int(vertex_text)
+        v = _int_token(vertex_text.strip())
         if v in entries:
             raise ValueError(f"vertex {v} is listed twice")
         if v == 0 and parent_text.strip() not in ("-", "0", ""):
             raise ValueError("vertex 0 is the root; its parent must be '-'")
-        entries[v] = 0 if v == 0 else int(parent_text)
+        entries[v] = 0 if v == 0 else _int_token(parent_text.strip())
     entries.setdefault(0, 0)
     m = len(entries)
     if sorted(entries) != list(range(m)):

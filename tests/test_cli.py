@@ -261,6 +261,7 @@ class TestMap:
 
 BIG = "1000000000"
 OVER = 100_001  # one past the single-object cap
+ASCII_CAP = 2_000  # the largest n render --format ascii draws
 
 
 def star(n):
@@ -493,10 +494,10 @@ class TestStats:
                 code, out, _ = run(capsys, "stats", "--kind", "parking",
                                    "--input", str(p), "--format", "json")
                 assert code == 0
-                data, value = bounce(p)
+                contacts, value = bounce(p)
                 record = json.loads(out)
                 assert (record["bounce"], record["contacts"], record["pinv"],
-                        record["copinv"]) == (value, list(data.contacts), pinv(p), copinv(p))
+                        record["copinv"]) == (value, list(contacts), pinv(p), copinv(p))
 
     def test_tree_json(self, capsys):
         code, out, _ = run(capsys, "stats", "--kind", "tree",
@@ -657,6 +658,30 @@ class TestRender:
         assert code == 1
         assert err == "error: the bounce path is defined for parking functions\n"
 
+    def test_ascii_cap_itself_is_allowed(self, capsys):
+        code, out, err = run(capsys, "render", "--kind", "arch", "--input", "(0 1)",
+                             "--n", str(ASCII_CAP))
+        assert (code, err) == (0, "") and out.startswith("/")
+
+    @pytest.mark.parametrize("argv", [
+        ("render", "--kind", "arch", "--input", "(0 1)", "--n", str(ASCII_CAP + 1)),
+        ("render", "--kind", "path", "--input", ",".join(["0"] * (ASCII_CAP + 1))),
+    ])
+    def test_ascii_above_the_cap_is_refused_before_drawing(self, capsys, argv):
+        # an ASCII picture holds about n^2 characters; the refusal builds none
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == (f"error: n = {ASCII_CAP + 1} exceeds the ASCII picture limit "
+                       f"{ASCII_CAP}; --format svg has no such limit\n")
+        assert peak < 2**20, peak
+        code, out, _ = run(capsys, *argv, "--format", "svg")
+        assert code == 0 and out.startswith("<svg ")
+
 
 class TestExplore:
     def test_n3_report(self, capsys):
@@ -725,6 +750,29 @@ class TestParsing:
     ])
     def test_factor_diagnostics(self, capsys, text, err):
         assert run(capsys, "map", "--via", "lower", "--n", "3", "--input", text) == (1, "", err)
+
+    @pytest.mark.parametrize("argv", [
+        ("map", "--via", "complement", "--input", "0_0"),
+        ("map", "--via", "complement", "--input", "+0,0"),
+        ("map", "--via", "theta", "--input", "\u0660,\u0661"),  # Arabic-Indic 0, 1
+        ("map", "--via", "l-inverse", "--sigma", "0 \u0661", "--input", "0"),
+        ("map", "--via", "lower", "--input", "(0 +1)"),
+        ("map", "--via", "theta-inverse", "--input", "0:-,1:0_0"),
+        ("map", "--via", "theta-inverse", "--input", "0:-,\u0661:0"),
+    ])
+    def test_only_ascii_decimal_integers_are_read(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid literal for int() with base 10: ")
+
+    @pytest.mark.parametrize("argv, err", [
+        (("map", "--via", "complement", "--input=-1,0"),
+         "error: neither a parking function nor a major sequence: (-1, 0)\n"),
+        (("map", "--via", "theta-inverse", "--input", "0:-,1:-1"),
+         "error: parent[1] = -1 out of range\n"),
+    ])
+    def test_negative_tokens_reach_the_family_validators(self, capsys, argv, err):
+        assert run(capsys, *argv) == (1, "", err)
 
     def test_unknown_via(self, capsys):
         code, _, err = run(capsys, "map", "--via", "sideways", "--input", "0")

@@ -159,25 +159,25 @@ class TestPaths:
 
 class TestBounce:
     def test_worked_example(self):
-        data, value = bounce(P9)
-        assert data.contacts == (0, 2, 5, 7, 9)
+        contacts, value = bounce(P9)
+        assert contacts == (0, 2, 5, 7, 9)
         assert value == 22
-        assert data.w == (0, 7, 5, 8, 3, 1, 2, 9, 6, 4)
+        assert (0, *to_path(P9).labels) == (0, 7, 5, 8, 3, 1, 2, 9, 6, 4)
 
     def test_all_zeros(self):
-        data, value = bounce(ParkingFunction((0,) * 6))
-        assert data.contacts == (0, 6)
+        contacts, value = bounce(ParkingFunction((0,) * 6))
+        assert contacts == (0, 6)
         assert value == 6
 
     def test_staircase(self):
         n = 6
-        data, value = bounce(ParkingFunction(tuple(range(n))))
-        assert data.contacts == tuple(range(n + 1))
+        contacts, value = bounce(ParkingFunction(tuple(range(n))))
+        assert contacts == tuple(range(n + 1))
         assert value == n * (n + 1) // 2
 
     def test_empty(self):
-        data, value = bounce(ParkingFunction(()))
-        assert data.contacts == (0,)
+        contacts, value = bounce(ParkingFunction(()))
+        assert contacts == (0,)
         assert value == 0
 
     def test_vertical_run_unions(self):
@@ -185,18 +185,18 @@ class TestBounce:
         # disjoint and cover exactly the labels strictly to its right
         for n in range(1, 6):
             for p in enumerate_parking(n):
-                data, _ = bounce(p)
-                contacts, D = data.contacts, data.D()
+                contacts, _ = bounce(p)
+                w, D = (0, *to_path(p).labels), theta(p).descendants()
                 for idx in range(len(contacts) - 1):
                     lo, hi = contacts[idx], contacts[idx + 1]
-                    run = [data.w[m] for m in range(lo + 1, hi + 1)]
+                    run = [w[m] for m in range(lo + 1, hi + 1)]
                     union: set[int] = set()
                     total = 0
                     for v in run:
                         union |= D[v]
                         total += len(D[v])
                     assert total == len(union)  # pairwise disjoint
-                    assert union == {data.w[m] for m in range(hi + 1, n + 1)}
+                    assert union == {w[m] for m in range(hi + 1, n + 1)}
                     assert len(union) == n - hi
 
     def test_stall_is_an_internal_error(self):
@@ -206,41 +206,44 @@ class TestBounce:
 
     def test_self_exclusion(self):
         for p in enumerate_parking(4):
-            D = bounce(p)[0].D()
+            D = theta(p).descendants()
             assert all(v not in D[v] for v in range(5))
 
 
 class TestCDSets:
     def test_table_pins(self):
-        data = bounce(P9)[0]
-        D = data.D()
+        tree = theta(P9)
+        C, D = tree.children(), tree.descendants()
         N = set(range(1, 10))
-        assert set(data.C[9]) == {4, 6}
+        assert set(C[9]) == {4, 6}
         assert set(D[3]) == {4, 6, 9}
         assert set(D[7]) == N - {5, 7}
         assert set(D[0]) == N
-        assert data.C[7] == (8, 3, 1)  # decreasing, matching the path labels
-        assert data.C[0] == (7, 5)
+        # C[w_h] holds the path labels at height h, which run decreasing
+        path = to_path(P9)
+        at = [tuple(x for x, y in zip(path.labels, path.heights) if y == h) for h in (0, 1)]
+        assert at == [(7, 5), (8, 3, 1)]
+        assert (C[0], C[7]) == (at[0][::-1], at[1][::-1])
 
     def test_two_zeros(self):
-        data = bounce(ParkingFunction((0, 0)))[0]
-        D = data.D()
-        assert data.w == (0, 2, 1)
-        assert data.C[0] == (2, 1)
-        assert data.C[1] == () and data.C[2] == ()
+        p = ParkingFunction((0, 0))
+        tree = theta(p)
+        C, D = tree.children(), tree.descendants()
+        assert (0, *to_path(p).labels) == (0, 2, 1)
+        assert C[0] == (1, 2)
+        assert C[1] == () and C[2] == ()
         assert D[0] == {1, 2}
         assert D[1] == frozenset() and D[2] == frozenset()
 
     @staticmethod
     def assert_matches_the_mask_oracle(p):
-        # pinv, copinv and D() read theta's tree; the oracle builds one
-        # bitmask per vertex from the paper's recursive D-set definition
+        # pinv, copinv and descendants() read theta's tree; the oracle builds
+        # one bitmask per vertex from the paper's recursive D-set definition
         *_, masks, value, below = _bounce_kernel(p.entries)
         total = sum(mask.bit_count() for mask in masks)
-        data, b = bounce(p)
-        assert (pinv(p), copinv(p), b) == (below, total - below, value)
-        assert data.D() == tuple(frozenset(x for x in range(p.n + 1) if mask >> x & 1)
-                                 for mask in masks)
+        assert (pinv(p), copinv(p), bounce(p)[1]) == (below, total - below, value)
+        assert theta(p).descendants() == tuple(
+            frozenset(x for x in range(p.n + 1) if mask >> x & 1) for mask in masks)
 
     def test_matches_the_mask_oracle_exhaustively(self):
         for n in range(7):

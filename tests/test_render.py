@@ -29,8 +29,8 @@ class TestPathRender:
         assert "empty" in render_path_ascii(to_path(ParkingFunction(())))
 
     def test_ascii_bounce_marks(self):
-        data, _ = bounce(P9)
-        out = render_path_ascii(to_path(P9), data)
+        contacts, _ = bounce(P9)
+        out = render_path_ascii(to_path(P9), contacts)
         assert " b" in out
 
     def test_ascii_above_side(self):
@@ -45,8 +45,8 @@ class TestPathRender:
         assert out.count("<text") == 9
 
     def test_svg_bounce_path(self):
-        data, _ = bounce(P9)
-        out = render_path_svg(to_path(P9), data)
+        contacts, _ = bounce(P9)
+        out = render_path_svg(to_path(P9), contacts)
         assert "#cc0000" in out
 
     def test_deterministic(self):

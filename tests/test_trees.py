@@ -51,6 +51,20 @@ class TestLabelledTree:
         t = tree(0, 1, 1)  # 0 - 1 - {2, 3}
         assert t.children() == ((1,), (2, 3), (), ())
 
+    def test_descendants(self):
+        assert tree(0, 1, 1).descendants() == ({1, 2, 3}, {2, 3}, set(), set())
+        assert tree(2, 0).descendants() == ({1, 2}, set(), {1})
+
+    def test_descendants_count_depth_and_inv(self):
+        # depth counts the (ancestor, descendant) pairs and inv those with
+        # the descendant smaller, so the D sets recount both statistics
+        for n in range(6):
+            for t in enumerate_trees(n):
+                D = t.descendants()
+                inv, _, depth = tree_stats(t)
+                assert sum(map(len, D)) == depth
+                assert sum(v < u for u in range(n + 1) for v in D[u]) == inv
+
 
 class TestEnumeration:
     def test_counts(self):
