@@ -3,7 +3,8 @@
 Subcommands: enumerate, stats, map, poly, verify, render, explore.
 Exit codes: 0 success, 1 invalid input (diagnostic on stderr), 2
 verification failure (counterexample on stdout) or a broken internal
-invariant (one "internal error:" line on stderr).  Exhaustive subcommands
+invariant (one "internal error:" line on stderr).  A stdout closed early,
+as by "| head", ends the command quietly with exit 1.  Exhaustive subcommands
 refuse n beyond a safety limit (default 8, override with PARKFACT_MAX_N);
 commands that read one object refuse n above 10^5, where n is also a
 sequence's length, a tree's largest vertex or a visit word's largest entry;
@@ -28,6 +29,7 @@ from . import trees as _trees
 from . import verify as _verify
 from .permutations import (
     FullCycle,
+    _int_token,
     format_permutation,
     parse_full_cycle,
     reflect_conjugate,
@@ -45,12 +47,21 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _int_option(text: str) -> int:
+    """--n and --k, read by the token rule of every other integer; the
+    refusal keeps argparse's wording for type=int."""
+    try:
+        return _int_token(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _safety_limit(default: int = 8) -> int:
     raw = os.environ.get("PARKFACT_MAX_N")
     if raw is None:
         return default
     try:
-        return int(raw)
+        return _int_token(raw)
     except ValueError:
         raise CliError(f"PARKFACT_MAX_N must be an integer, got {raw!r}")
 
@@ -432,45 +443,45 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="list a family of objects")
     p.add_argument("--kind", required=True, choices=list(_ENUMERATIONS))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
     p.add_argument("--sigma")
     p.add_argument("--format", choices=["text", "json"])
 
     p = sub.add_parser("stats", help="all statistics of one object")
     p.add_argument("--kind", required=True, choices=list(_STATS))
     p.add_argument("--input", required=True)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_int_option)
     p.add_argument("--format", choices=["text", "json"])
 
     p = sub.add_parser("map", help="apply a named bijection")
     p.add_argument("--via", required=True, choices=_VIAS)
     p.add_argument("--input", required=True)
     p.add_argument("--sigma")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--n", type=_int_option)
+    p.add_argument("--k", type=_int_option)
     p.add_argument("--format", choices=["text", "json"])
 
     p = sub.add_parser("poly", help="print a named enumerator")
     p.add_argument("--name", required=True, choices=list(_POLYS))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
     p.add_argument("--sigma")
     p.add_argument("--format", choices=["text", "json"])
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_int_option)
 
     p = sub.add_parser("render", help="draw a path or an arch diagram")
     p.add_argument("--kind", required=True, choices=list(_RENDERS))
     p.add_argument("--input", required=True)
     p.add_argument("--with-bounce", dest="with_bounce", action="store_true")
     p.add_argument("--sigma")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_int_option)
     p.add_argument("--format", choices=["svg", "ascii"], default="ascii")
 
     p = sub.add_parser("explore", help="compare F_sigma against I_n over "
                                        "all unimodal cycles")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
 
     return parser
 
@@ -490,13 +501,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
     except (CliError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:  # a broken internal invariant, not bad input
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader left; what is still buffered goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

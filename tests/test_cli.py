@@ -3,6 +3,8 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -29,6 +31,13 @@ from parkfact.parking import (
 from parkfact.permutations import FullCycle
 from parkfact.polynomials import tree_recursion_I
 from parkfact.render import render_path_ascii
+
+ROOT = Path(__file__).resolve().parent.parent
+CLI = (sys.executable, "-m", "parkfact.cli")
+
+
+def cli_env():
+    return {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 def run(capsys, *argv):
@@ -766,6 +775,24 @@ class TestParsing:
         assert err.startswith("error: invalid literal for int() with base 10: ")
 
     @pytest.mark.parametrize("argv, err", [
+        (("map", "--via", "lower", "--n", "\u0661", "--input", "(0 1)"),  # Arabic-Indic 1
+         "error: argument --n: invalid int value: '\u0661'\n"),
+        (("map", "--via", "lower", "--n", "1_0", "--input", "(0 1)"),
+         "error: argument --n: invalid int value: '1_0'\n"),
+        (("map", "--via", "phi-k", "--k", "\u0662", "--input", "(0 1)"),
+         "error: argument --k: invalid int value: '\u0662'\n"),
+        (("poly", "--name", "B", "--n", "x"),
+         "error: argument --n: invalid int value: 'x'\n"),
+    ])
+    def test_int_options_follow_the_token_rule(self, capsys, argv, err):
+        assert run(capsys, *argv) == (1, "", err)
+
+    def test_safety_limit_follows_the_token_rule(self, capsys, monkeypatch):
+        monkeypatch.setenv("PARKFACT_MAX_N", "\u0661\u0660")  # Arabic-Indic 10
+        assert run(capsys, "poly", "--name", "B", "--n", "3") == (
+            1, "", "error: PARKFACT_MAX_N must be an integer, got '\u0661\u0660'\n")
+
+    @pytest.mark.parametrize("argv, err", [
         (("map", "--via", "complement", "--input=-1,0"),
          "error: neither a parking function nor a major sequence: (-1, 0)\n"),
         (("map", "--via", "theta-inverse", "--input", "0:-,1:-1"),
@@ -773,6 +800,30 @@ class TestParsing:
     ])
     def test_negative_tokens_reach_the_family_validators(self, capsys, argv, err):
         assert run(capsys, *argv) == (1, "", err)
+
+    def test_closed_stdout_ends_quietly(self):
+        # the reader leaves after one line of 16,807, as `| head -1` does
+        child = subprocess.Popen(
+            [*CLI, "enumerate", "--kind", "trees", "--n", "6"],
+            env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert child.stdout.readline() == b"0:-,1:0,2:0,3:0,4:0,5:0,6:0\n"
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert (child.returncode, err) == (1, b"")
+
+    def test_stdout_closed_before_a_buffered_write_ends_quietly(self):
+        # a block-buffered stdout holds the whole output until main flushes it
+        env = cli_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([*CLI, "poly", "--name", "I", "--n", "3"], env=env,
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
 
     def test_unknown_via(self, capsys):
         code, _, err = run(capsys, "map", "--via", "sideways", "--input", "0")

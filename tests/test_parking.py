@@ -25,7 +25,7 @@ from parkfact.parking import (
     _counting_test,
     _park_kernel,
     _parking_tuples,
-    _pinv_walk,
+    _pinv_histogram,
     area,
     bounce,
     complement,
@@ -360,9 +360,8 @@ class TestParkProcess:
         for n in range(7):
             assert _bounce_pass(n) == bounce_pass_by_tuples(n)
 
-    def test_pinv_walk_matches_the_dfs_content_by_content(self):
+    def test_pinv_histogram_matches_the_dfs_content_by_content(self):
         for n in range(7):
-            histogram = _pinv_walk(n)
             for content in combinations_with_replacement(range(n), n):
                 if not _counting_test(content, n):
                     continue
@@ -370,11 +369,27 @@ class TestParkProcess:
                 reach = list(accumulate(sizes))
                 groups = [(h, reach[h] - size + 1, size) for h, size in enumerate(sizes) if size]
                 expected = {k: c for k, c in enumerate(pinv_histogram_by_dfs(groups, n)) if c}
-                assert histogram(sizes) == expected, content
+                assert _pinv_histogram(sizes) == expected, content
 
     def test_pinv_pass_matches_the_recursion_at_eight(self):
-        # 4.78M parking functions through one memoized walk, about 2 s
+        # 4.78M parking functions through one walk per content, about 0.6 s
         assert _bounce_pass(8)[2] == tree_recursion_I(8)[8]
+
+    @pytest.mark.slow
+    def test_pinv_pass_matches_the_recursion_at_nine(self):
+        # 100M parking functions over 4,862 contents, about 4 s
+        assert _bounce_pass(9)[2] == tree_recursion_I(9)[9]
+
+    def test_pinv_pass_memory_stays_small(self):
+        # one memo per content, dropped when the content is done: about
+        # 0.7 MiB at n = 7
+        tracemalloc.start()
+        try:
+            _bounce_pass.__wrapped__(7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
     def test_enumerators(self):
         enums = parking_enumerators(2)
