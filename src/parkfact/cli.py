@@ -326,7 +326,7 @@ def _cmd_map(args) -> int:
 _POLYS = {
     "I": ((), math.inf, lambda n, args: _poly.tree_recursion_I(n)[n]),
     "F": (("sigma",), None, lambda n, args: _fact.factorization_enumerator(_sigma_for(args, n))),
-    "B": ((), None, lambda n, args: _park._bounce_pass(n)[2]),
+    "B": ((), None, lambda n, args: _park.parking_enumerators(n).pinv_copinv),
     "D": ((), math.inf, lambda n, args: _poly.tree_recursion_I(n)[n].diagonal()),
     "C": ((), math.inf, lambda n, args: _poly.catalan_qt(n)),
     "Fhat": ((), None, lambda n, args: _fact.restricted_enumerators(n).simple),
@@ -334,9 +334,9 @@ _POLYS = {
     "Fdec": ((), None, lambda n, args: _fact.restricted_enumerators(n).decreasing),
     "Fmax": ((), None, lambda n, args: _fact.restricted_enumerators(n).max_diff),
     "Fperm": ((), None, lambda n, args: _fact.restricted_enumerators(n).perm_lower),
-    "area": ((), None, lambda n, args: _park._bounce_pass(n)[0]),
-    "bounce": ((), None, lambda n, args: _park._bounce_pass(n)[1]),
-    "jump": ((), None, lambda n, args: _park._jump_pass(n)),
+    "area": ((), None, lambda n, args: _park.parking_enumerators(n).area),
+    "bounce": ((), None, lambda n, args: _park.parking_enumerators(n).bounce),
+    "jump": ((), None, lambda n, args: _park.parking_enumerators(n).jump_cojump),
 }
 
 

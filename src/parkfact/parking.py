@@ -8,12 +8,13 @@ contact points off the entry counts.  The label sets C_v and D_v are the
 children and the descendants of v in the rooted tree theta(p), so they
 are read from that tree (LabelledTree.children and descendants), and
 pinv and copinv are its inv and coinv, read by the one tree-statistics
-kernel in O(n + depth) steps.  The enumerators sum over contents: each
-content's pinv histogram comes from a walk that places the labels largest
-first (21,318 states over the 429 contents at n = 7).
+kernel in O(n + depth) steps.  The parking process is one step per car on
+a bitmask of taken stalls.  The one cached enumerator pass sums area,
+bounce and pinv over contents, and jump/cojump over the lot's fillings,
+one level of bitmasks per car.
 
-Kernels (the generator, bounce, the parking process) run on raw entry
-tuples; validated values are built only by the public functions.
+Kernels (the generator, bounce, the parking step) run on raw entry tuples
+and ints; validated values are built only by the public functions.
 """
 
 from __future__ import annotations
@@ -290,27 +291,27 @@ def park_process(p: ParkingFunction) -> ParkProcess:
     jump totals the eastward displacement (and equals the area); cojump
     totals a_i - d_i where d_i is the nearest empty stall west of where
     car i ends up, measured right after it parks.  The lot is unbounded
-    to the west, so d_i may be negative.
+    to the west, so d_i may be negative.  Each car is one parking step on
+    the bitmask of taken stalls.
     """
-    return ParkProcess(*_park_kernel(p.entries))
-
-
-def _park_kernel(entries: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
-    occupied: set[int] = set()
+    occupied = jump = cojump = 0
     stalls = []
-    jump = cojump = 0
-    for a in entries:
-        c = a
-        while c in occupied:
-            c += 1
-        occupied.add(c)
+    for a in p.entries:
+        c, d = _park(occupied, a)
+        occupied |= 1 << c
         stalls.append(c)
         jump += c - a
-        d = c - 1
-        while d in occupied:
-            d -= 1
         cojump += a - d
-    return tuple(stalls), jump, cojump
+    return ParkProcess(tuple(stalls), jump, cojump)
+
+
+def _park(occupied: int, a: int) -> tuple[int, int]:
+    """One car entering at a: its stall c, the first one at or east of a not
+    in the bitmask occupied, and d, the nearest free stall west of c (-1 when
+    stalls 0..c-1 are all taken, as the lot is unbounded to the west)."""
+    free = ~occupied >> a
+    c = a + (free & -free).bit_length() - 1
+    return c, (~occupied & ((1 << c) - 1)).bit_length() - 1
 
 
 # ------------------------------------------------------------ enumeration
@@ -363,24 +364,14 @@ def parking_enumerators(n: int) -> ParkingEnumerators:
     """Area, bounce, (jump, cojump) and (pinv, copinv) enumerators of P_n.
 
     All four are exact sums over the full family; area and bounce are
-    univariate and stored in q.  They come from two cached passes, one per
-    kernel, so a caller needing one kernel's enumerators runs that pass alone.
-    """
-    area_poly, bounce_poly, pinv_copinv = _bounce_pass(n)
-    return ParkingEnumerators(area_poly, bounce_poly, _jump_pass(n), pinv_copinv)
-
-
-@functools.cache
-def _bounce_pass(n: int) -> tuple[BivariatePoly, BivariatePoly, BivariatePoly]:
-    """The area, bounce and (pinv, copinv) enumerators of P_n, content-major.
-
-    Area, bounce and the contacts depend only on the content, the sorted
-    entries; they are computed once per content (429 at n = 7), through the
-    one contacts helper.  Only pinv depends on where the labels go: theta's
-    tree has the same shape for every parking function of a content, the
-    positions of height h hanging under position h of the label word, so
-    one walk over the label placements per content (_pinv_histogram) gives
-    its pinv histogram.
+    univariate and stored in q.  Area, bounce and the contacts depend only
+    on the content, the sorted entries; they are computed once per content
+    (429 at n = 7), through the one contacts helper.  Only pinv depends on
+    where the labels go: theta's tree has the same shape for every parking
+    function of a content, the positions of height h hanging under position
+    h of the label word, so one walk over the label placements per content
+    (_pinv_histogram) gives its pinv histogram.  _jump_walk gives jump and
+    cojump.
     """
     counts: Counter[tuple[int, int, int]] = Counter()
     top = math.comb(n, 2)
@@ -393,9 +384,10 @@ def _bounce_pass(n: int) -> tuple[BivariatePoly, BivariatePoly, BivariatePoly]:
         for below, c in _pinv_histogram(sizes).items():
             counts[a, b, below] += c
     rows = counts.items()
-    return (
+    return ParkingEnumerators(
         BivariatePoly(((a, 0), c) for (a, _, _), c in rows),
         BivariatePoly(((b, 0), c) for (_, b, _), c in rows),
+        _jump_walk(n),
         BivariatePoly(((below, b - below), c) for (_, b, below), c in rows),
     )
 
@@ -435,14 +427,28 @@ def _pinv_histogram(sizes: list[int]) -> dict[int, int]:
     return walk((0,) * len(sizes))
 
 
-@functools.cache
-def _jump_pass(n: int) -> BivariatePoly:
-    """The (jump, cojump) enumerator of P_n."""
-    counts: Counter[tuple[int, int]] = Counter()
-    for entries in _parking_tuples(n):
-        _, jump, cojump = _park_kernel(entries)
-        counts[jump, cojump] += 1
-    return BivariatePoly(counts)
+def _jump_walk(n: int) -> BivariatePoly:
+    """The (jump, cojump) enumerator of P_n, one parking step per edge.
+
+    Level k maps each bitmask of stalls taken by k cars to the (jump,
+    cojump) histogram of the entry prefixes that fill it; a car whose stall
+    would be n or beyond leaves P_n and is dropped, and so is every car
+    entering further east.  The full mask at level n holds the enumerator.
+    """
+    level = {0: {(0, 0): 1}}
+    for _ in range(n):
+        nxt: dict[int, dict[tuple[int, int], int]] = {}
+        for occupied, hist in level.items():
+            for a in range(n):
+                c, d = _park(occupied, a)
+                if c >= n:
+                    break
+                out = nxt.setdefault(occupied | 1 << c, {})
+                for (jump, cojump), count in hist.items():
+                    key = jump + c - a, cojump + a - d
+                    out[key] = out.get(key, 0) + count
+        level = nxt
+    return BivariatePoly(level[(1 << n) - 1])
 
 
 # -------------------------------------------------------------- text forms

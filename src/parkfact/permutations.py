@@ -53,6 +53,8 @@ class Permutation:
         return self.images[i]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
+        if not isinstance(other, Permutation):
+            return NotImplemented
         return compose(self, other)
 
     def inverse(self) -> "Permutation":

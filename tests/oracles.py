@@ -15,7 +15,6 @@ from parkfact.parking import (
     ParkingEnumerators,
     _contacts,
     _label_groups,
-    _park_kernel,
     _parking_tuples,
     to_path,
 )
@@ -98,6 +97,27 @@ def _bounce_kernel(entries: tuple[int, ...]):
     return contacts, w, groups, masks, value, below
 
 
+def park_by_scans(entries):
+    """(stalls, jump, cojump) of the parking process with a set of taken
+    stalls: each car scans east from a_i for a gap, then west from its
+    stall for the nearest gap, which may lie below stall 0."""
+    occupied = set()
+    stalls = []
+    jump = cojump = 0
+    for a in entries:
+        c = a
+        while c in occupied:
+            c += 1
+        occupied.add(c)
+        stalls.append(c)
+        jump += c - a
+        d = c - 1
+        while d in occupied:
+            d -= 1
+        cojump += a - d
+    return tuple(stalls), jump, cojump
+
+
 def parking_enumerators_by_one_loop(n):
     """All four parking enumerators from one loop running both kernels on
     every parking tuple."""
@@ -105,7 +125,7 @@ def parking_enumerators_by_one_loop(n):
     top = math.comb(n, 2)
     for entries in _parking_tuples(n):
         *_, b, below = _bounce_kernel(entries)
-        _, jump, cojump = _park_kernel(entries)
+        _, jump, cojump = park_by_scans(entries)
         counts[top - sum(entries), b, below, jump, cojump] += 1
     rows = counts.items()
     return ParkingEnumerators(

@@ -183,14 +183,20 @@ def test_each_suite_is_its_module_function():
 # SHA-256 of the stdout of each call: the first three are the n = 7 calls
 # that the benchmark gates, copied from perfbench/gates.py, so a slip in the
 # tree stream's order, a line's text or a polynomial's terms fails here too,
-# not only there; the rest pin the factor stream's order and the memoized
-# walk's sums on calls that no benchmark gate covers
+# not only there; the rest pin the factor stream's order, the memoized
+# walk's sums and the parking enumerators on calls that no benchmark gate
+# covers
 _F7_SHA = "8388bb6488b3e8c1fbc76917e5dfaf1f025302b9ced9cc83b15a21f3808f14a3"
 GATED_OUTPUTS = {
     "enumerate --kind trees --n 7":
         "8d8b509520107fda71c79f989532238c9ab6305b4a403b7e686e73467c973edf",
     "poly --name F --n 7": _F7_SHA,
     "poly --name B --n 7": _F7_SHA,
+    "poly --name jump --n 7": _F7_SHA,
+    "poly --name area --n 7":
+        "33962f7bc776d9ee4c42c00b71fda7a0455b6b640a4869a931559c81bf91032d",
+    "poly --name bounce --n 7":
+        "9ba7b4095e614862209923c333cf95e1e8b3116109dbfdd668efa7d2aa00e854",
     "enumerate --kind factorizations --n 6":
         "912b4635b69d99d43c9e299d0cc799b21f1b26dbd261abeb44e0d83e51e09d57",
     "enumerate --kind arch --n 5 --sigma 0,2,4,5,3,1":

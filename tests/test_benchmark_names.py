@@ -4,9 +4,12 @@ benchmark's sources with ast, so the benchmark is never imported here."""
 
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
+
+import parkfact
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
@@ -42,3 +45,15 @@ def test_every_name_resolves(file, name):
 def test_every_cache_has_cache_info():
     for dotted in constant("child.py", "CACHES"):
         assert callable(getattr(resolve(dotted), "cache_info", None)), dotted
+
+
+def test_every_process_wide_cache_is_listed():
+    # the benchmark child checks that each listed cache starts cold; a
+    # module-level functools.cache missing from the list would go unseen
+    found = set()
+    for info in pkgutil.iter_modules(parkfact.__path__):
+        module = importlib.import_module(f"parkfact.{info.name}")
+        for attr, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                found.add(f"{info.name}.{attr}")
+    assert found == set(constant("child.py", "CACHES"))

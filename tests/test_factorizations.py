@@ -33,7 +33,7 @@ from parkfact.factorizations import (
     total_difference,
     upper,
 )
-from parkfact.parking import _bounce_pass, is_major, is_parking
+from parkfact.parking import is_major, is_parking, parking_enumerators
 from parkfact.permutations import (
     FullCycle,
     Permutation,
@@ -196,11 +196,11 @@ class TestEnumeration:
     def test_trees_match_factorizations_at_eight(self):
         # opt-in (pytest -m slow): 4.78M trees, factor sequences and parking
         # functions; F_8 from the memoized walk and, leaf by leaf, from the
-        # stream; B_8 comes from the bounce pass alone, as poly --name B
+        # stream; B_8 comes from the parking enumerators, as poly --name B
         i8 = inversion_enumerator(8)
         assert i8 == factorization_enumerator(FullCycle.canonical(8))
         assert i8 == factorization_enumerator_by_stream(FullCycle.canonical(8))
-        assert i8 == _bounce_pass(8)[2]
+        assert i8 == parking_enumerators(8).pinv_copinv
         assert i8 == tree_recursion_I(8)[8]
         reduced = i8.divide_t(8)
         assert reduced == reduced.swap_qt()

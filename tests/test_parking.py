@@ -11,6 +11,7 @@ from oracles import (
     is_major_by_sort,
     is_parking_by_sort,
     parking_by_sweep,
+    park_by_scans,
     parking_enumerators_by_one_loop,
     pinv_histogram_by_dfs,
 )
@@ -20,10 +21,9 @@ from parkfact.parking import (
     MajorSequence,
     ParkingEnumerators,
     ParkingFunction,
-    _bounce_pass,
     _contacts,
     _counting_test,
-    _park_kernel,
+    _jump_walk,
     _parking_tuples,
     _pinv_histogram,
     area,
@@ -334,8 +334,41 @@ class TestParkProcess:
     def test_parking_tuples_fill_every_stall(self):
         for n in range(7):
             for entries in _parking_tuples(n):
-                stalls, _, _ = _park_kernel(entries)
+                stalls = park_process(ParkingFunction(entries)).stalls
                 assert sorted(stalls) == list(range(n))
+
+    def test_bitmask_step_matches_the_set_scans(self):
+        def check(entries):
+            assert tuple(park_process(ParkingFunction(entries))) == park_by_scans(entries)
+
+        for n in range(7):
+            for entries in _parking_tuples(n):
+                check(entries)
+        # 200 seeded parking functions (the one rotation of a random word
+        # that parks), then the two extremes of the lot
+        rng = random.Random(26)
+        for _ in range(200):
+            n = rng.randint(0, 200)
+            word = [rng.randrange(n + 1) for _ in range(n)]
+            shifts = (tuple((a + s) % (n + 1) for a in word) for s in range(n + 1))
+            check(next(e for e in shifts if is_parking(e)))
+        check((0,) * 2_000)
+        check(tuple(range(2_000)))
+
+    def test_closed_forms_on_a_long_lot(self):
+        # all zeros: car i rolls i stalls east and every stall west of it
+        # is taken; the staircase never rolls
+        n = 20_000
+        zeros = park_process(ParkingFunction((0,) * n))
+        assert zeros == (tuple(range(n)), n * (n - 1) // 2, n)
+        staircase = park_process(ParkingFunction(tuple(range(n))))
+        assert staircase == (tuple(range(n)), 0, n * (n + 1) // 2)
+
+    def test_jump_walk_matches_the_recursion(self):
+        # at most 2^n masks per level: about 0.3 s for n = 7..11
+        series = tree_recursion_I(11)
+        for n in range(7, 12):
+            assert _jump_walk(n) == series[n], n
 
     def test_enumerators_are_sums_of_per_object_statistics(self):
         for n in range(7):
@@ -358,7 +391,9 @@ class TestParkProcess:
 
     def test_content_major_pass_matches_the_per_tuple_route(self):
         for n in range(7):
-            assert _bounce_pass(n) == bounce_pass_by_tuples(n)
+            enums = parking_enumerators(n)
+            expected = bounce_pass_by_tuples(n)
+            assert (enums.area, enums.bounce, enums.pinv_copinv) == expected
 
     def test_pinv_histogram_matches_the_dfs_content_by_content(self):
         for n in range(7):
@@ -373,19 +408,19 @@ class TestParkProcess:
 
     def test_pinv_pass_matches_the_recursion_at_eight(self):
         # 4.78M parking functions through one walk per content, about 0.6 s
-        assert _bounce_pass(8)[2] == tree_recursion_I(8)[8]
+        assert parking_enumerators(8).pinv_copinv == tree_recursion_I(8)[8]
 
     @pytest.mark.slow
     def test_pinv_pass_matches_the_recursion_at_nine(self):
         # 100M parking functions over 4,862 contents, about 4 s
-        assert _bounce_pass(9)[2] == tree_recursion_I(9)[9]
+        assert parking_enumerators(9).pinv_copinv == tree_recursion_I(9)[9]
 
     def test_pinv_pass_memory_stays_small(self):
         # one memo per content, dropped when the content is done: about
         # 0.7 MiB at n = 7
         tracemalloc.start()
         try:
-            _bounce_pass.__wrapped__(7)
+            parking_enumerators.__wrapped__(7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -57,6 +57,16 @@ class TestCompose:
         a, b = perm("(0 1)", 2), perm("(0 2)", 2)
         assert (a * b)(1) == b(a(1))
 
+    def test_operator_follows_the_number_protocol(self):
+        # a non-permutation operand gets NotImplemented, so Python raises
+        # TypeError instead of reaching into an int's images
+        p, q = perm("(0 1)", 1), perm("(0 1)", 1)
+        with pytest.raises(TypeError):
+            p * 3
+        with pytest.raises(TypeError):
+            3 * p
+        assert p * q == compose(p, q) == Permutation.identity(1)
+
 
 class TestCycleForm:
     def test_normal_form(self):
