@@ -8,7 +8,12 @@ as by "| head", ends the command quietly with exit 1.  Exhaustive subcommands
 refuse n beyond a safety limit (default 8, override with PARKFACT_MAX_N);
 commands that read one object refuse n above 10^5, where n is also a
 sequence's length, a tree's largest vertex or a visit word's largest entry;
-render --format ascii refuses n above 2,000.
+render --format ascii refuses n above 2,000.  verify runs more than one
+suite on one spawned worker process per usable CPU and prints each line in
+suite order as it arrives, so its output is byte-identical to a serial run;
+a single suite, or a single usable CPU, runs in this process.  A script
+that calls main for several suites keeps its top level under
+`if __name__ == "__main__":`, since each worker imports it.
 """
 
 from __future__ import annotations
@@ -350,6 +355,31 @@ def _cmd_poly(args) -> int:
 # ----------------------------------------------------------------- verify
 
 
+# verify's workers are spawned, each from a fresh import: safe whatever
+# threads the caller runs, and the same on every platform (tests pin "fork"
+# so that a patched suite reaches the workers)
+_WORKER_START = "spawn"
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _print_results(results, total: int) -> int:
+    """Print each suite's line as its result arrives, in suite order, then
+    how many failed; the exit code."""
+    failures = 0
+    for result in results:
+        print(result.line())
+        failures += not result.ok
+    if failures:
+        print(f"{failures} of {total} suites failed")
+        return 2
+    return 0
+
+
 def _cmd_verify(args) -> int:
     try:
         names = _verify.resolve_suites(args.suite)
@@ -359,15 +389,22 @@ def _cmd_verify(args) -> int:
         _refuse_unread(args, (), f"verify --suite {names[0]}")
     if args.n is not None:
         _guard_n(args.n)
-    failures = 0
-    for name in names:
-        result = _verify.run_suite(name, args.n)
-        print(result.line())
-        failures += not result.ok
-    if failures:
-        print(f"{failures} of {len(names)} suites failed")
-        return 2
-    return 0
+    sizes = [args.n] * len(names)
+    workers = min(len(names), _usable_cpus())
+    if workers == 1:
+        return _print_results(map(_verify.run_suite, names, sizes), len(names))
+    # imported here, so that no other subcommand pays for it
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(workers, mp_context=get_context(_WORKER_START))
+    try:
+        return _print_results(pool.map(_verify.run_suite, names, sizes), len(names))
+    except BrokenProcessPool as exc:
+        raise AssertionError(f"a verify worker died: {exc}") from None
+    finally:  # a closed stdout or a failure leaves the pending suites unrun
+        pool.shutdown(cancel_futures=True)
 
 
 # ----------------------------------------------------------------- render

@@ -53,7 +53,8 @@ def _suite(name: str, default: int | None, claim: str):
     None has no size, ignores n_max and is listed in SIZELESS, so the CLI
     refuses --n for it.  The wrapper is both the module's check_<suite>
     and the SUITES value, so perfbench's tracer, which rebinds one object
-    in both places, times every suite."""
+    in both places, times every suite run in the traced process; it does
+    not see the suites that `verify` sends to worker processes."""
 
     def register(check: Callable[[int | None], str | None]):
         @functools.wraps(check)

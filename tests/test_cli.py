@@ -3,9 +3,11 @@ import importlib.util
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import tree_recursion_by_dict
 
+from parkfact import cli, verify
 from parkfact.arch import arch_from_json, arch_to_factorization
 from parkfact.cli import _VIAS, main
 from parkfact.factorizations import enumerate_factorizations, restricted_enumerators
@@ -634,6 +637,110 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == "internal error: caps do not chain into a path\n"
+
+
+class TestVerifyWorkers:
+    """verify with more than one suite runs them on a process pool (one
+    worker per usable CPU, here pinned at 2); what it prints and returns is
+    what the serial loop (pinned at 1 CPU) prints and returns."""
+
+    @pytest.fixture
+    def forked(self, monkeypatch):
+        """Fork the workers, so that a patched suite reaches them."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork on this platform")
+        monkeypatch.setattr(cli, "_WORKER_START", "fork")
+
+    @staticmethod
+    def run(capfd, monkeypatch, cpus, *argv):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        code = main(["verify", "--suite", "all", *argv])
+        out, err = capfd.readouterr()
+        assert multiprocessing.active_children() == []  # no worker outlives main
+        return code, out, err
+
+    def run_both(self, capfd, monkeypatch, *argv):
+        serial = self.run(capfd, monkeypatch, 1, *argv)
+        assert self.run(capfd, monkeypatch, 2, *argv) == serial
+        return serial
+
+    def test_importing_the_cli_loads_no_pool(self):
+        probe = ("import sys, parkfact.cli; print([m for m in "
+                 "('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+        done = subprocess.run([sys.executable, "-c", probe], env=cli_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+    def test_pool_prints_what_the_serial_loop_prints(self, capfd, monkeypatch):
+        code, out, err = self.run_both(capfd, monkeypatch, "--n", "3")
+        assert (code, err) == (0, "")
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            f"PASS {name}" for name in verify.SUITES]
+
+    @pytest.mark.usefixtures("forked")
+    def test_a_failing_suite_in_a_worker(self, capfd, monkeypatch):
+        def broken(n_max=None):
+            return verify.CheckResult("bounce", False, "counterexample: p=0,0")
+
+        monkeypatch.setitem(verify.SUITES, "bounce", broken)
+        code, out, err = self.run_both(capfd, monkeypatch, "--n", "3")
+        assert (code, err) == (2, "")
+        assert "\nFAIL bounce: counterexample: p=0,0\n" in out
+        assert out.endswith("\n1 of 13 suites failed\n")
+
+    @pytest.mark.usefixtures("forked")
+    def test_an_internal_error_in_a_worker(self, capfd, monkeypatch):
+        def broken(n_max=None):
+            raise AssertionError("caps do not chain into a path")
+
+        monkeypatch.setitem(verify.SUITES, "unimodal", broken)
+        code, out, err = self.run_both(capfd, monkeypatch, "--n", "3")
+        assert (code, err) == (2, "internal error: caps do not chain into a path\n")
+        before = list(verify.SUITES)[:list(verify.SUITES).index("unimodal")]
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            f"PASS {name}" for name in before]
+
+    @pytest.mark.usefixtures("forked")
+    def test_a_dead_worker_is_an_internal_error(self, capfd, monkeypatch):
+        monkeypatch.setitem(verify.SUITES, "l-inverse", lambda n_max=None: os._exit(1))
+        code, out, err = self.run(capfd, monkeypatch, 2, "--n", "3")
+        assert code == 2
+        assert err.startswith("internal error: ") and len(err.splitlines()) == 1
+        # the suites before the dead one may have been lost with it
+        printed = [line.split(":")[0] for line in out.splitlines()]
+        before = list(verify.SUITES)[:list(verify.SUITES).index("l-inverse")]
+        assert printed == [f"PASS {name}" for name in before[:len(printed)]]
+
+    @pytest.mark.usefixtures("forked")
+    def test_closed_stdout_cancels_the_pending_suites(self, capfd, monkeypatch, tmp_path):
+        # each suite leaves a mark when it starts; all but the first take a while
+        for name, suite in list(verify.SUITES.items()):
+            def marked(n_max=None, name=name, suite=suite):
+                (tmp_path / name).touch()
+                if name != "cardinalities":
+                    time.sleep(0.3)
+                return suite(n_max)
+
+            monkeypatch.setitem(verify.SUITES, name, marked)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", buffering=1) as closed:  # the first line fails
+            monkeypatch.setattr(sys, "stdout", closed)
+            code, _, err = self.run(capfd, monkeypatch, 2, "--n", "3")
+        assert (code, err) == (1, "")
+        assert len(list(tmp_path.iterdir())) < len(verify.SUITES)
+
+    def test_closed_stdout_ends_quietly(self):
+        # unbuffered, so the first line written already finds the pipe closed
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-u", "-m", "parkfact.cli", "verify",
+                                   "--suite", "all", "--n", "3"], env=cli_env(),
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
 
 
 class TestRender:
