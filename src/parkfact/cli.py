@@ -13,7 +13,9 @@ suite on one spawned worker process per usable CPU and prints each line in
 suite order as it arrives, so its output is byte-identical to a serial run;
 a single suite, or a single usable CPU, runs in this process.  A script
 that calls main for several suites keeps its top level under
-`if __name__ == "__main__":`, since each worker imports it.
+`if __name__ == "__main__":`, since each worker imports it.  Each call of
+main builds the parser of the named subcommand only, or of all seven for
+help and errors, and keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -474,51 +476,55 @@ def _cmd_explore(args) -> int:
 # ------------------------------------------------------------------- main
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The top-level parser with the subparser of `command` alone, or with
+    all seven for None; the parse of `command`'s argv is the same either way."""
     parser = _Parser(prog="parkfact", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", help="list a family of objects")
-    p.add_argument("--kind", required=True, choices=list(_ENUMERATIONS))
-    p.add_argument("--n", type=_int_option, required=True)
-    p.add_argument("--sigma")
-    p.add_argument("--format", choices=["text", "json"])
+    def add(name: str, help: str) -> _Parser | None:
+        return sub.add_parser(name, help=help) if command in (None, name) else None
 
-    p = sub.add_parser("stats", help="all statistics of one object")
-    p.add_argument("--kind", required=True, choices=list(_STATS))
-    p.add_argument("--input", required=True)
-    p.add_argument("--n", type=_int_option)
-    p.add_argument("--format", choices=["text", "json"])
+    if p := add("enumerate", "list a family of objects"):
+        p.add_argument("--kind", required=True, choices=list(_ENUMERATIONS))
+        p.add_argument("--n", type=_int_option, required=True)
+        p.add_argument("--sigma")
+        p.add_argument("--format", choices=["text", "json"])
 
-    p = sub.add_parser("map", help="apply a named bijection")
-    p.add_argument("--via", required=True, choices=_VIAS)
-    p.add_argument("--input", required=True)
-    p.add_argument("--sigma")
-    p.add_argument("--n", type=_int_option)
-    p.add_argument("--k", type=_int_option)
-    p.add_argument("--format", choices=["text", "json"])
+    if p := add("stats", "all statistics of one object"):
+        p.add_argument("--kind", required=True, choices=list(_STATS))
+        p.add_argument("--input", required=True)
+        p.add_argument("--n", type=_int_option)
+        p.add_argument("--format", choices=["text", "json"])
 
-    p = sub.add_parser("poly", help="print a named enumerator")
-    p.add_argument("--name", required=True, choices=list(_POLYS))
-    p.add_argument("--n", type=_int_option, required=True)
-    p.add_argument("--sigma")
-    p.add_argument("--format", choices=["text", "json"])
+    if p := add("map", "apply a named bijection"):
+        p.add_argument("--via", required=True, choices=_VIAS)
+        p.add_argument("--input", required=True)
+        p.add_argument("--sigma")
+        p.add_argument("--n", type=_int_option)
+        p.add_argument("--k", type=_int_option)
+        p.add_argument("--format", choices=["text", "json"])
 
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", required=True)
-    p.add_argument("--n", type=_int_option)
+    if p := add("poly", "print a named enumerator"):
+        p.add_argument("--name", required=True, choices=list(_POLYS))
+        p.add_argument("--n", type=_int_option, required=True)
+        p.add_argument("--sigma")
+        p.add_argument("--format", choices=["text", "json"])
 
-    p = sub.add_parser("render", help="draw a path or an arch diagram")
-    p.add_argument("--kind", required=True, choices=list(_RENDERS))
-    p.add_argument("--input", required=True)
-    p.add_argument("--with-bounce", dest="with_bounce", action="store_true")
-    p.add_argument("--sigma")
-    p.add_argument("--n", type=_int_option)
-    p.add_argument("--format", choices=["svg", "ascii"], default="ascii")
+    if p := add("verify", "run a named verification suite"):
+        p.add_argument("--suite", required=True)
+        p.add_argument("--n", type=_int_option)
 
-    p = sub.add_parser("explore", help="compare F_sigma against I_n over "
-                                       "all unimodal cycles")
-    p.add_argument("--n", type=_int_option, required=True)
+    if p := add("render", "draw a path or an arch diagram"):
+        p.add_argument("--kind", required=True, choices=list(_RENDERS))
+        p.add_argument("--input", required=True)
+        p.add_argument("--with-bounce", dest="with_bounce", action="store_true")
+        p.add_argument("--sigma")
+        p.add_argument("--n", type=_int_option)
+        p.add_argument("--format", choices=["svg", "ascii"], default="ascii")
+
+    if p := add("explore", "compare F_sigma against I_n over all unimodal cycles"):
+        p.add_argument("--n", type=_int_option, required=True)
 
     return parser
 
@@ -535,7 +541,10 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the named subcommand's parser alone, as all seven take about five times
+    # as long to build; help, errors and a missing command get all seven
+    parser = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     try:
         args = parser.parse_args(argv)
         code = _HANDLERS[args.command](args)

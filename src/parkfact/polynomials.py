@@ -8,7 +8,6 @@ the zero polynomial is simply the empty term mapping.
 from __future__ import annotations
 
 import math
-from itertools import zip_longest
 from typing import Iterable, Mapping, Union
 
 ExponentPair = tuple[int, int]
@@ -291,9 +290,10 @@ def tree_recursion_I(n_max: int) -> list[BivariatePoly]:
 
     I_(n+1) = sum over i of binom(n,i) * t * qt_bracket(i+1) * I_i * I_(n-i),
     with I_0 = 1.  The terms for i and n-i share binom(n,i) * I_i * I_(n-i),
-    so each pair costs one large product, and the small bracket factor is
-    multiplied in last.  No object enumeration happens here; the trees
-    module recomputes the same polynomials by brute force as a cross-check.
+    so each pair costs one large product, and the two bracket factors are
+    applied to it last, by shifts.  No object enumeration happens here; the
+    trees module recomputes the same polynomials by brute force as a
+    cross-check.
 
     Inside, each I_k is a list of q-rows, and row e holds the coefficient
     of q^e t^j in bits [j*W, (j+1)*W) of one int, so a product is rows x
@@ -311,23 +311,23 @@ def tree_recursion_I(n_max: int) -> list[BivariatePoly]:
     for n in range(n_max):
         total: list[int] = []
         for i in range(n // 2 + 1):
-            pair = _t_bracket_rows(i + 1, width)
+            product = _mul_rows([math.comb(n, i) * r for r in series[i]], series[n - i])
+            total = _add_t_bracket(total, product, i + 1, width)
             if 2 * i < n:
-                pair = _add_rows(pair, _t_bracket_rows(n - i + 1, width))
-            c = math.comb(n, i)
-            term = _mul_rows(_mul_rows(series[i], series[n - i]), [c * r for r in pair])
-            total = _add_rows(total, term)
+                total = _add_t_bracket(total, product, n - i + 1, width)
         series.append(total)
     return [_unpack_rows(rows, width) for rows in series]
 
 
-def _t_bracket_rows(k: int, width: int) -> list[int]:
-    """t * qt_bracket(k) as packed q-rows: row j is t^(k-j)."""
-    return [1 << width * (k - j) for j in range(k)]
-
-
-def _add_rows(a: list[int], b: list[int]) -> list[int]:
-    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+def _add_t_bracket(total: list[int], rows: list[int], k: int, width: int) -> list[int]:
+    """total plus rows times t * qt_bracket(k), by shifts: the bracket's
+    term q^j t^(k-j) moves row e to row e + j, shifted by width * (k-j) bits."""
+    out = total + [0] * (len(rows) + k - 1 - len(total))
+    for j in range(k):
+        shift = width * (k - j)
+        for e, row in enumerate(rows, j):
+            out[e] += row << shift
+    return out
 
 
 def _mul_rows(a: list[int], b: list[int]) -> list[int]:

@@ -1020,3 +1020,57 @@ BENCHMARK_CALLS_DIGEST = "9309f458f059cadd2022d880f47b7ad78c8df95c81b3ab8c62adfb
 
 def test_benchmark_calls_are_byte_identical():
     assert output_digest(benchmark_calls(1, 1000)) == BENCHMARK_CALLS_DIGEST
+
+
+def parse_outcome(parser, argv):
+    """What parse_args makes of argv: its Namespace, its CliError text, or
+    its SystemExit code with what it printed (help)."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            return parser.parse_args(argv)
+    except cli.CliError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+def test_the_named_subparser_parses_as_all_seven():
+    argvs = [
+        *benchmark_calls(1, 1000), [], ["--help"], ["nope"], ["-h", "map"],
+        ["map", "--via", "theta", "--input", "0,0", "stray"],
+        ["enumerate", "--kind", "trees", "--n", "3"], ["poly", "--name", "I", "--n", "4"],
+        ["verify", "--suite", "all"], ["explore", "--n", "3"],
+        *([command, "--help"] for command in cli._HANDLERS),
+    ]
+    for argv in argvs:
+        command = argv[0] if argv and argv[0] in cli._HANDLERS else None
+        assert (parse_outcome(cli.build_parser(command), argv)
+                == parse_outcome(cli.build_parser(), argv)), argv
+
+
+class TestNoState:
+    """main keeps nothing from one call to the next: each call prints what
+    it prints in a fresh process, whose main reads sys.argv (argv=None)."""
+
+    CALLS = [
+        ("render", "--kind", "path", "--input", "0,0,1"),  # --format defaults to ascii
+        ("map", "--via", "theta", "--input", "0,0,1", "--format", "json"),
+        ("stats", "--kind", "parking", "--input", "0,0,1"),  # no --format
+        ("render", "--kind", "path", "--input", "0,0", "--format", "png"),
+    ]
+
+    @staticmethod
+    def alone(argv):
+        done = subprocess.run([*CLI, *argv], env=cli_env(), capture_output=True,
+                              text=True, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    def test_a_fresh_process_prints_what_main_prints(self, capsys):
+        argv = ("map", "--via", "l-inverse", "--input", "0,0,1")
+        assert self.alone(argv) == run(capsys, *argv)
+
+    def test_calls_in_a_row_print_what_each_prints_alone(self, capsys):
+        alone = [self.alone(argv) for argv in self.CALLS]
+        assert [run(capsys, *argv) for argv in self.CALLS] == alone
+        assert [run(capsys, *argv) for argv in reversed(self.CALLS)] == alone[::-1]
