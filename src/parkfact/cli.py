@@ -4,18 +4,20 @@ Subcommands: enumerate, stats, map, poly, verify, render, explore.
 Exit codes: 0 success, 1 invalid input (diagnostic on stderr), 2
 verification failure (counterexample on stdout) or a broken internal
 invariant (one "internal error:" line on stderr).  A stdout closed early,
-as by "| head", ends the command quietly with exit 1.  Exhaustive subcommands
-refuse n beyond a safety limit (default 8, override with PARKFACT_MAX_N);
-commands that read one object refuse n above 10^5, where n is also a
-sequence's length, a tree's largest vertex or a visit word's largest entry;
-render --format ascii refuses n above 2,000.  verify runs more than one
-suite on one spawned worker process per usable CPU and prints each line in
-suite order as it arrives, so its output is byte-identical to a serial run;
-a single suite, or a single usable CPU, runs in this process.  A script
-that calls main for several suites keeps its top level under
-`if __name__ == "__main__":`, since each worker imports it.  Each call of
-main builds the parser of the named subcommand only, or of all seven for
-help and errors, and keeps no state between calls.
+as by "| head", still ends the command with exit 1 and no traceback.
+enumerate writes its lines in fixed-size chunks, so its memory stays flat
+however long the listing.  Exhaustive subcommands refuse n beyond a safety
+limit (default 8, override with PARKFACT_MAX_N); commands that read one
+object refuse n above 10^5, where n is also a sequence's length, a tree's
+largest vertex or a visit word's largest entry; render --format ascii
+refuses n above 2,000.  verify runs more than one suite on one spawned
+worker process per usable CPU and prints each line in suite order as it
+arrives, so its output is byte-identical to a serial run; a single suite,
+or a single usable CPU, runs in this process.  A script that calls main for
+several suites keeps its top level under `if __name__ == "__main__":`,
+since each worker imports it.  Each call of main builds the parser of the
+named subcommand only, or of all seven for help and errors, and keeps no
+state between calls.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import json
 import math
 import os
 import sys
+from itertools import islice
 
 from . import arch as _arch
 from . import factorizations as _fact
@@ -212,10 +215,18 @@ def _refuse_unread(args, reads: tuple[str, ...], what: str) -> None:
             raise CliError(f"{what} does not read --{option.replace('_', '-')}")
 
 
+# lines per write of a listing: one write per line costs more than making
+# the line, and one write of the whole listing holds it all in memory
+_CHUNK_LINES = 4096
+
+
 def _cmd_enumerate(args) -> int:
-    reads, lines = _ENUMERATIONS[args.kind]
+    reads, listing = _ENUMERATIONS[args.kind]
     _refuse_unread(args, ("n", *reads), f"enumerate --kind {args.kind}")
-    sys.stdout.writelines(line + "\n" for line in lines(_guard_n(args.n), args))
+    lines = iter(listing(_guard_n(args.n), args))
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        chunk.append("")
+        sys.stdout.write("\n".join(chunk))
     return 0
 
 
@@ -331,10 +342,10 @@ def _cmd_map(args) -> int:
 # and C are recursions with no object enumeration, so no safety limit
 # ('verify' ties them to the brute-force sums); the others obey it (None).
 _POLYS = {
-    "I": ((), math.inf, lambda n, args: _poly.tree_recursion_I(n)[n]),
+    "I": ((), math.inf, lambda n, args: _poly._tree_recursion_last(n)),
     "F": (("sigma",), None, lambda n, args: _fact.factorization_enumerator(_sigma_for(args, n))),
     "B": ((), None, lambda n, args: _park.parking_enumerators(n).pinv_copinv),
-    "D": ((), math.inf, lambda n, args: _poly.tree_recursion_I(n)[n].diagonal()),
+    "D": ((), math.inf, lambda n, args: _poly._tree_recursion_last(n).diagonal()),
     "C": ((), math.inf, lambda n, args: _poly.catalan_qt(n)),
     "Fhat": ((), None, lambda n, args: _fact.restricted_enumerators(n).simple),
     "Finc": ((), None, lambda n, args: _fact.restricted_enumerators(n).increasing),
@@ -457,7 +468,7 @@ def _cmd_explore(args) -> int:
     n = _guard_n(args.n, limit=limit)
     if n < 1:
         raise CliError("explore needs n >= 1")
-    reference = _poly.tree_recursion_I(n)[n]
+    reference = _poly._tree_recursion_last(n)
     print(f"I_{n}(q,t) = {reference}")
     matches = 0
     total = 0

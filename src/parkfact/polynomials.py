@@ -304,6 +304,19 @@ def tree_recursion_I(n_max: int) -> list[BivariatePoly]:
     vertices.  W is that bound's bit length plus one spare bit, so no slot
     ever carries into the next, and unpacking at the return is exact.
     """
+    series, width = _packed_recursion(n_max)
+    return [_unpack_rows(rows, width) for rows in series]
+
+
+def _tree_recursion_last(n: int) -> BivariatePoly:
+    """tree_recursion_I(n)[n], with I_n alone unpacked."""
+    series, width = _packed_recursion(n)
+    return _unpack_rows(series[n], width)
+
+
+def _packed_recursion(n_max: int) -> tuple[list[list[int]], int]:
+    """The packed rows of I_0 .. I_n_max, as tree_recursion_I describes
+    them, and their slot width W."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     width = ((n_max + 1) ** max(n_max - 1, 0)).bit_length() + 1
@@ -316,7 +329,7 @@ def tree_recursion_I(n_max: int) -> list[BivariatePoly]:
             if 2 * i < n:
                 total = _add_t_bracket(total, product, n - i + 1, width)
         series.append(total)
-    return [_unpack_rows(rows, width) for rows in series]
+    return series, width
 
 
 def _add_t_bracket(total: list[int], rows: list[int], k: int, width: int) -> list[int]:

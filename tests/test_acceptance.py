@@ -210,6 +210,22 @@ GATED_OUTPUTS = {
     "poly --name Fperm --n 7":
         "faa0323a1726c1b01a6588868287e91dc189149fe2688c8e51485b1a8bbead38",
     "explore --n 5": "f798b655fd1413d71a566fab923a9be5b8e9167626db73d64bb8886eafe2eba7",
+    "enumerate --kind parking --n 6":
+        "0d68f92608363220ab24ae9f7970e830b61dcf37093bf492a8afe2560fd3dc8c",
+    "enumerate --kind parking --n 6 --format json":
+        "f848006cd604fb5b089945fc941d9f34435a593d2cdbb4d48b269d2c5e4379c8",
+    "enumerate --kind majors --n 6":
+        "96fd9404fb4f4533466bcd4f04606348d4ce6b8b8efa226eb4aad3460763b2f6",
+    "enumerate --kind trees --n 6 --format json":
+        "f1f1f630045bf190372a5f82bdbac2e4fb5c10d100e6a6c141b70b98ed543c0e",
+    "enumerate --kind factorizations --n 5 --format json":
+        "ce6b5afdd1c72c20ae4b35d6019baedeb7457de3621ba02f74f8da5d25a028c4",
+    "enumerate --kind unimodal --n 7":
+        "b3016a0295d80141253d8faea2f21815f719ad7ca31ae398ddc26c5c871c70a6",
+    "poly --name D --n 12":
+        "ead7d58fadd7474af9091114362f4ffe8b193b37fdc9c57ca9bdbb8b34c9b72c",
+    "poly --name I --n 16":
+        "d6c7e5dde6b0c41f114d92117610ec37abcb47f8ad69b8584d57ca889cc1fa6e",
 }
 
 

@@ -448,6 +448,27 @@ class TestEnumerate:
         assert code == 0
         assert out.splitlines() == [str(m) for m in enumerate_majors(3)]
 
+    def test_listing_memory_stays_flat(self):
+        # lines are written a chunk at a time: the whole listing of the
+        # trees at n = 7 is 8 MiB of text
+        class Sink(io.TextIOBase):
+            lines = 0
+
+            def write(self, text):
+                self.lines += text.count("\n")
+                return len(text)
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(sink):
+                code = main(["enumerate", "--kind", "trees", "--n", "7"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, sink.lines) == (0, 8**6)
+        assert peak < 2 * 2**20, peak
+
     @pytest.mark.parametrize("kind", ["trees", "parking", "majors", "unimodal"])
     def test_kinds_without_sigma_refuse_it(self, capsys, kind):
         code, out, err = run(capsys, "enumerate", "--kind", kind, "--n", "1",
@@ -824,8 +845,15 @@ class TestRecursionCallers:
     ])
     def test_output_matches_the_dict_recursion(self, capsys, monkeypatch, argv):
         code, out, _ = run(capsys, *argv)
-        monkeypatch.setattr("parkfact.polynomials.tree_recursion_I", tree_recursion_by_dict)
+        asked = []
+
+        def last_by_dict(n):
+            asked.append(n)
+            return tree_recursion_by_dict(n)[n]
+
+        monkeypatch.setattr("parkfact.polynomials._tree_recursion_last", last_by_dict)
         assert (code, out) == run(capsys, *argv)[:2]
+        assert asked == [int(argv[-1])]  # the patched route is the one taken
 
 
 class TestParsing:

@@ -7,6 +7,7 @@ from oracles import tree_recursion_by_dict
 
 from parkfact.polynomials import (
     BivariatePoly,
+    _tree_recursion_last,
     catalan_number,
     catalan_qt,
     qt_bracket,
@@ -228,6 +229,10 @@ class TestTreeRecursion:
         # the slot width depends on n_max, so every n_max is its own case
         for n_max in range(13):
             assert tree_recursion_I(n_max) == tree_recursion_by_dict(n_max)
+
+    def test_last_alone_is_the_last_of_the_series(self):
+        for n in range(21):
+            assert _tree_recursion_last(n) == tree_recursion_I(n)[n]
 
     def test_nonnegative_coefficients(self):
         for p in tree_recursion_I(8):
