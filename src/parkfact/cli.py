@@ -141,7 +141,7 @@ def _read(args, shape: str):
 
 
 def _sigma_for(args, n: int) -> FullCycle:
-    if args.sigma:
+    if args.sigma is not None:
         sigma = parse_full_cycle(args.sigma)
         if sigma.n != n:
             raise CliError(f"sigma is on [{sigma.n}] but the object needs [{n}]")

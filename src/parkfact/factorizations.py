@@ -4,11 +4,11 @@ F_sigma is the set of length-n transposition sequences multiplying out
 (left to right) to the full cycle sigma.  Both routes through it follow
 the "remaining" permutation rho_i = pi_i^{-1} sigma: a prefix extends to
 a member of F_sigma exactly when each chosen factor has both endpoints
-in one cycle of rho, so the search has no dead ends.  That rule is
-written once, as the per-call memo of _moves, and both routes read it:
-the factor stream lists the members one by one, for per-object checks;
-F_sigma(q,t) and the five restricted families of F_n come from one
-memoized walk over rho, which sums by state instead of by member.
+in one cycle of rho, so the search has no dead ends.  The factor stream
+reads that rule from the per-call memo of _moves and lists the members
+one by one, for per-object checks.  F_sigma(q,t) and the five restricted
+families of F_n sum by cycle instead: factors on disjoint cycles commute,
+so one memoized recursion over single cycles multiplies children's sums.
 Lower/upper sequences, their area statistics, and the rotation maps
 phi_k also live here.  A Factorization holds its factors as the raw
 (lo, hi) pairs that every kernel reads; its constructor is the one place
@@ -181,53 +181,55 @@ def total_difference(f: Factorization) -> int:
     return sum(_member_areas(f))
 
 
-def _walk(sigma: FullCycle, step=lambda extra, a, b: extra, start=0) -> BivariatePoly:
-    """q^(lower area) t^(upper area) summed over the members of F_sigma
-    whose factors all pass `step`.
+def _block_sums(sigma: FullCycle, family: str = "") -> BivariatePoly:
+    """q^(lower area) t^(upper area) summed over the members of F_sigma in
+    `family`: all for "", else "without_top" (no factor (0, n)) or a family
+    of restricted_enumerators.
 
-    A memoized walk over the remaining permutation rho, starting at sigma.
-    Let S(rho, extra) count the factor sequences that take rho to the
-    identity by their lower and upper sums (A, B).  S(identity, extra) =
-    {(0, 0): 1}, and S(rho, extra) sums, over the pairs a < b on one cycle
-    of rho with extra' = step(extra, a, b) not None, the terms of S(rho
-    with rho[a], rho[b] swapped, extra') moved to (A + a, B + b).  A state
-    other than the identity whose every factor is refused counts nothing.
-    At the root (A, B) becomes (binom(n,2) - A, B - binom(n,2)).  Every rho
-    met lies on a geodesic from sigma to the identity, i.e. is a
-    noncrossing partition relative to sigma, so the walk visits
-    Catalan(n+1) states per extra (1,430 at n = 7) instead of the
-    (n+1)^(n-1) leaves.  It reads the same moves as iter_factor_pairs; the
-    tests compare the two sums, and the stream with a recursive oracle.
+    Factors on disjoint cycles commute, so the sum S(C) over a cycle
+    (x_0 ... x_(k-1)) of rho sums q^a t^b C(k-2, |C1|-1) S(C1) S(C2) over
+    its first factors (x_i x_j), i < j, ends a < b, with C1 = (x_(i+1) ...
+    x_j), C2 = (x_(j+1) ... x_i) and S of a point 1.  A family is a rule on
+    the first factor: a within the parent's bound, the children's bound a,
+    one shuffle (lower letters of disjoint cycles differ); or a the largest
+    point of its child.  The memo key is the cycle from its least point.
     """
     n = sigma.n
-    moves = _moves(n + 1)
+    monotone = family in ("increasing", "decreasing")
 
     @functools.cache  # one memo per call, dropped with the closure
-    def sums(rho: tuple[int, ...], extra) -> dict[tuple[int, int], int]:
-        here = moves(rho)
-        if not here:  # rho is the identity
-            return {(0, 0): 1}
-        out: dict[tuple[int, int], int] = {}
-        for a, b in here:
-            after = step(extra, a, b)
-            if after is None:
-                continue
-            child = list(rho)
-            child[a], child[b] = child[b], child[a]
-            for (low, high), c in sums(tuple(child), after).items():
-                key = low + a, high + b
-                out[key] = out.get(key, 0) + c
+    def sums(cycle: tuple[int, ...], bound: int) -> dict[tuple[int, int], int]:
+        k = len(cycle)
+        out = {} if k > 1 else {(0, 0): 1}
+        for i in range(k - 1):
+            for j in range(i + 1, k):
+                a, b = sorted((cycle[i], cycle[j]))
+                if (family == "without_top" and (a, b) == (0, n)
+                        or family == "increasing" and a < bound
+                        or family == "decreasing" and a > bound):
+                    continue
+                left, right = cycle[i + 1 : j + 1], cycle[: i + 1] + cycle[j + 1 :]
+                if family == "perm_lower" and a != max(left if a == cycle[j] else right):
+                    continue
+                weight, child_bound = (1, a) if monotone else (math.comb(k - 2, j - i - 1), bound)
+                m = left.index(min(left))  # right already begins at x_0, its least point
+                inner = sums(right, child_bound).items()
+                for (low, high), c in sums(left[m:] + left[:m], child_bound).items():
+                    low, high, c = low + a, high + b, c * weight
+                    for (low2, high2), d in inner:
+                        key = low + low2, high + high2
+                        out[key] = out.get(key, 0) + c * d
         return out
 
     binom = math.comb(n, 2)
-    root = sums(sigma.to_permutation().images, start)
+    root = sums(sigma.word, n if family == "decreasing" else 0)
     return BivariatePoly({(binom - low, high - binom): c for (low, high), c in root.items()})
 
 
 @functools.cache
 def factorization_enumerator(sigma: FullCycle) -> BivariatePoly:
     """F_sigma(q,t): q^(lower area) t^(upper area) summed over F_sigma."""
-    return _walk(sigma)
+    return _block_sums(sigma)
 
 
 # ------------------------------------------------------ restricted families
@@ -261,21 +263,19 @@ def restricted_enumerators(n: int) -> RestrictedEnumerators:
 
     simple: contains the factor (0, n); increasing / decreasing: lower
     sequence weakly monotone; max_diff: maximum total difference;
-    perm_lower: the lower sequence is a permutation of 0..n-1.  Each
-    family is one filtered memoized walk, whose extra state is the last
-    lower letter or the set of lower letters used; simple is F_n minus the
-    members without (0, n).  The total degree of a term is the total
-    difference, so max_diff is the top-degree part of F_n.
+    perm_lower: the lower sequence is a permutation of 0..n-1.  simple is
+    F_n minus the members without (0, n); the total degree of a term is
+    the total difference, so max_diff is the top-degree part of F_n.
     """
     sigma = FullCycle.canonical(n)
     f_n = factorization_enumerator(sigma)
     top = f_n.degree
     return RestrictedEnumerators(
-        simple=f_n - _walk(sigma, lambda _, a, b: None if (a, b) == (0, n) else 0),
-        increasing=_walk(sigma, lambda last, a, b: a if a >= last else None),
-        decreasing=_walk(sigma, lambda last, a, b: a if a <= last else None, n),
+        simple=f_n - _block_sums(sigma, "without_top"),
+        increasing=_block_sums(sigma, "increasing"),
+        decreasing=_block_sums(sigma, "decreasing"),
         max_diff=BivariatePoly({k: c for k, c in f_n.terms() if sum(k) == top}),
-        perm_lower=_walk(sigma, lambda used, a, b: None if used >> a & 1 else used | 1 << a),
+        perm_lower=_block_sums(sigma, "perm_lower"),
     )
 
 

@@ -4,12 +4,13 @@ Each is the direct, obviously-correct route; tests compare the fast
 generators and decoders against them exhaustively at small n.
 """
 
+import functools
 import math
 from collections import Counter
 from itertools import accumulate, chain, combinations, product
 
 from parkfact.arch import ArchDiagram
-from parkfact.factorizations import RestrictedEnumerators, iter_factor_pairs
+from parkfact.factorizations import RestrictedEnumerators, _moves, iter_factor_pairs
 from parkfact.inverse_maps import sigma_sides
 from parkfact.parking import (
     ParkingEnumerators,
@@ -474,4 +475,60 @@ def restricted_enumerators_by_stream(n):
         BivariatePoly(decreasing),
         BivariatePoly(by_diff[max(by_diff)]),
         BivariatePoly(perm),
+    )
+
+
+def _walk(sigma, step=lambda extra, a, b: extra, start=0):
+    """q^(lower area) t^(upper area) summed over the members of F_sigma
+    whose factors all pass `step`, by a memoized walk over the whole
+    remaining permutation rho, starting at sigma.
+
+    S(identity, extra) = {(0, 0): 1}, and S(rho, extra) sums, over the
+    moves a < b of rho with extra' = step(extra, a, b) not None, the terms
+    of S(rho with rho[a], rho[b] swapped, extra') moved to (A + a, B + b).
+    Every rho met is a noncrossing partition relative to sigma, so the
+    walk visits Catalan(n+1) states per extra.
+    """
+    n = sigma.n
+    moves = _moves(n + 1)
+
+    @functools.cache
+    def sums(rho, extra):
+        here = moves(rho)
+        if not here:  # rho is the identity
+            return {(0, 0): 1}
+        out = {}
+        for a, b in here:
+            after = step(extra, a, b)
+            if after is None:
+                continue
+            child = list(rho)
+            child[a], child[b] = child[b], child[a]
+            for (low, high), c in sums(tuple(child), after).items():
+                key = low + a, high + b
+                out[key] = out.get(key, 0) + c
+        return out
+
+    binom = math.comb(n, 2)
+    root = sums(sigma.to_permutation().images, start)
+    return BivariatePoly({(binom - low, high - binom): c for (low, high), c in root.items()})
+
+
+def factorization_enumerator_by_walk(sigma):
+    """F_sigma(q,t) from the memoized walk over the remaining permutation."""
+    return _walk(sigma)
+
+
+def restricted_enumerators_by_walk(n):
+    """The five restricted families of F_n, each a filtered walk whose
+    extra state is the last lower letter or the set of lower letters used."""
+    sigma = FullCycle.canonical(n)
+    f_n = _walk(sigma)
+    top = f_n.degree
+    return RestrictedEnumerators(
+        simple=f_n - _walk(sigma, lambda _, a, b: None if (a, b) == (0, n) else 0),
+        increasing=_walk(sigma, lambda last, a, b: a if a >= last else None),
+        decreasing=_walk(sigma, lambda last, a, b: a if a <= last else None, n),
+        max_diff=BivariatePoly({k: c for k, c in f_n.terms() if sum(k) == top}),
+        perm_lower=_walk(sigma, lambda used, a, b: None if used >> a & 1 else used | 1 << a),
     )

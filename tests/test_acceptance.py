@@ -183,9 +183,9 @@ def test_each_suite_is_its_module_function():
 # SHA-256 of the stdout of each call: the first three are the n = 7 calls
 # that the benchmark gates, copied from perfbench/gates.py, so a slip in the
 # tree stream's order, a line's text or a polynomial's terms fails here too,
-# not only there; the rest pin the factor stream's order, the memoized
-# walk's sums and the parking enumerators on calls that no benchmark gate
-# covers
+# not only there; the rest pin the factor stream's order, the block
+# recursion's sums and the parking enumerators on calls that no benchmark
+# gate covers
 _F7_SHA = "8388bb6488b3e8c1fbc76917e5dfaf1f025302b9ced9cc83b15a21f3808f14a3"
 GATED_OUTPUTS = {
     "enumerate --kind trees --n 7":

@@ -885,6 +885,21 @@ class TestParsing:
         code, out, err = run(capsys, *command, "--input=--")
         assert (code, out, err) == (1, "", "error: --input needs a value\n")
 
+    @pytest.mark.parametrize("command", [
+        ("enumerate", "--kind", "factorizations", "--n", "3"),
+        ("enumerate", "--kind", "arch", "--n", "3"),
+        ("poly", "--name", "F", "--n", "3"),
+        ("map", "--via", "l-inverse", "--input", "0,0"),
+        ("map", "--via", "u-inverse", "--input", "1,2"),
+        ("map", "--via", "arch", "--input", "(0 1)"),
+        ("map", "--via", "fact", "--input", '{"n": 1, "arcs": [[0, 1, 1]]}'),
+        ("render", "--kind", "arch", "--input", "(0 1)"),
+    ])
+    def test_empty_sigma_is_refused(self, capsys, command):
+        # an empty --sigma is given, so it is parsed, not read as the canonical cycle
+        code, out, err = run(capsys, *command, "--sigma", "")
+        assert (code, out, err) == (1, "", "error: expected a single cycle word, got ''\n")
+
     @pytest.mark.parametrize("text, err", [
         ("(1 1)", "error: transposition needs 0 <= lo < hi, got (1, 1)\n"),
         ("(2 -1)", "error: transposition needs 0 <= lo < hi, got (-1, 2)\n"),

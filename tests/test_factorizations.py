@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 from itertools import combinations, permutations, product, zip_longest
 
 import pytest
 from oracles import (
     factor_pairs_by_recursion,
     factorization_enumerator_by_stream,
+    factorization_enumerator_by_walk,
     is_minimal_by_graph,
     product_by_compose,
     restricted_enumerators_by_stream,
+    restricted_enumerators_by_walk,
 )
 
 from parkfact import factorizations
@@ -40,6 +43,7 @@ from parkfact.permutations import (
     full_cycles,
     parse_permutation,
     reflect_reverse,
+    unimodal_cycles,
 )
 from parkfact.polynomials import (
     BivariatePoly,
@@ -195,7 +199,7 @@ class TestEnumeration:
     @pytest.mark.slow
     def test_trees_match_factorizations_at_eight(self):
         # opt-in (pytest -m slow): 4.78M trees, factor sequences and parking
-        # functions; F_8 from the memoized walk and, leaf by leaf, from the
+        # functions; F_8 from the block recursion and, leaf by leaf, from the
         # stream; B_8 comes from the parking enumerators, as poly --name B
         i8 = inversion_enumerator(8)
         assert i8 == factorization_enumerator(FullCycle.canonical(8))
@@ -268,13 +272,45 @@ class TestEnumerator:
                 inversion_enumerator(n)
             )
 
-    def test_memoized_walk_matches_the_stream(self):
+    def test_block_recursion_matches_the_stream(self):
         sigmas = [sigma for n in range(6) for sigma in full_cycles(n)]
         assert len(sigmas) == 154
         for sigma in [*sigmas, FullCycle.canonical(6)]:
             assert factorization_enumerator(sigma) == (
                 factorization_enumerator_by_stream(sigma)
             ), sigma
+
+    def test_block_recursion_matches_the_walk_on_unimodal_cycles(self):
+        # past the stream's reach: the walk over whole permutations pins
+        # each first factor's split into its two child cycles
+        sigmas = list(unimodal_cycles(6))
+        assert len(sigmas) == 32
+        for sigma in sigmas:
+            assert factorization_enumerator(sigma) == (
+                factorization_enumerator_by_walk(sigma)
+            ), sigma
+
+    @pytest.mark.slow
+    def test_block_recursion_matches_the_walk_at_six(self):
+        # opt-in (pytest -m slow): all 720 full cycles at n = 6
+        for sigma in full_cycles(6):
+            assert factorization_enumerator(sigma) == (
+                factorization_enumerator_by_walk(sigma)
+            ), sigma
+
+    def test_memory_at_eight(self):
+        # the walk over whole permutations peaked at 10.0 MiB here, the
+        # block recursion at 2.7 MiB
+        factorization_enumerator.cache_clear()
+        tracemalloc.start()
+        try:
+            f_8 = factorization_enumerator(FullCycle.canonical(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            factorization_enumerator.cache_clear()
+        assert f_8.eval(1, 1) == 9**7
+        assert peak < 5 * 2**20, peak
 
 
 class TestRestricted:
@@ -318,11 +354,19 @@ class TestRestricted:
             r = restricted_enumerators(n)
             assert r.perm_lower == inversion_enumerator(n).at_q(0)
 
-    def test_walk_matches_the_stream(self):
+    def test_block_recursion_matches_the_stream(self):
         for n in range(7):
-            walk, stream = restricted_enumerators(n), restricted_enumerators_by_stream(n)
+            blocks, stream = restricted_enumerators(n), restricted_enumerators_by_stream(n)
             for field in RestrictedEnumerators._fields:
-                assert getattr(walk, field) == getattr(stream, field), (n, field)
+                assert getattr(blocks, field) == getattr(stream, field), (n, field)
+
+    def test_block_recursion_matches_the_walk(self):
+        # increasing and decreasing see the order of the lower letters, so
+        # they fail if a first factor's ends go to the wrong child cycles
+        for n in range(9):
+            blocks, walk = restricted_enumerators(n), restricted_enumerators_by_walk(n)
+            for field in RestrictedEnumerators._fields:
+                assert getattr(blocks, field) == getattr(walk, field), (n, field)
 
     def test_closed_forms_past_brute_force(self):
         t = BivariatePoly.var_t()
@@ -353,7 +397,7 @@ class TestRestricted:
                 cached.cache_clear()
 
     @pytest.mark.slow
-    def test_walk_matches_the_stream_at_seven(self):
+    def test_block_recursion_matches_the_stream_at_seven(self):
         # opt-in (pytest -m slow): all five families, 262,144 leaves
         assert restricted_enumerators(7) == restricted_enumerators_by_stream(7)
 
