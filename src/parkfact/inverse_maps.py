@@ -86,14 +86,15 @@ def _check_entry_invariants(
         raise AssertionError(f"partial product moves a value below {a}")
     # a window is traversed in word order, so the left case's window runs
     # from a to pre[a] and the right case's from images[a] to a; the ends
-    # come out reversed when a is not at that end
+    # come out reversed when a is not at that end, and the window's far
+    # end must stop short of the word's
     k = pos[a]
     lo, hi = (k, pos[pre[a]]) if left else (pos[images[a]], k)
-    side, end = ("left", "start") if left else ("right", "end")
+    side, near, far = ("left", "start", "end") if left else ("right", "end", "start")
     if lo > hi:
-        raise AssertionError(f"{side} window at {a} does not {end} at {a}")
+        raise AssertionError(f"{side} window at {a} does not {near} at {a}")
     if (left and hi == n) or (not left and lo == 0):
-        raise AssertionError(f"{side} window at {a} reaches the word's {end}")
+        raise AssertionError(f"{side} window at {a} reaches the word's {far}")
     if set(sigma.word[lo : hi + 1]) >= set(range(a, n + 1)):
         raise AssertionError(f"window at {a} swallowed the whole interval [{a}, {n}]")
 

@@ -320,7 +320,7 @@ def check_simple_decomposition(n_max: int) -> str | None:
                 if part_runs is None or len(part_runs) != 1:
                     return f"a part of f={_word(pairs, n)} is not simple"
                 g = [(a, b) for a, b, _ in part_arcs]
-                if not _fact._is_full_cycle_product(len(g), swap_product(g, m - 1)):
+                if swap_product(g, m - 1) != [*range(1, m), 0]:
                     return f"a part of f={_word(pairs, n)} is not in F_{m - 1}"
                 part_areas.append(_fact._areas(g, m - 1))
             labels = sorted(i for *_, index_set in parts for i in index_set)

@@ -249,3 +249,13 @@ def test_bounce_fails_on_a_wrong_pointwise_value(monkeypatch):
     result = verify.run_suite("bounce", 2)
     assert result.ok is False
     assert result.detail == "pinv+copinv != bounce for p=0"
+
+
+def test_simple_decomposition_fails_on_a_part_outside_the_family(monkeypatch):
+    # one part whose product (0 2 1) is a full cycle but not the canonical
+    # one, so it is no member of F_2
+    monkeypatch.setattr(_arch, "_valid_runs", lambda arcs, m: [arcs])
+    monkeypatch.setattr(_arch, "_parts", lambda runs: [([(0, 2, 1), (0, 1, 2)], 3, (1, 2))])
+    result = verify.run_suite("simple-decomposition", 2)
+    assert result.ok is False
+    assert result.detail == "a part of f=(0 1) is not in F_2"

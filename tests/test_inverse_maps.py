@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -10,8 +11,10 @@ from parkfact.factorizations import (
     lower,
     upper,
 )
+from parkfact import inverse_maps
 from parkfact.parking import is_parking
 from parkfact.inverse_maps import (
+    _check_entry_invariants,
     l_inverse,
     non_unimodal_witness,
     omega,
@@ -24,7 +27,14 @@ from parkfact.parking import (
     ParkingFunction,
     enumerate_parking,
 )
-from parkfact.permutations import FullCycle, full_cycles, is_unimodal, parse_full_cycle, unimodal_cycles
+from parkfact.permutations import (
+    FullCycle,
+    full_cycles,
+    is_unimodal,
+    parse_full_cycle,
+    swap_product,
+    unimodal_cycles,
+)
 from parkfact.verify import run_suite
 
 SIGMA6 = parse_full_cycle("0 2 3 5 6 4 1")
@@ -140,6 +150,90 @@ class TestLInverse:
                 }
                 from_search = {f.factors for f in enumerate_factorizations(sigma)}
                 assert from_inverse == from_search
+
+
+def _entry_state(word, taus, images=None, pre=None):
+    """(sigma, pos, taus, images, pre) for a hand-built step of l_inverse;
+    images defaults to the product of the placed factors, pre to its
+    inverse."""
+    sigma = FullCycle(word)
+    if images is None:
+        images = swap_product([pair for pair in taus if pair is not None], sigma.n)
+    if pre is None:
+        pre = [0] * len(images)
+        for x, y in enumerate(images):
+            pre[y] = x
+    return sigma, sigma.positions(), taus, images, pre
+
+
+class TestCheckMode:
+    # one hand-built state per assertion of the step check, each arguments
+    # (word, taus, images, pre, step, a, left) and the message it must raise
+    STATES = {
+        "images-out-of-sync": (
+            (0, 1, 2), [None] * 3, [1, 0, 2], None, 1, 0, True,
+            "partial product out of sync at step 1",
+        ),
+        "inverse-out-of-sync": (
+            (0, 1, 2), [None] * 3, None, [1, 0, 2], 1, 0, True,
+            "partial product out of sync at step 1",
+        ),
+        "contiguity": (
+            (0, 1, 2), [None, (0, 2), None], None, None, 2, 0, True,
+            "partial product [2, 1, 0] lost contiguity at step 2",
+        ),
+        "cycle-count": (
+            (0, 1, 2), [None, (0, 1), None], None, None, 3, 0, True,
+            "partial product has 2 cycles at step 3, expected 1",
+        ),
+        "fixed-prefix": (
+            (0, 1, 2), [None, (0, 1), None], None, None, 2, 1, True,
+            "partial product moves a value below 1",
+        ),
+        # the window orientation can only break where sigma has a valley
+        "left-window-start": (
+            (0, 2, 1, 3), [None, (1, 2), None, None], None, None, 2, 1, True,
+            "left window at 1 does not start at 1",
+        ),
+        "right-window-end": (
+            (0, 3, 1, 2), [None, (1, 2), None, None], None, None, 2, 1, False,
+            "right window at 1 does not end at 1",
+        ),
+        "left-window-reaches-the-end": (
+            (0, 1, 2), [None, (1, 2), (0, 1)], [1, 2, 0], [2, 0, 1], 3, 0, True,
+            "left window at 0 reaches the word's end",
+        ),
+        # position 0 holds 0, a sigma-left value, so only a state that
+        # names 0 sigma-right reaches the word's start from the right
+        "right-window-reaches-the-start": (
+            (0, 1, 2), [None] * 3, None, None, 1, 0, False,
+            "right window at 0 reaches the word's start",
+        ),
+        "left-window-swallows": (
+            (0, 2, 3, 1), [None, (2, 3), None, None], None, None, 2, 2, True,
+            "window at 2 swallowed the whole interval [2, 3]",
+        ),
+        "right-window-swallows": (
+            (0, 1, 3, 2), [None, (2, 3), None, None], None, None, 2, 2, False,
+            "window at 2 swallowed the whole interval [2, 3]",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(STATES))
+    def test_each_assertion_fires(self, name):
+        word, taus, images, pre, step, a, left, message = self.STATES[name]
+        sigma, pos, taus, images, pre = _entry_state(word, taus, images, pre)
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+            _check_entry_invariants(sigma, pos, taus, images, pre, step, a, left)
+
+    @pytest.mark.parametrize("sigma", [FullCycle.canonical(6), SIGMA6], ids=str)
+    def test_a_wrong_order_is_caught(self, sigma, monkeypatch):
+        # placing the half-edges in reverse omega order breaks the product
+        # the steps keep; only the check mode notices
+        right = inverse_maps.omega
+        monkeypatch.setattr(inverse_maps, "omega", lambda s, p: right(s, p)[::-1])
+        with pytest.raises(AssertionError, match="partial product out of sync at step 3"):
+            l_inverse(P6, sigma, check=True)
 
 
 class TestUInverse:
