@@ -6,9 +6,12 @@ directly: half-edges are processed in the omega order (largest entry
 first), and each step closes one arc, merging two adjacent windows of
 sigma's visit word.  The partial product is kept as its images and their
 inverse; by the contiguity invariant its cycles are the windows, so each
-window's end points are read off the product.  With check=True each step
-checks the product against swap_product of the placed factors and one
-window scan gives contiguity and the cycle count (window_cycles).
+window's end points are read off the product.  One placement step serves
+both sides of the peak: a sigma-right entry is placed as a sigma-left one
+would be, on the inverse product and walking the word backwards.  With
+check=True each step checks the product against swap_product of the
+placed factors and one window scan gives contiguity and the cycle count
+(window_cycles).
 
 For non-unimodal sigma no inverse exists, and non_unimodal_witness
 produces the certifying collision: two factorizations sharing one lower
@@ -121,34 +124,27 @@ def l_inverse(
     pre = list(range(n + 1))
     for step, j in enumerate(order, start=1):
         a = p.entries[j - 1]
-        left = pos[a] < pos[n]  # a is sigma-left
+        # a sigma-right entry is a sigma-left one read through the inverse
+        # product and walked the other way: end maps a to its window's far
+        # end, back is its inverse and d the direction of the walk
+        end, back, d = (pre, images, 1) if pos[a] < pos[n] else (images, pre, -1)
         if check:
-            _check_entry_invariants(sigma, pos, taus, images, pre, step, a, left)
-        # the window at a meets the next window (left case) or the previous
-        # one (right case) at c; the factors on the far side of j never move
-        # a, so carrying c through them gives the partner b
-        if left:
-            c = word[pos[pre[a]] + 1]
-            far_side = range(n, j, -1)
-        else:
-            c = word[pos[images[a]] - 1]
-            far_side = range(1, j)
+            _check_entry_invariants(sigma, pos, taus, images, pre, step, a, d > 0)
+        # the window at a meets its neighbour in direction d at c; the
+        # factors on the far side of j never move a, so carrying c through
+        # them gives the partner b
+        c = word[pos[end[a]] + d]
         b = c
-        for r in far_side:
+        for r in range(n, j, -1) if d > 0 else range(1, j):
             pair = taus[r]
             if pair is not None and b in pair:
                 b = pair[0] + pair[1] - b
         if check and b <= a:
             raise AssertionError(f"computed partner {b} not above {a}")
         taus[j] = (a, b)
-        # placing (a b) exchanges the values a and c of the product (left
-        # case) or its entries at a and c (right case)
-        if left:
-            pre[a], pre[c] = pre[c], pre[a]
-            images[pre[a]], images[pre[c]] = a, c
-        else:
-            images[a], images[c] = images[c], images[a]
-            pre[images[a]], pre[images[c]] = a, c
+        # placing (a b) exchanges the entries of end at a and c
+        end[a], end[c] = end[c], end[a]
+        back[end[a]], back[end[c]] = a, c
 
     result = Factorization(taus[1:], n)
     if check and result.product() != sigma.to_permutation():
