@@ -240,8 +240,9 @@ def inversion_enumerator(n: int) -> BivariatePoly:
 
 @functools.cache
 def depth_enumerator(n: int) -> BivariatePoly:
-    """D_n(q) = sum over trees of q^depth (univariate, stored in q)."""
-    return BivariatePoly(Counter((_tree_stats(p)[2], 0) for p in _parent_tuples(n)))
+    """D_n(q) = sum over trees of q^depth (univariate, stored in q): depth
+    is inv + coinv, so D_n(q) = I_n(q, q)."""
+    return inversion_enumerator(n).diagonal()
 
 
 # -------------------------------------------------------------- text forms

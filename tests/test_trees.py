@@ -170,10 +170,6 @@ class TestEnumerators:
             assert inversion_enumerator(n) == BivariatePoly(Counter(s[:2] for s in stats))
             assert depth_enumerator(n) == BivariatePoly(Counter((s[2], 0) for s in stats))
 
-    def test_depth_is_the_diagonal(self):
-        for n in range(6):
-            assert depth_enumerator(n) == inversion_enumerator(n).diagonal()
-
 
 class TestTextForms:
     def test_format(self):
