@@ -89,8 +89,7 @@ def _check_entry_invariants(
         raise AssertionError(f"partial product moves a value below {a}")
     # a window is traversed in word order, so the left case's window runs
     # from a to pre[a] and the right case's from images[a] to a; the ends
-    # come out reversed when a is not at that end, and the window's far
-    # end must stop short of the word's
+    # come out reversed when a is not at that end
     k = pos[a]
     lo, hi = (k, pos[pre[a]]) if left else (pos[images[a]], k)
     side, near, far = ("left", "start", "end") if left else ("right", "end", "start")
@@ -124,9 +123,8 @@ def l_inverse(
     pre = list(range(n + 1))
     for step, j in enumerate(order, start=1):
         a = p.entries[j - 1]
-        # a sigma-right entry is a sigma-left one read through the inverse
-        # product and walked the other way: end maps a to its window's far
-        # end, back is its inverse and d the direction of the walk
+        # a sigma-right entry is placed as a sigma-left one, on the inverse
+        # product (end) and walking the word backwards (d)
         end, back, d = (pre, images, 1) if pos[a] < pos[n] else (images, pre, -1)
         if check:
             _check_entry_invariants(sigma, pos, taus, images, pre, step, a, d > 0)

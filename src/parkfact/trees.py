@@ -240,8 +240,7 @@ def inversion_enumerator(n: int) -> BivariatePoly:
 
 @functools.cache
 def depth_enumerator(n: int) -> BivariatePoly:
-    """D_n(q) = sum over trees of q^depth (univariate, stored in q): depth
-    is inv + coinv, so D_n(q) = I_n(q, q)."""
+    """D_n(q) = sum over trees of q^depth = I_n(q, q), as depth = inv + coinv."""
     return inversion_enumerator(n).diagonal()
 
 

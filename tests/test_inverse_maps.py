@@ -229,7 +229,8 @@ class TestCheckMode:
     @pytest.mark.parametrize("sigma", [FullCycle.canonical(6), SIGMA6], ids=str)
     def test_a_wrong_order_is_caught(self, sigma, monkeypatch):
         # placing the half-edges in reverse omega order breaks the product
-        # the steps keep; only the check mode notices
+        # the steps keep; unchecked, that surfaces only as a malformed
+        # factor at the end, checked, as the step where it broke
         right = inverse_maps.omega
         monkeypatch.setattr(inverse_maps, "omega", lambda s, p: right(s, p)[::-1])
         with pytest.raises(AssertionError, match="partial product out of sync at step 3"):
