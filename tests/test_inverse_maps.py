@@ -29,6 +29,7 @@ from parkfact.parking import (
 )
 from parkfact.permutations import (
     FullCycle,
+    Permutation,
     full_cycles,
     is_unimodal,
     parse_full_cycle,
@@ -160,9 +161,7 @@ def _entry_state(word, taus, images=None, pre=None):
     if images is None:
         images = swap_product([pair for pair in taus if pair is not None], sigma.n)
     if pre is None:
-        pre = [0] * len(images)
-        for x, y in enumerate(images):
-            pre[y] = x
+        pre = list(Permutation(tuple(images)).inverse().images)
     return sigma, sigma.positions(), taus, images, pre
 
 
