@@ -34,6 +34,8 @@ from .factorizations import (
     parse_factorization,
     phi_k,
     phi_k_inverse,
+    reflect_conjugate,
+    reflect_reverse,
     restricted_enumerators,
     simple_index,
     total_difference,
@@ -78,8 +80,6 @@ from .permutations import (
     is_unimodal,
     parse_full_cycle,
     parse_permutation,
-    reflect_conjugate,
-    reflect_reverse,
     swap_product,
     unimodal_cycles,
     window_cycles,

@@ -41,7 +41,7 @@ class ArchDiagram:
     def __post_init__(self):
         if self.n_vertices < 1:
             raise ValueError(f"ground set size must be nonnegative, got n = {self.n}")
-        object.__setattr__(self, "arcs", tuple(sorted(self.arcs, key=itemgetter(2))))
+        object.__setattr__(self, "arcs", tuple(sorted(map(tuple, self.arcs), key=itemgetter(2))))
         labels = [label for _, _, label in self.arcs]
         if labels != list(range(1, len(self.arcs) + 1)):
             raise ValueError(f"arc labels must be exactly 1..{len(self.arcs)}")

@@ -42,8 +42,6 @@ from .permutations import (
     _int_token,
     format_permutation,
     parse_full_cycle,
-    reflect_conjugate,
-    reflect_reverse,
     unimodal_cycles,
 )
 
@@ -259,7 +257,7 @@ def _factorization_record(f) -> dict:
         "factorization": str(f), "n": f.n, "product": format_permutation(pi),
         "lower": list(_fact.lower(f)), "upper": list(_fact.upper(f)),
     }
-    if _fact._is_full_cycle_product(len(f.factors), pi.images):
+    if _fact._is_full_cycle_product(len(f.factors), pi):
         a_l, a_u = _fact._areas(f.factors, f.n)
         record.update(area_lower=a_l, area_upper=a_u, total_difference=a_l + a_u)
         record["simple"] = _fact.is_simple(f)
@@ -320,8 +318,8 @@ _MAPS = {
              lambda d, args: _arch.arch_to_factorization(d, _sigma_for(args, d.n))),
     "push": ("parking", (), lambda p, args: _inv.push(p)),
     "reflect-conjugate": ("factorization-or-visit-word", ("n",),
-                          lambda v, args: reflect_conjugate(v)),
-    "reflect-reverse": ("factorization", ("n",), lambda f, args: reflect_reverse(f)),
+                          lambda v, args: _fact.reflect_conjugate(v)),
+    "reflect-reverse": ("factorization", ("n",), lambda f, args: _fact.reflect_reverse(f)),
     "complement": ("sequence", (), lambda value, args: _park.complement(value)),
 }
 _VIAS = tuple(_MAPS)
@@ -400,8 +398,8 @@ def _cmd_verify(args) -> int:
         raise CliError(str(exc))
     if len(names) == 1 and names[0] in _verify.SIZELESS:
         _refuse_unread(args, (), f"verify --suite {names[0]}")
-    if args.n is not None:
-        _guard_n(args.n)
+    if args.n is not None and _guard_n(args.n) < 1:
+        raise CliError("verify needs --n >= 1")
     sizes = [args.n] * len(names)
     workers = min(len(names), _usable_cpus())
     if workers == 1:

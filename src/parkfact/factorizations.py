@@ -9,10 +9,10 @@ reads that rule from the per-call memo of _moves and lists the members
 one by one, for per-object checks.  F_sigma(q,t) and the five restricted
 families of F_n sum by cycle instead: factors on disjoint cycles commute,
 so one memoized recursion over single cycles multiplies children's sums.
-Lower/upper sequences, their area statistics, and the rotation maps
-phi_k also live here.  A Factorization holds its factors as the raw
-(lo, hi) pairs that every kernel reads; its constructor is the one place
-a factor is checked.
+Lower/upper sequences, their area statistics, the rotation maps phi_k
+and the reflections also live here.  A Factorization holds its factors
+as the raw (lo, hi) pairs that every kernel reads; its constructor is
+the one place a factor is checked.
 """
 
 from __future__ import annotations
@@ -66,6 +66,36 @@ def is_minimal_for(f: Factorization, pi: Permutation) -> bool:
     if f.n != pi.n:
         raise ValueError(f"size mismatch: [{f.n}] vs [{pi.n}]")
     return f.product() == pi and len(f.factors) == f.n + 1 - pi.num_cycles()
+
+
+def reflect_conjugate(value):
+    """Conjugation by the order-reversing involution gamma: i -> n - i.
+
+    Full cycles map to the conjugated cycle re-rooted at 0; factorizations
+    map factor-wise, (a, b) to (n - b, n - a), carrying F_sigma onto
+    F_(gamma sigma gamma).
+    """
+    if isinstance(value, FullCycle):
+        m = value.n
+        flipped = tuple(m - v for v in value.word)
+        zero_at = flipped.index(0)
+        return FullCycle(flipped[zero_at:] + flipped[:zero_at])
+    if isinstance(value, Factorization):
+        m = value.n
+        return Factorization(tuple((m - b, m - a) for a, b in value.factors), m)
+    raise TypeError(f"cannot reflect a {type(value).__name__}")
+
+
+def reflect_reverse(factorization):
+    """Conjugate every factor by i -> n - i, then reverse factor order.
+
+    This is the involution on F_n that exchanges the lower and upper
+    sequences up to complement-reverse.
+    """
+    if not isinstance(factorization, Factorization):
+        raise TypeError("reflect_reverse expects a factorization")
+    m = factorization.n
+    return Factorization(tuple((m - b, m - a) for a, b in reversed(factorization.factors)), m)
 
 
 # ------------------------------------------------------------ enumeration
@@ -145,13 +175,10 @@ def upper(f: Factorization) -> tuple[int, ...]:
     return tuple(b for _, b in f.factors)
 
 
-def _is_full_cycle_product(length: int, images) -> bool:
-    """True iff `length` factors with this product form a minimal
+def _is_full_cycle_product(length: int, pi: Permutation) -> bool:
+    """True iff `length` factors with product pi form a minimal
     factorization of a full cycle: n factors, one cycle through [n]."""
-    x, size = images[0], 1
-    while x != 0:
-        x, size = images[x], size + 1
-    return length == size - 1 == len(images) - 1
+    return length == pi.n and pi.num_cycles() == 1
 
 
 def _areas(pairs, n: int) -> tuple[int, int]:
@@ -161,7 +188,7 @@ def _areas(pairs, n: int) -> tuple[int, int]:
 
 
 def _member_areas(f: Factorization) -> tuple[int, int]:
-    if not _is_full_cycle_product(len(f), swap_product(f.factors, f.n)):
+    if not _is_full_cycle_product(len(f), f.product()):
         raise ValueError(f"{f} is not a minimal factorization of a full cycle")
     return _areas(f.factors, f.n)
 

@@ -20,15 +20,9 @@ sequence.
 
 from __future__ import annotations
 
-from .factorizations import Factorization
+from .factorizations import Factorization, reflect_conjugate
 from .parking import MajorSequence, ParkingFunction, _label_groups, complement
-from .permutations import (
-    FullCycle,
-    is_unimodal,
-    reflect_conjugate,
-    swap_product,
-    window_cycles,
-)
+from .permutations import FullCycle, _valley, is_unimodal, swap_product, window_cycles
 
 
 def sigma_sides(sigma: FullCycle) -> tuple[frozenset[int], frozenset[int]]:
@@ -207,11 +201,7 @@ def non_unimodal_witness(
     """
     word = sigma.word
     n = sigma.n
-    valley = None
-    for i in range(1, n):
-        if word[i - 1] > word[i] < word[i + 1]:
-            valley = i
-            break
+    valley = _valley(word)
     if valley is None:
         raise ValueError(f"{sigma} is unimodal; no witness exists")
 

@@ -132,6 +132,8 @@ class LabelledDyckPath:
     side: str
 
     def __post_init__(self):
+        object.__setattr__(self, "heights", tuple(self.heights))
+        object.__setattr__(self, "labels", tuple(self.labels))
         n = len(self.heights)
         if self.side not in ("below", "above"):
             raise ValueError(f"side must be 'below' or 'above': {self.side}")

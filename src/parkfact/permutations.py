@@ -11,7 +11,7 @@ of the underlying function.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
 from typing import Iterator
 
@@ -23,6 +23,7 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "images", tuple(self.images))
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError(f"not a bijection on [n]: {self.images}")
 
@@ -96,6 +97,7 @@ class FullCycle:
     word: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "word", tuple(self.word))
         if not self.word or self.word[0] != 0:
             raise ValueError(f"full-cycle word must begin with 0: {self.word}")
         if sorted(self.word) != list(range(len(self.word))):
@@ -112,14 +114,10 @@ class FullCycle:
 
     @classmethod
     def from_permutation(cls, perm: Permutation) -> "FullCycle":
-        word = [0]
-        x = perm(0)
-        while x != 0:
-            word.append(x)
-            x = perm(x)
-        if len(word) != len(perm.images):
+        cycles = perm.cycles(include_fixed=True)
+        if len(cycles) != 1:
             raise ValueError("permutation is not a single full cycle")
-        return cls(tuple(word))
+        return cls(cycles[0])
 
     def to_permutation(self) -> Permutation:
         images = [0] * len(self.word)
@@ -145,13 +143,18 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     return Permutation(tuple(b.images[x] for x in a.images))
 
 
+def _valley(word) -> int | None:
+    """The least i with word[i-1] > word[i] < word[i+1], or None."""
+    for i in range(1, len(word) - 1):
+        if word[i - 1] > word[i] < word[i + 1]:
+            return i
+    return None
+
+
 def is_unimodal(sigma: FullCycle) -> bool:
-    """True iff the visit word rises strictly to n and then falls strictly."""
-    word = sigma.word
-    peak = word.index(sigma.n)
-    rises = all(word[i] < word[i + 1] for i in range(peak))
-    falls = all(word[i] > word[i + 1] for i in range(peak, len(word) - 1))
-    return rises and falls
+    """True iff the visit word rises strictly to n and then falls strictly:
+    as it starts at its least entry 0, iff it has no valley."""
+    return _valley(sigma.word) is None
 
 
 def unimodal_cycles(n: int) -> Iterator[FullCycle]:
@@ -210,38 +213,6 @@ def window_cycles(images, word) -> int | None:
         count += 1
         start = k + 1
     return count
-
-
-def reflect_conjugate(value):
-    """Conjugation by the order-reversing involution gamma: i -> n - i.
-
-    Full cycles map to the conjugated cycle re-rooted at 0; factorizations
-    map factor-wise, (a, b) to (n - b, n - a), carrying F_sigma onto
-    F_(gamma sigma gamma).
-    """
-    if isinstance(value, FullCycle):
-        m = value.n
-        flipped = tuple(m - v for v in value.word)
-        zero_at = flipped.index(0)
-        return FullCycle(flipped[zero_at:] + flipped[:zero_at])
-    factors = getattr(value, "factors", None)
-    if factors is not None:
-        m = value.n
-        return replace(value, factors=tuple((m - b, m - a) for a, b in factors))
-    raise TypeError(f"cannot reflect a {type(value).__name__}")
-
-
-def reflect_reverse(factorization):
-    """Conjugate every factor by i -> n - i, then reverse factor order.
-
-    This is the involution on F_n that exchanges the lower and upper
-    sequences up to complement-reverse.
-    """
-    factors = getattr(factorization, "factors", None)
-    if factors is None:
-        raise TypeError("reflect_reverse expects a factorization")
-    m = factorization.n
-    return replace(factorization, factors=tuple((m - b, m - a) for a, b in reversed(factors)))
 
 
 # ------------------------------------------------------------ text forms

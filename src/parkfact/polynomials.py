@@ -317,9 +317,10 @@ def _tree_recursion_last(n: int) -> BivariatePoly:
 def _packed_recursion(n_max: int) -> tuple[list[list[int]], int]:
     """The packed rows of I_0 .. I_n_max, as tree_recursion_I describes
     them, and their slot width W."""
+    from .trees import tree_count  # trees imports this module
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    width = ((n_max + 1) ** max(n_max - 1, 0)).bit_length() + 1
+    width = tree_count(n_max).bit_length() + 1
     series = [[1]]
     for n in range(n_max):
         total: list[int] = []

@@ -30,6 +30,7 @@ class LabelledTree:
     parent: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "parent", tuple(self.parent))
         m = len(self.parent)
         if m == 0 or self.parent[0] != 0:
             raise ValueError("parent vector must start with the root sentinel 0")

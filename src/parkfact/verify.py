@@ -141,10 +141,14 @@ def check_polynomial_pins(n_max: int | None) -> str | None:
 # --------------------------------------- 3: trees match factorizations
 
 
-@_suite("tree-factorization", 6, "I_n(q,t) = F_n(q,t) exactly for n <= {n}")
+@_suite("tree-factorization", 6,
+        "I_n(q,t) by tree sum and by recursion = F_n(q,t) exactly for n <= {n}")
 def check_tree_factorization(n_max: int) -> str | None:
+    recursion = _poly.tree_recursion_I(n_max)
     for n in range(n_max + 1):
         lhs = _trees.inversion_enumerator(n)
+        if recursion[n] != lhs:
+            return f"n={n}: I_n by recursion = {recursion[n]} but by tree sum = {lhs}"
         rhs = _fact.factorization_enumerator(FullCycle.canonical(n))
         if lhs != rhs:
             return f"n={n}: I_n = {lhs} but F_n = {rhs}"
@@ -186,10 +190,9 @@ def check_area_jump(n_max: int) -> str | None:
 # ------------------------------------- 6: unimodal characterization
 
 
-@_suite("unimodal", 5, "L and U are bijections exactly on unimodal cycles, n = 3..{n}")
+@_suite("unimodal", 5, "L and U are bijections exactly on unimodal cycles, n = 1..{n}")
 def check_unimodal(n_max: int) -> str | None:
-    # every full cycle with n <= 2 is unimodal, so the suite starts at 3
-    for n in range(3, n_max + 1):
+    for n in range(1, n_max + 1):
         expected = _trees.tree_count(n)
         unimodal_seen = 0
         for sigma in full_cycles(n):

@@ -274,6 +274,16 @@ def product_by_compose(f):
     return result
 
 
+def is_unimodal_by_rise_fall(sigma):
+    """Whether the visit word rises strictly to its peak n and then falls
+    strictly, read off both sides of the peak."""
+    word = sigma.word
+    peak = word.index(sigma.n)
+    rises = all(word[i] < word[i + 1] for i in range(peak))
+    falls = all(word[i] > word[i + 1] for i in range(peak, len(word) - 1))
+    return rises and falls
+
+
 def window_cycles_by_cycles(pi, sigma):
     """Cycle count of pi when each of its cycles, listed by a cycle walk,
     covers a run of consecutive word positions traversed in word order;

@@ -8,7 +8,6 @@ intentionally kept in this module rather than the unit tests.
 
 import ast
 import hashlib
-import importlib
 from pathlib import Path
 
 import pytest
@@ -45,7 +44,8 @@ def test_criterion_02_polynomial_pins():
 
 
 def test_criterion_03_trees_match_factorizations():
-    # inversion enumerator = factorization enumerator, n = 0..6
+    # inversion enumerator by tree sum = by recursion = factorization
+    # enumerator, n = 0..6
     _run("tree-factorization", "n <= 6")
 
 
@@ -60,9 +60,9 @@ def test_criterion_05_area_and_parking_process():
 
 
 def test_criterion_06_unimodal_characterization():
-    # over all n! full cycles, n = 3..5: L and U bijective iff unimodal,
+    # over all n! full cycles, n = 1..5: L and U bijective iff unimodal,
     # with witnesses certifying every failure; 2^(n-1) unimodal cycles
-    _run("unimodal", "n = 3..5")
+    _run("unimodal", "n = 1..5")
 
 
 def test_criterion_07_inverse_algorithm():
@@ -121,7 +121,7 @@ BREAKS = {
                lambda n: ENUMS(n)._replace(pinv_copinv=ZERO), 2, "n=0:"),
     "area-jump": (_park, "parking_enumerators",
                   lambda n: ENUMS(n)._replace(area=ZERO), 2, "n=0:"),
-    "unimodal": (_park, "is_parking", lambda seq: False, 3, "sigma=(0 1 2 3)"),
+    "unimodal": (_park, "is_parking", lambda seq: False, 3, "sigma=(0 1)"),
     "l-inverse": (_fact, "lower", lambda f: (), 2, "lower(l_inverse(0, (0 1))) != 0"),
     "arch-criterion": (_arch, "_valid_runs", lambda arcs, m: None,
                        1, "f=(0 1), sigma=(0 1)"),
@@ -148,23 +148,20 @@ def test_suite_fails_on_a_wrong_answer(name, monkeypatch):
     assert expected in result.detail, result.detail
 
 
+def test_tree_factorization_checks_the_recursion(monkeypatch):
+    # poly --name I|D and explore print the recursion; this suite ties it
+    # to the tree sum
+    monkeypatch.setattr(_poly, "tree_recursion_I", lambda n_max: [ZERO] * (n_max + 1))
+    result = verify.run_suite("tree-factorization", 2)
+    assert result.line().startswith("FAIL tree-factorization: n=0: I_n by recursion")
+
+
 def _perfbench_constant(module: str, name: str):
     """The literal bound to `name` in perfbench/<module>.py, read without
     importing the benchmark."""
     source = (Path(__file__).parents[1] / "perfbench" / f"{module}.py").read_text()
     return next(ast.literal_eval(node.value) for node in ast.parse(source).body
                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == name)
-
-
-def test_the_benchmark_caches_have_cache_info():
-    # the benchmark child checks that these enumerators start cold through
-    # cache_info(); a dropped functools.cache decorator should fail here
-    caches = _perfbench_constant("child", "CACHES")
-    assert caches
-    for dotted in caches:
-        module, attribute = dotted.split(".")
-        cached = getattr(importlib.import_module(f"parkfact.{module}"), attribute)
-        assert callable(getattr(cached, "cache_info", None)), dotted
 
 
 def test_suite_order_matches_the_benchmark_gate():

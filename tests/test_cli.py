@@ -562,10 +562,11 @@ class TestStats:
 ALL_SUITES_AT_FOUR = [
     "PASS cardinalities: four families all have (n+1)^(n-1) members for n <= 4",
     "PASS polynomial-pins: I_0..I_3 and D_0..D_4 match their published values exactly",
-    "PASS tree-factorization: I_n(q,t) = F_n(q,t) exactly for n <= 4",
+    "PASS tree-factorization: I_n(q,t) by tree sum and by recursion = F_n(q,t) "
+    "exactly for n <= 4",
     "PASS bounce: B_n = I_n = F_n and pinv+copinv = bounce for n <= 4",
     "PASS area-jump: area and jump/cojump enumerators match I_n for n <= 4",
-    "PASS unimodal: L and U are bijections exactly on unimodal cycles, n = 3..4",
+    "PASS unimodal: L and U are bijections exactly on unimodal cycles, n = 1..4",
     "PASS l-inverse: reconstruction inverts L on every unimodal cycle for n <= 4, "
     "worked examples byte-exact",
     "PASS arch-criterion: membership in F_sigma matches diagram validity for n <= 4 "
@@ -596,6 +597,11 @@ class TestVerify:
     def test_n_is_refused_by_a_sizeless_suite(self, capsys, suite, n):
         code, out, err = run(capsys, "verify", "--suite", suite, "--n", n)
         assert (code, out, err) == (1, "", f"error: verify --suite {suite} does not read --n\n")
+
+    @pytest.mark.parametrize("suite", ["all", "unimodal", "arch-criterion", "special-families"])
+    def test_n_zero_is_refused(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", "0")
+        assert (code, out, err) == (1, "", "error: verify needs --n >= 1\n")
 
     @staticmethod
     def run_with_extra_pairs(capsys, monkeypatch, extra):

@@ -31,6 +31,7 @@ from parkfact.factorizations import (
     parse_factorization,
     phi_k,
     phi_k_inverse,
+    reflect_reverse,
     restricted_enumerators,
     simple_index,
     total_difference,
@@ -42,7 +43,6 @@ from parkfact.permutations import (
     Permutation,
     full_cycles,
     parse_permutation,
-    reflect_reverse,
     unimodal_cycles,
 )
 from parkfact.polynomials import (

@@ -1,11 +1,19 @@
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import window_cycles_by_cycles
+from oracles import is_unimodal_by_rise_fall, window_cycles_by_cycles
 
-from parkfact.factorizations import Factorization, parse_factorization
+from parkfact.arch import ArchDiagram
+from parkfact.factorizations import (
+    Factorization,
+    parse_factorization,
+    reflect_conjugate,
+    reflect_reverse,
+)
+from parkfact.parking import LabelledDyckPath
 from parkfact.permutations import (
     FullCycle,
     Permutation,
@@ -15,12 +23,11 @@ from parkfact.permutations import (
     is_unimodal,
     parse_full_cycle,
     parse_permutation,
-    reflect_conjugate,
-    reflect_reverse,
     swap_product,
     unimodal_cycles,
     window_cycles,
 )
+from parkfact.trees import LabelledTree
 
 
 def perm(text, n):
@@ -133,10 +140,38 @@ class TestUnimodal:
     def test_stream_contains_example(self):
         assert (0, 2, 3, 5, 4, 1) in {s.word for s in unimodal_cycles(5)}
 
+    def test_matches_the_rise_fall_oracle(self):
+        for n in range(8):
+            for sigma in full_cycles(n):
+                assert is_unimodal(sigma) == is_unimodal_by_rise_fall(sigma), sigma
+
     def test_matches_filtering_all_cycles(self):
         for n in range(1, 6):
             expected = {s.word for s in full_cycles(n) if is_unimodal(s)}
             assert {s.word for s in unimodal_cycles(n)} == expected
+
+
+# each value type built from one spelling of its sequences, lists or tuples
+VALUES_FROM_SEQUENCES = {
+    "Permutation": lambda seq: Permutation(seq([1, 2, 0])),
+    "FullCycle": lambda seq: FullCycle(seq([0, 2, 1])),
+    "LabelledTree": lambda seq: LabelledTree(seq([0, 0, 1])),
+    "LabelledDyckPath": lambda seq: LabelledDyckPath(seq([0, 0]), seq([2, 1]), "below"),
+    "ArchDiagram": lambda seq: ArchDiagram(3, seq([seq([0, 2, 2]), seq([0, 1, 1])])),
+}
+
+
+@pytest.mark.parametrize("name", list(VALUES_FROM_SEQUENCES))
+def test_a_value_built_from_lists_holds_tuples(name):
+    from_lists = VALUES_FROM_SEQUENCES[name](list)
+    from_tuples = VALUES_FROM_SEQUENCES[name](tuple)
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    for field in dataclasses.fields(from_lists):
+        value = getattr(from_lists, field.name)
+        if not isinstance(value, (int, str)):
+            assert type(value) is tuple, field.name
+            assert not any(isinstance(x, list) for x in value), field.name
 
 
 class TestSigmaContiguous:
