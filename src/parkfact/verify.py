@@ -1,14 +1,16 @@
 """Named verification suites: every theorem-level claim as a desk-scale
 exhaustive check.
 
-Each suite is a check_<suite> function registered by @_suite(name,
-default, claim), once, above its definition.  The check takes n_max and
-returns None on a pass or the detail of its first failure, a short
-serialized counterexample.  The registered wrapper fills in the default
-size, runs the check and builds the one CheckResult, with the claim
-formatted at the size it ran on a pass.  SUITES lists the suites in
-registration order, which gives their 1-based numbers; the CLI 'verify'
-subcommand and the acceptance tests run them by name or number.
+Each suite is a check_<suite> function registered by @_suite(name, sizes,
+claim), once, above its definition.  `sizes` is the range of n the suite
+checks by default, or None for a suite without a size.  A sized check
+tests one n and returns None on a pass or the detail of its failure, a
+short serialized counterexample; a sizeless check takes no argument.  The
+registered wrapper runs the check over the range, stops at the first
+failure and builds the one CheckResult, whose pass line names the n range
+that ran.  SUITES lists the suites in registration order, which gives
+their 1-based numbers; the CLI 'verify' subcommand and the acceptance
+tests run them by name or number.
 """
 
 from __future__ import annotations
@@ -47,26 +49,35 @@ SUITES: dict[str, Callable[[int | None], CheckResult]] = {}
 SIZELESS: set[str] = set()
 
 
-def _suite(name: str, default: int | None, claim: str):
-    """Register a check as suite `name`: n_max defaults to `default`, and a
-    pass reports `claim` with {n} set to n_max.  A suite whose default is
-    None has no size, ignores n_max and is listed in SIZELESS, so the CLI
-    refuses --n for it.  The wrapper is both the module's check_<suite>
-    and the SUITES value, so perfbench's tracer, which rebinds one object
-    in both places, times every suite run in the traced process; it does
-    not see the suites that `verify` sends to worker processes."""
+def _suite(name: str, sizes: range | None, claim: str):
+    """Register a check as suite `name`.  The wrapper runs the check for n
+    from sizes.start to n_max (by default the last n in `sizes`), stops at
+    the first failure, and on a pass reports `claim` and the n range that
+    ran; an n_max below sizes.start is a ValueError, never a pass that
+    checked nothing.  A suite whose sizes are None takes no n, ignores
+    n_max and is listed in SIZELESS, so the CLI refuses --n for it.  The
+    wrapper is both the module's check_<suite> and the SUITES value, so
+    perfbench's tracer, which rebinds one object in both places, times
+    every suite run in the traced process; it does not see the suites that
+    `verify` sends to worker processes."""
 
-    def register(check: Callable[[int | None], str | None]):
+    def register(check: Callable[..., str | None]):
         @functools.wraps(check)
         def run(n_max: int | None = None) -> CheckResult:
-            n_max = default if n_max is None else n_max
-            failure = check(n_max)
-            if failure is None:
-                return CheckResult(name, True, claim.format(n=n_max))
-            return CheckResult(name, False, failure)
+            if sizes is None:
+                failure, passed = check(), claim
+            else:
+                last = sizes[-1] if n_max is None else n_max
+                if last < sizes.start:
+                    raise ValueError(f"suite {name} starts at n = {sizes.start}, "
+                                     f"above n_max = {last}")
+                # map is lazy: the first failing n ends the run
+                failure = next(filter(None, map(check, range(sizes.start, last + 1))), None)
+                passed = f"{claim} for n = {sizes.start}..{last}"
+            return CheckResult(name, failure is None, passed if failure is None else failure)
 
         SUITES[name] = run
-        if default is None:
+        if sizes is None:
             SIZELESS.add(name)
         return run
 
@@ -76,27 +87,25 @@ def _suite(name: str, default: int | None, claim: str):
 # --------------------------------------------------- 1: cardinalities
 
 
-@_suite("cardinalities", 6,
-        "four families all have (n+1)^(n-1) members for n <= {n}")
-def check_cardinalities(n_max: int) -> str | None:
-    for n in range(n_max + 1):
-        expected = _trees.tree_count(n)
-        got_trees = sum(1 for _ in _trees.enumerate_trees(n))
-        if got_trees != expected:
-            return f"|T_{n}| = {got_trees}, expected {expected}"
-        got_parking = sum(1 for _ in _park.enumerate_parking(n))
-        if got_parking != expected:
-            return f"|P_{n}| = {got_parking}, expected {expected}"
-        sigma = FullCycle.canonical(n)
-        diagrams = set()
-        got_fact = 0
-        for f in _fact.enumerate_factorizations(sigma):
-            got_fact += 1
-            diagrams.add(_arch.sigma_diagram(f, sigma))
-        if got_fact != expected:
-            return f"|F_{n}| = {got_fact}, expected {expected}"
-        if len(diagrams) != expected:
-            return f"|A_{n}| = {len(diagrams)}, expected {expected}"
+@_suite("cardinalities", range(7), "four families all have (n+1)^(n-1) members")
+def check_cardinalities(n: int) -> str | None:
+    expected = _trees.tree_count(n)
+    got_trees = sum(1 for _ in _trees.enumerate_trees(n))
+    if got_trees != expected:
+        return f"|T_{n}| = {got_trees}, expected {expected}"
+    got_parking = sum(1 for _ in _park.enumerate_parking(n))
+    if got_parking != expected:
+        return f"|P_{n}| = {got_parking}, expected {expected}"
+    sigma = FullCycle.canonical(n)
+    diagrams = set()
+    got_fact = 0
+    for f in _fact.enumerate_factorizations(sigma):
+        got_fact += 1
+        diagrams.add(_arch.sigma_diagram(f, sigma))
+    if got_fact != expected:
+        return f"|F_{n}| = {got_fact}, expected {expected}"
+    if len(diagrams) != expected:
+        return f"|A_{n}| = {len(diagrams)}, expected {expected}"
 
 
 # ------------------------------------------------ 2: polynomial pins
@@ -127,7 +136,7 @@ _D_PINS = {
 
 @_suite("polynomial-pins", None,
         "I_0..I_3 and D_0..D_4 match their published values exactly")
-def check_polynomial_pins(n_max: int | None) -> str | None:
+def check_polynomial_pins() -> str | None:
     for n, terms in _I_PINS.items():
         got = _trees.inversion_enumerator(n)
         if got != BivariatePoly(terms):
@@ -141,124 +150,104 @@ def check_polynomial_pins(n_max: int | None) -> str | None:
 # --------------------------------------- 3: trees match factorizations
 
 
-@_suite("tree-factorization", 6,
-        "I_n(q,t) by tree sum and by recursion = F_n(q,t) exactly for n <= {n}")
-def check_tree_factorization(n_max: int) -> str | None:
-    recursion = _poly.tree_recursion_I(n_max)
-    for n in range(n_max + 1):
-        lhs = _trees.inversion_enumerator(n)
-        if recursion[n] != lhs:
-            return f"n={n}: I_n by recursion = {recursion[n]} but by tree sum = {lhs}"
-        rhs = _fact.factorization_enumerator(FullCycle.canonical(n))
-        if lhs != rhs:
-            return f"n={n}: I_n = {lhs} but F_n = {rhs}"
+@_suite("tree-factorization", range(7),
+        "I_n(q,t) by tree sum and by recursion = F_n(q,t) exactly")
+def check_tree_factorization(n: int) -> str | None:
+    # the recursion is what poly --name I|D and explore print
+    recursion = _poly._tree_recursion_last(n)
+    lhs = _trees.inversion_enumerator(n)
+    if recursion != lhs:
+        return f"n={n}: I_n by recursion = {recursion} but by tree sum = {lhs}"
+    rhs = _fact.factorization_enumerator(FullCycle.canonical(n))
+    if lhs != rhs:
+        return f"n={n}: I_n = {lhs} but F_n = {rhs}"
 
 
 # --------------------------------------------------------- 4: bounce
 
 
-@_suite("bounce", 6, "B_n = I_n = F_n and pinv+copinv = bounce for n <= {n}")
-def check_bounce(n_max: int) -> str | None:
-    for n in range(n_max + 1):
-        b_poly = _park.parking_enumerators(n).pinv_copinv
-        i_poly = _trees.inversion_enumerator(n)
-        f_poly = _fact.factorization_enumerator(FullCycle.canonical(n))
-        if not (b_poly == i_poly == f_poly):
-            return f"n={n}: B_n = {b_poly}, I_n = {i_poly}, F_n = {f_poly}"
-        for entries in _park._parking_tuples(n):
-            # two routes to one number: the contact sum, and the depth of
-            # theta's tree (pinv + copinv) from the tree kernel
-            _, value = _park._contacts(list(accumulate(map(len, _park._label_groups(entries)))))
-            if _trees._tree_stats(_park._theta_parent(entries))[2] != value:
-                return f"pinv+copinv != bounce for p={ParkingFunction(entries)}"
+@_suite("bounce", range(7), "B_n = I_n = F_n and pinv+copinv = bounce")
+def check_bounce(n: int) -> str | None:
+    b_poly = _park.parking_enumerators(n).pinv_copinv
+    i_poly = _trees.inversion_enumerator(n)
+    f_poly = _fact.factorization_enumerator(FullCycle.canonical(n))
+    if not (b_poly == i_poly == f_poly):
+        return f"n={n}: B_n = {b_poly}, I_n = {i_poly}, F_n = {f_poly}"
+    for entries in _park._parking_tuples(n):
+        # two routes to one number: the contact sum, and the depth of
+        # theta's tree (pinv + copinv) from the tree kernel
+        _, value = _park._contacts(list(accumulate(map(len, _park._label_groups(entries)))))
+        if _trees._tree_stats(_park._theta_parent(entries))[2] != value:
+            return f"pinv+copinv != bounce for p={ParkingFunction(entries)}"
 
 
 # ----------------------------------------------- 5: area and the lot
 
 
-@_suite("area-jump", 6, "area and jump/cojump enumerators match I_n for n <= {n}")
-def check_area_jump(n_max: int) -> str | None:
-    for n in range(n_max + 1):
-        enums = _park.parking_enumerators(n)
-        i_poly = _trees.inversion_enumerator(n)
-        if i_poly.at_t(1) != enums.area:
-            return f"n={n}: I_n(q,1) != area enumerator {enums.area}"
-        if enums.jump_cojump != i_poly:
-            return f"n={n}: jump/cojump enumerator != I_n(q,t)"
+@_suite("area-jump", range(7), "area and jump/cojump enumerators match I_n")
+def check_area_jump(n: int) -> str | None:
+    enums = _park.parking_enumerators(n)
+    i_poly = _trees.inversion_enumerator(n)
+    if i_poly.at_t(1) != enums.area:
+        return f"n={n}: I_n(q,1) != area enumerator {enums.area}"
+    if enums.jump_cojump != i_poly:
+        return f"n={n}: jump/cojump enumerator != I_n(q,t)"
 
 
 # ------------------------------------- 6: unimodal characterization
 
 
-@_suite("unimodal", 5, "L and U are bijections exactly on unimodal cycles, n = 1..{n}")
-def check_unimodal(n_max: int) -> str | None:
-    for n in range(1, n_max + 1):
-        expected = _trees.tree_count(n)
-        unimodal_seen = 0
-        for sigma in full_cycles(n):
-            size = 0
-            lowers = set()
-            uppers = set()
-            for pairs in _fact.iter_factor_pairs(sigma):
-                size += 1
-                lowers.add(tuple(a for a, _ in pairs))
-                uppers.add(tuple(b for _, b in pairs))
-            if size != expected:
-                return f"|F_sigma| = {size} for sigma={sigma}"
-            # membership reads only the multiset of entries: once per content
-            if not all(_park.is_parking(seq) for seq in {tuple(sorted(w)) for w in lowers}):
-                return f"a lower sequence escapes P_n for sigma={sigma}"
-            if not all(_park.is_major(seq) for seq in {tuple(sorted(w)) for w in uppers}):
-                return f"an upper sequence escapes M_n for sigma={sigma}"
-            uni = is_unimodal(sigma)
-            unimodal_seen += uni
-            if (len(lowers) == expected) != uni:
-                return f"L bijective != unimodal for sigma={sigma} (n={n})"
-            if (len(uppers) == expected) != uni:
-                return f"U bijective != unimodal for sigma={sigma} (n={n})"
-            if not uni:
-                p, f1, f2 = _inv.non_unimodal_witness(sigma)
-                if f1 == f2 or not (
-                    _fact.lower(f1) == _fact.lower(f2) == p.entries
-                    and f1.product() == f2.product() == sigma.to_permutation()
-                ):
-                    return f"witness for sigma={sigma} is not a collision"
-        if unimodal_seen != 2 ** (n - 1):
-            return f"{unimodal_seen} unimodal cycles at n={n}"
+@_suite("unimodal", range(1, 6), "L and U are bijections exactly on unimodal cycles")
+def check_unimodal(n: int) -> str | None:
+    expected = _trees.tree_count(n)
+    unimodal_seen = 0
+    for sigma in full_cycles(n):
+        size = 0
+        lowers = set()
+        uppers = set()
+        for pairs in _fact.iter_factor_pairs(sigma):
+            size += 1
+            lowers.add(tuple(a for a, _ in pairs))
+            uppers.add(tuple(b for _, b in pairs))
+        if size != expected:
+            return f"|F_sigma| = {size} for sigma={sigma}"
+        # membership reads only the multiset of entries: once per content
+        if not all(_park.is_parking(seq) for seq in {tuple(sorted(w)) for w in lowers}):
+            return f"a lower sequence escapes P_n for sigma={sigma}"
+        if not all(_park.is_major(seq) for seq in {tuple(sorted(w)) for w in uppers}):
+            return f"an upper sequence escapes M_n for sigma={sigma}"
+        uni = is_unimodal(sigma)
+        unimodal_seen += uni
+        if (len(lowers) == expected) != uni:
+            return f"L bijective != unimodal for sigma={sigma} (n={n})"
+        if (len(uppers) == expected) != uni:
+            return f"U bijective != unimodal for sigma={sigma} (n={n})"
+        if not uni:
+            p, f1, f2 = _inv.non_unimodal_witness(sigma)
+            if f1 == f2 or not (
+                _fact.lower(f1) == _fact.lower(f2) == p.entries
+                and f1.product() == f2.product() == sigma.to_permutation()
+            ):
+                return f"witness for sigma={sigma} is not a collision"
+    if unimodal_seen != 2 ** (n - 1):
+        return f"{unimodal_seen} unimodal cycles at n={n}"
 
 
 # -------------------------------------------- 7: the inverse algorithm
 
 
-_TABLE_SIGMA = FullCycle((0, 2, 3, 5, 6, 4, 1))
-_TABLE_P = ParkingFunction((2, 4, 0, 1, 4, 0))
-_TABLE_CANONICAL_RESULT = "(2 3)(4 5)(0 2)(1 2)(4 6)(0 4)"
-_TABLE_UNIMODAL_RESULT = "(2 3)(4 5)(0 2)(1 5)(4 6)(0 5)"
-
-
-@_suite("l-inverse", 5,
-        "reconstruction inverts L on every unimodal cycle for n <= {n}, "
-        "worked examples byte-exact")
-def check_l_inverse(n_max: int) -> str | None:
-    got = str(_inv.l_inverse(_TABLE_P, FullCycle.canonical(6), check=True))
-    if got != _TABLE_CANONICAL_RESULT:
-        return f"canonical worked example gave {got}"
-    got = str(_inv.l_inverse(_TABLE_P, _TABLE_SIGMA, check=True))
-    if got != _TABLE_UNIMODAL_RESULT:
-        return f"unimodal worked example gave {got}"
-    if _inv.l_inverse(ParkingFunction(()), FullCycle.canonical(0)).factors != ():
-        return "n=0 reconstruction should be empty"
-    for n in range(1, n_max + 1):
-        target_count = _trees.tree_count(n)
-        for sigma in unimodal_cycles(n):
-            seen = set()
-            for p in _park.enumerate_parking(n):
-                f = _inv.l_inverse(p, sigma, check=True)
-                if _fact.lower(f) != p.entries:
-                    return f"lower(l_inverse({p}, {sigma})) != {p}"
-                seen.add(f.factors)
-            if len(seen) != target_count:
-                return f"l_inverse not injective over P_{n} for {sigma}"
+@_suite("l-inverse", range(6), "reconstruction inverts L on every unimodal cycle")
+def check_l_inverse(n: int) -> str | None:
+    target_count = _trees.tree_count(n)
+    for sigma in unimodal_cycles(n) if n else [FullCycle.canonical(0)]:
+        seen = set()
+        for p in _park.enumerate_parking(n):
+            f = _inv.l_inverse(p, sigma, check=True)
+            if _fact.lower(f) != p.entries:
+                return f"lower(l_inverse({p}, {sigma})) != {p}"
+            seen.add(f.factors)
+        if len(seen) != target_count:
+            return f"l_inverse not injective over P_{n} for {sigma}"
 
 
 # ------------------------------------------------- 8: arch criterion
@@ -269,116 +258,110 @@ def _word(pairs, n: int) -> str:
     return str(_fact.Factorization(pairs, n))
 
 
-@_suite("arch-criterion", 4,
-        "membership in F_sigma matches diagram validity for n <= {n} "
-        "(canonical plus two unimodal cycles each)")
-def check_arch_criterion(n_max: int) -> str | None:
-    for n in range(1, n_max + 1):
-        canonical = FullCycle.canonical(n)
-        sigmas = [canonical] + [s for s in unimodal_cycles(n) if s != canonical][:2]
-        all_pairs = list(combinations(range(n + 1), 2))
-        for sigma in sigmas:
-            target = list(sigma.to_permutation().images)
-            pos = sigma.positions()
-            for pairs in _cartesian(all_pairs, repeat=n):
-                member = swap_product(pairs, n) == target
-                valid = _arch._valid_runs(_arch._sigma_arcs(pairs, pos), n + 1) is not None
-                if member != valid:
-                    detail = f"member={member}, diagram valid={valid}"
-                    return f"f={_word(pairs, n)}, sigma={sigma}: {detail}"
+@_suite("arch-criterion", range(1, 5),
+        "membership in F_sigma matches diagram validity on the canonical "
+        "cycle plus two unimodal cycles")
+def check_arch_criterion(n: int) -> str | None:
+    canonical = FullCycle.canonical(n)
+    sigmas = [canonical] + [s for s in unimodal_cycles(n) if s != canonical][:2]
+    all_pairs = list(combinations(range(n + 1), 2))
+    for sigma in sigmas:
+        target = list(sigma.to_permutation().images)
+        pos = sigma.positions()
+        for pairs in _cartesian(all_pairs, repeat=n):
+            member = swap_product(pairs, n) == target
+            valid = _arch._valid_runs(_arch._sigma_arcs(pairs, pos), n + 1) is not None
+            if member != valid:
+                detail = f"member={member}, diagram valid={valid}"
+                return f"f={_word(pairs, n)}, sigma={sigma}: {detail}"
 
 
 # ----------------------------------- 9: simple diagrams and rotation
 
 
-@_suite("simple-decomposition", 6,
+@_suite("simple-decomposition", range(1, 7),
         "simple-family identity, decomposition round trip, area additivity "
-        "and rotation shifts hold for n <= {n}")
-def check_simple_decomposition(n_max: int) -> str | None:
-    t = BivariatePoly.var_t()
-    for n in range(1, n_max + 1):
-        lhs = _fact.restricted_enumerators(n).simple
-        previous = _fact.factorization_enumerator(FullCycle.canonical(n - 1))
-        rhs = t * _poly.qt_bracket(n) * previous
-        if lhs != rhs:
-            return f"n={n}: simple enumerator {lhs} != t(qt n)F_(n-1) {rhs}"
+        "and rotation shifts hold")
+def check_simple_decomposition(n: int) -> str | None:
+    lhs = _fact.restricted_enumerators(n).simple
+    previous = _fact.factorization_enumerator(FullCycle.canonical(n - 1))
+    rhs = BivariatePoly.var_t() * _poly.qt_bracket(n) * previous
+    if lhs != rhs:
+        return f"n={n}: simple enumerator {lhs} != t(qt n)F_(n-1) {rhs}"
 
     # under the canonical cycle a position is its vertex: part arcs are factors
-    for n in range(1, n_max + 1):
-        sigma = FullCycle.canonical(n)
-        pos = sigma.positions()
-        target = list(sigma.to_permutation().images)
-        below = list(FullCycle.canonical(n - 1).to_permutation().images)
-        for pairs in _fact.iter_factor_pairs(sigma):
-            if not all(0 <= a < b <= n for a, b in pairs):
-                raise AssertionError(f"factor stream yielded {pairs}, not pairs on [0, {n}]")
-            arcs = _arch._sigma_arcs(pairs, pos)
-            runs = _arch._valid_runs(arcs, n + 1)
-            if runs is None:
-                return f"diagram is not valid for f={_word(pairs, n)}"
-            parts = _arch._parts(runs)
-            part_areas = []
-            for part_arcs, m, _ in parts:
-                part_runs = _arch._valid_runs(part_arcs, m)
-                if part_runs is None or len(part_runs) != 1:
-                    return f"a part of f={_word(pairs, n)} is not simple"
-                g = [(a, b) for a, b, _ in part_arcs]
-                if swap_product(g, m - 1) != [*range(1, m), 0]:
-                    return f"a part of f={_word(pairs, n)} is not in F_{m - 1}"
-                part_areas.append(_fact._areas(g, m - 1))
-            labels = sorted(i for *_, index_set in parts for i in index_set)
-            if labels != list(range(1, n + 1)):
-                return f"index sets do not partition [1,{n}] for f={_word(pairs, n)}"
-            if _arch._recompose(parts) != (arcs, n + 1):
-                return f"recompose(decompose) != id for f={_word(pairs, n)}"
-            a_l, a_u = _fact._areas(pairs, n)
-            if tuple(map(sum, zip(*part_areas))) != (a_l, a_u):
-                return f"area additivity fails for f={_word(pairs, n)}"
+    sigma = FullCycle.canonical(n)
+    pos = sigma.positions()
+    target = list(sigma.to_permutation().images)
+    below = list(FullCycle.canonical(n - 1).to_permutation().images)
+    for pairs in _fact.iter_factor_pairs(sigma):
+        if not all(0 <= a < b <= n for a, b in pairs):
+            raise AssertionError(f"factor stream yielded {pairs}, not pairs on [0, {n}]")
+        arcs = _arch._sigma_arcs(pairs, pos)
+        runs = _arch._valid_runs(arcs, n + 1)
+        if runs is None:
+            return f"diagram is not valid for f={_word(pairs, n)}"
+        parts = _arch._parts(runs)
+        part_areas = []
+        for part_arcs, m, _ in parts:
+            part_runs = _arch._valid_runs(part_arcs, m)
+            if part_runs is None or len(part_runs) != 1:
+                return f"a part of f={_word(pairs, n)} is not simple"
+            g = [(a, b) for a, b, _ in part_arcs]
+            if swap_product(g, m - 1) != [*range(1, m), 0]:
+                return f"a part of f={_word(pairs, n)} is not in F_{m - 1}"
+            part_areas.append(_fact._areas(g, m - 1))
+        labels = sorted(i for *_, index_set in parts for i in index_set)
+        if labels != list(range(1, n + 1)):
+            return f"index sets do not partition [1,{n}] for f={_word(pairs, n)}"
+        if _arch._recompose(parts) != (arcs, n + 1):
+            return f"recompose(decompose) != id for f={_word(pairs, n)}"
+        a_l, a_u = _fact._areas(pairs, n)
+        if tuple(map(sum, zip(*part_areas))) != (a_l, a_u):
+            return f"area additivity fails for f={_word(pairs, n)}"
 
-            hits = [i for i, pair in enumerate(pairs, start=1) if pair == (0, n)]
-            if not hits:
-                continue
-            if len(hits) != 1:
-                return f"f={_word(pairs, n)} has {len(hits)} copies of (0 {n})"
-            k = hits[0]
-            if swap_product(pairs, n) != target:
-                return f"f={_word(pairs, n)} is not in F_{n}"
-            g = _fact._rotate_down(pairs, k)
-            if swap_product(g, n - 1) != below:
-                return f"phi_k leaves F_{n - 1} for f={_word(pairs, n)}, k={k}"
-            g_l, g_u = _fact._areas(g, n - 1)
-            if a_l != g_l + k - 1:
-                return f"lower-area shift fails for f={_word(pairs, n)}, k={k}"
-            if a_u != g_u + n - k + 1:
-                return f"upper-area shift fails for f={_word(pairs, n)}, k={k}"
-            if _fact._rotate_up(g, k, n) != pairs:
-                return f"phi_k round trip fails for f={_word(pairs, n)}, k={k}"
+        hits = [i for i, pair in enumerate(pairs, start=1) if pair == (0, n)]
+        if not hits:
+            continue
+        if len(hits) != 1:
+            return f"f={_word(pairs, n)} has {len(hits)} copies of (0 {n})"
+        k = hits[0]
+        if swap_product(pairs, n) != target:
+            return f"f={_word(pairs, n)} is not in F_{n}"
+        g = _fact._rotate_down(pairs, k)
+        if swap_product(g, n - 1) != below:
+            return f"phi_k leaves F_{n - 1} for f={_word(pairs, n)}, k={k}"
+        g_l, g_u = _fact._areas(g, n - 1)
+        if a_l != g_l + k - 1:
+            return f"lower-area shift fails for f={_word(pairs, n)}, k={k}"
+        if a_u != g_u + n - k + 1:
+            return f"upper-area shift fails for f={_word(pairs, n)}, k={k}"
+        if _fact._rotate_up(g, k, n) != pairs:
+            return f"phi_k round trip fails for f={_word(pairs, n)}, k={k}"
 
 
 # ------------------------------------------- 10: restricted families
 
 
-@_suite("special-families", 6,
-        "max-diff, increasing, decreasing and permutation-lower identities "
-        "hold for n <= {n}")
-def check_special_families(n_max: int) -> str | None:
-    for n in range(1, n_max + 1):
-        r = _fact.restricted_enumerators(n)
-        if r.max_diff != _poly.qt_factorial_product(n):
-            return f"n={n}: max-diff enumerator is {r.max_diff}"
-        top = math.comb(n + 1, 2)
-        if any(eq + et != top for (eq, et), _ in r.max_diff.terms()):
-            return f"n={n}: max total difference is not binom(n+1,2)"
-        if r.increasing != BivariatePoly.monomial(1, 0, n) * _poly.catalan_qt(n):
-            return f"n={n}: increasing enumerator is {r.increasing}"
-        if r.decreasing != _poly.catalan_qt(n).at_t(1).shift_t(n):
-            return f"n={n}: decreasing enumerator is {r.decreasing}"
-        if any(et != n for (_, et), _ in r.decreasing.terms()):
-            return f"n={n}: a decreasing factorization has upper area != n"
-        f_poly = _fact.factorization_enumerator(FullCycle.canonical(n))
-        i_poly = _trees.inversion_enumerator(n)
-        if not (r.perm_lower == f_poly.at_q(0) == i_poly.at_q(0)):
-            return f"n={n}: permutation-lower enumerator mismatch"
+@_suite("special-families", range(1, 7),
+        "max-diff, increasing, decreasing and permutation-lower identities hold")
+def check_special_families(n: int) -> str | None:
+    r = _fact.restricted_enumerators(n)
+    if r.max_diff != _poly.qt_factorial_product(n):
+        return f"n={n}: max-diff enumerator is {r.max_diff}"
+    top = math.comb(n + 1, 2)
+    if any(eq + et != top for (eq, et), _ in r.max_diff.terms()):
+        return f"n={n}: max total difference is not binom(n+1,2)"
+    if r.increasing != BivariatePoly.monomial(1, 0, n) * _poly.catalan_qt(n):
+        return f"n={n}: increasing enumerator is {r.increasing}"
+    if r.decreasing != _poly.catalan_qt(n).at_t(1).shift_t(n):
+        return f"n={n}: decreasing enumerator is {r.decreasing}"
+    if any(et != n for (_, et), _ in r.decreasing.terms()):
+        return f"n={n}: a decreasing factorization has upper area != n"
+    f_poly = _fact.factorization_enumerator(FullCycle.canonical(n))
+    i_poly = _trees.inversion_enumerator(n)
+    if not (r.perm_lower == f_poly.at_q(0) == i_poly.at_q(0)):
+        return f"n={n}: permutation-lower enumerator mismatch"
 
 
 # ------------------------------------------------ 11: worked examples
@@ -399,10 +382,16 @@ _TABLE3_D = {
     1: set(), 2: set(), 4: set(), 5: set(), 6: set(),
 }
 
+_TABLE_SIGMA = FullCycle((0, 2, 3, 5, 6, 4, 1))
+_TABLE_P = ParkingFunction((2, 4, 0, 1, 4, 0))
+_TABLE_CANONICAL_RESULT = "(2 3)(4 5)(0 2)(1 2)(4 6)(0 4)"
+_TABLE_UNIMODAL_RESULT = "(2 3)(4 5)(0 2)(1 5)(4 6)(0 5)"
+
 
 @_suite("worked-examples", None,
-        "every worked-example pin (length-9 run, bounce table, (0 1 3 2) terms) is exact")
-def check_worked_examples(n_max: int | None) -> str | None:
+        "every worked-example pin (length-9 run and its pushing, bounce table, "
+        "l_inverse tables, (0 1 3 2) terms) is exact")
+def check_worked_examples() -> str | None:
     f9 = _fact.parse_factorization(_F9_TEXT, 9)
     if _fact.lower(f9) != _F9_LOWER:
         return f"lower(f9) = {_fact.lower(f9)}"
@@ -412,6 +401,8 @@ def check_worked_examples(n_max: int | None) -> str | None:
         return "areas of the length-9 example are off"
 
     p = ParkingFunction(_F9_LOWER)
+    if _inv.push(p).entries != _F9_UPPER:
+        return "length-9 pushing example does not reproduce the upper path"
     contacts, value = _park.bounce(p)
     if contacts != (0, 2, 5, 7, 9) or value != 22:
         return f"bounce gave contacts {contacts}, value {value}"
@@ -427,6 +418,13 @@ def check_worked_examples(n_max: int | None) -> str | None:
     if _park.pinv(p) != 8 or _park.copinv(p) != 14:
         return f"pinv/copinv = {_park.pinv(p)}/{_park.copinv(p)}"
 
+    got = str(_inv.l_inverse(_TABLE_P, FullCycle.canonical(6), check=True))
+    if got != _TABLE_CANONICAL_RESULT:
+        return f"canonical l_inverse table gave {got}"
+    got = str(_inv.l_inverse(_TABLE_P, _TABLE_SIGMA, check=True))
+    if got != _TABLE_UNIMODAL_RESULT:
+        return f"unimodal l_inverse table gave {got}"
+
     poly = _fact.factorization_enumerator(FullCycle((0, 1, 3, 2)))
     if poly.coefficient(2, 5) < 1 or poly.coefficient(0, 3) < 1:
         return "enumerator of (0 1 3 2) is missing q^2 t^5 or t^3"
@@ -435,26 +433,22 @@ def check_worked_examples(n_max: int | None) -> str | None:
 # --------------------------------------------- 12: pushing to the top
 
 
-@_suite("pushing", 5, "pushed labels reproduce the upper path for all p, n <= {n}")
-def check_pushing(n_max: int) -> str | None:
-    if _inv.push(ParkingFunction(_F9_LOWER)).entries != _F9_UPPER:
-        return "length-9 pushing example does not reproduce the upper path"
-    for n in range(n_max + 1):
-        sigma = FullCycle.canonical(n)
-        for p in _park.enumerate_parking(n):
-            if _inv.push(p).entries != _fact.upper(_inv.l_inverse(p, sigma)):
-                return f"pushing misses the upper path for p={p}"
+@_suite("pushing", range(6), "pushed labels reproduce the upper path of every p")
+def check_pushing(n: int) -> str | None:
+    sigma = FullCycle.canonical(n)
+    for p in _park.enumerate_parking(n):
+        if _inv.push(p).entries != _fact.upper(_inv.l_inverse(p, sigma)):
+            return f"pushing misses the upper path for p={p}"
 
 
 # ------------------------------------------------------- 13: symmetry
 
 
-@_suite("symmetry", 7, "t^(-n) I_n(q,t) is symmetric under q <-> t for n <= {n}")
-def check_symmetry(n_max: int) -> str | None:
-    for n in range(n_max + 1):
-        reduced = _trees.inversion_enumerator(n).divide_t(n)
-        if reduced != reduced.swap_qt():
-            return f"t^(-{n}) I_{n} is not q,t-symmetric"
+@_suite("symmetry", range(8), "t^(-n) I_n(q,t) is symmetric under q <-> t")
+def check_symmetry(n: int) -> str | None:
+    reduced = _trees.inversion_enumerator(n).divide_t(n)
+    if reduced != reduced.swap_qt():
+        return f"t^(-{n}) I_{n} is not q,t-symmetric"
 
 
 # ------------------------------------------------------------ selection

@@ -20,13 +20,14 @@ from parkfact import polynomials as _poly
 from parkfact import trees as _trees
 from parkfact import verify
 from parkfact.cli import main
+from parkfact.permutations import FullCycle
 from parkfact.polynomials import BivariatePoly
 
 
 def _run(name: str, size: str) -> None:
-    # each suite runs at its registered default, and `size` pins that
-    # default: a lowered n_max would print a different range (the two
-    # sizeless suites pin a fragment of their fixed claim instead)
+    # each suite runs at its registered default, and `size` pins the n range
+    # its pass line names: a lowered range would print a different one (the
+    # two sizeless suites pin a fragment of their fixed claim instead)
     result = verify.run_suite(name)
     print(result.line())
     assert result.ok, result.detail
@@ -35,7 +36,7 @@ def _run(name: str, size: str) -> None:
 
 def test_criterion_01_cardinalities():
     # |T_n| = |P_n| = |F_n| = |A_n| = (n+1)^(n-1) for n = 0..6
-    _run("cardinalities", "n <= 6")
+    _run("cardinalities", "for n = 0..6")
 
 
 def test_criterion_02_polynomial_pins():
@@ -46,61 +47,64 @@ def test_criterion_02_polynomial_pins():
 def test_criterion_03_trees_match_factorizations():
     # inversion enumerator by tree sum = by recursion = factorization
     # enumerator, n = 0..6
-    _run("tree-factorization", "n <= 6")
+    _run("tree-factorization", "for n = 0..6")
 
 
 def test_criterion_04_bounce_refinement():
     # B_n = I_n = F_n and pinv + copinv = bounce pointwise, n = 0..6
-    _run("bounce", "n <= 6")
+    _run("bounce", "for n = 0..6")
 
 
 def test_criterion_05_area_and_parking_process():
-    # I_n(q,1) is the area enumerator; jump/cojump enumerator = I_n(q,t)
-    _run("area-jump", "n <= 6")
+    # I_n(q,1) is the area enumerator; jump/cojump enumerator = I_n(q,t),
+    # n = 0..6
+    _run("area-jump", "for n = 0..6")
 
 
 def test_criterion_06_unimodal_characterization():
     # over all n! full cycles, n = 1..5: L and U bijective iff unimodal,
     # with witnesses certifying every failure; 2^(n-1) unimodal cycles
-    _run("unimodal", "n = 1..5")
+    _run("unimodal", "for n = 1..5")
 
 
 def test_criterion_07_inverse_algorithm():
-    # exhaustive reconstruction with loop invariants checked, n <= 5,
-    # plus the two byte-exact worked runs
-    _run("l-inverse", "n <= 5")
+    # exhaustive reconstruction with loop invariants checked, n = 0..5
+    # (the canonical cycle (0) at n = 0)
+    _run("l-inverse", "for n = 0..5")
 
 
 def test_criterion_08_arch_criterion():
     # membership in F_sigma <=> valid diagram, all transposition words,
-    # n <= 4, canonical plus two non-canonical unimodal cycles
-    _run("arch-criterion", "n <= 4")
+    # n = 1..4, canonical plus two non-canonical unimodal cycles
+    _run("arch-criterion", "for n = 1..4")
 
 
 def test_criterion_09_simple_decomposition():
     # simple-family product identity, decompose/recompose round trip,
-    # area additivity, and the rotation area shifts, n <= 6
-    _run("simple-decomposition", "n <= 6")
+    # area additivity, and the rotation area shifts, n = 1..6
+    _run("simple-decomposition", "for n = 1..6")
 
 
 def test_criterion_10_special_families():
-    # max-difference, increasing, decreasing, permutation-lower families
-    _run("special-families", "n <= 6")
+    # max-difference, increasing, decreasing, permutation-lower families,
+    # n = 1..6
+    _run("special-families", "for n = 1..6")
 
 
 def test_criterion_11_worked_examples():
-    # the length-9 factorization, its bounce table, and the (0 1 3 2) terms
+    # the length-9 factorization, its pushing and bounce table, both
+    # l_inverse table results, and the (0 1 3 2) terms
     _run("worked-examples", "length-9 run")
 
 
 def test_criterion_12_pushing_reconstruction():
-    # pushed lower-path labels reproduce the upper path, n <= 5 and n = 9
-    _run("pushing", "n <= 5")
+    # pushed lower-path labels reproduce the upper path, n = 0..5
+    _run("pushing", "for n = 0..5")
 
 
 def test_criterion_13_symmetry():
-    # t^(-n) I_n(q,t) is q,t-symmetric through n = 7
-    _run("symmetry", "n <= 7")
+    # t^(-n) I_n(q,t) is q,t-symmetric, n = 0..7
+    _run("symmetry", "for n = 0..7")
 
 
 # Each suite must be able to fail: one name the suite reads through its
@@ -129,7 +133,7 @@ BREAKS = {
                              2, "round trip fails for f=(0 1), k=1"),
     "special-families": (_poly, "qt_factorial_product", lambda n: ZERO, 2, "n=1:"),
     "worked-examples": (_fact, "lower", lambda f: (), None, "lower(f9)"),
-    "pushing": (_inv, "push", lambda p: p, 2, "length-9"),
+    "pushing": (_inv, "push", lambda p: p, 2, "pushing misses the upper path for p=0"),
     "symmetry": (_trees, "inversion_enumerator",
                  lambda n: BivariatePoly.var_q().shift_t(n), 2, "I_0"),
 }
@@ -151,9 +155,73 @@ def test_suite_fails_on_a_wrong_answer(name, monkeypatch):
 def test_tree_factorization_checks_the_recursion(monkeypatch):
     # poly --name I|D and explore print the recursion; this suite ties it
     # to the tree sum
-    monkeypatch.setattr(_poly, "tree_recursion_I", lambda n_max: [ZERO] * (n_max + 1))
+    monkeypatch.setattr(_poly, "_tree_recursion_last", lambda n: ZERO)
     result = verify.run_suite("tree-factorization", 2)
     assert result.line().startswith("FAIL tree-factorization: n=0: I_n by recursion")
+
+
+L_INVERSE = _inv.l_inverse
+WORKED_BREAKS = {
+    # inverse_maps attribute: (wrong replacement, text of the detail)
+    "push": (lambda p: p, "length-9 pushing example"),
+    "l_inverse": (lambda p, sigma, check=False:
+                  L_INVERSE(p, FullCycle.canonical(sigma.n), check=check),
+                  "unimodal l_inverse table gave (2 3)(4 5)(0 2)(1 2)(4 6)(0 4)"),
+}
+
+
+@pytest.mark.parametrize("attribute", list(WORKED_BREAKS))
+def test_worked_examples_pins_push_and_l_inverse(attribute, monkeypatch):
+    wrong, expected = WORKED_BREAKS[attribute]
+    monkeypatch.setattr(_inv, attribute, wrong)
+    result = verify.run_suite("worked-examples")
+    assert result.ok is False
+    assert expected in result.detail, result.detail
+
+
+# the first n of each sized suite's registered range
+SIZED_STARTS = {
+    "cardinalities": 0, "tree-factorization": 0, "bounce": 0, "area-jump": 0,
+    "unimodal": 1, "l-inverse": 0, "arch-criterion": 1,
+    "simple-decomposition": 1, "special-families": 1, "pushing": 0, "symmetry": 0,
+}
+
+
+def test_sized_suites_are_the_ones_not_sizeless():
+    assert sorted(SIZED_STARTS) == sorted(set(verify.SUITES) - verify.SIZELESS)
+
+
+@pytest.mark.parametrize("name, start", SIZED_STARTS.items())
+def test_a_pass_names_the_range_that_ran(name, start):
+    result = verify.run_suite(name, 2)
+    assert result.ok, result.detail
+    assert result.detail.endswith(f" for n = {start}..2"), result.detail
+
+
+RECURSION_LAST = _poly._tree_recursion_last
+
+
+def test_a_suite_stops_at_its_first_failing_n(monkeypatch):
+    ran = []
+
+    def failing_at_one(n):
+        ran.append(n)
+        return ZERO if n == 1 else RECURSION_LAST(n)
+
+    monkeypatch.setattr(_poly, "_tree_recursion_last", failing_at_one)
+    result = verify.run_suite("tree-factorization", 4)
+    assert (result.ok, ran) == (False, [0, 1])
+    assert result.detail.startswith("n=1: I_n by recursion = 0"), result.detail
+
+
+
+@pytest.mark.parametrize("name, n_max", [
+    ("unimodal", 0), ("arch-criterion", 0), ("simple-decomposition", 0),
+    ("special-families", 0), ("symmetry", -1), ("l-inverse", -1),
+])
+def test_a_range_that_checks_nothing_is_refused(name, n_max):
+    with pytest.raises(ValueError, match=f"starts at n = {SIZED_STARTS[name]}"):
+        verify.run_suite(name, n_max)
 
 
 def _perfbench_constant(module: str, name: str):

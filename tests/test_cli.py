@@ -560,25 +560,24 @@ class TestStats:
 
 
 ALL_SUITES_AT_FOUR = [
-    "PASS cardinalities: four families all have (n+1)^(n-1) members for n <= 4",
+    "PASS cardinalities: four families all have (n+1)^(n-1) members for n = 0..4",
     "PASS polynomial-pins: I_0..I_3 and D_0..D_4 match their published values exactly",
     "PASS tree-factorization: I_n(q,t) by tree sum and by recursion = F_n(q,t) "
-    "exactly for n <= 4",
-    "PASS bounce: B_n = I_n = F_n and pinv+copinv = bounce for n <= 4",
-    "PASS area-jump: area and jump/cojump enumerators match I_n for n <= 4",
-    "PASS unimodal: L and U are bijections exactly on unimodal cycles, n = 1..4",
-    "PASS l-inverse: reconstruction inverts L on every unimodal cycle for n <= 4, "
-    "worked examples byte-exact",
-    "PASS arch-criterion: membership in F_sigma matches diagram validity for n <= 4 "
-    "(canonical plus two unimodal cycles each)",
+    "exactly for n = 0..4",
+    "PASS bounce: B_n = I_n = F_n and pinv+copinv = bounce for n = 0..4",
+    "PASS area-jump: area and jump/cojump enumerators match I_n for n = 0..4",
+    "PASS unimodal: L and U are bijections exactly on unimodal cycles for n = 1..4",
+    "PASS l-inverse: reconstruction inverts L on every unimodal cycle for n = 0..4",
+    "PASS arch-criterion: membership in F_sigma matches diagram validity on the "
+    "canonical cycle plus two unimodal cycles for n = 1..4",
     "PASS simple-decomposition: simple-family identity, decomposition round trip, "
-    "area additivity and rotation shifts hold for n <= 4",
+    "area additivity and rotation shifts hold for n = 1..4",
     "PASS special-families: max-diff, increasing, decreasing and permutation-lower "
-    "identities hold for n <= 4",
-    "PASS worked-examples: every worked-example pin (length-9 run, bounce table, "
-    "(0 1 3 2) terms) is exact",
-    "PASS pushing: pushed labels reproduce the upper path for all p, n <= 4",
-    "PASS symmetry: t^(-n) I_n(q,t) is symmetric under q <-> t for n <= 4",
+    "identities hold for n = 1..4",
+    "PASS worked-examples: every worked-example pin (length-9 run and its pushing, "
+    "bounce table, l_inverse tables, (0 1 3 2) terms) is exact",
+    "PASS pushing: pushed labels reproduce the upper path of every p for n = 0..4",
+    "PASS symmetry: t^(-n) I_n(q,t) is symmetric under q <-> t for n = 0..4",
 ]
 
 
