@@ -42,12 +42,9 @@ class ArchDiagram:
         if self.n_vertices < 1:
             raise ValueError(f"ground set size must be nonnegative, got n = {self.n}")
         object.__setattr__(self, "arcs", tuple(sorted(map(tuple, self.arcs), key=itemgetter(2))))
-        labels = [label for _, _, label in self.arcs]
-        if labels != list(range(1, len(self.arcs) + 1)):
-            raise ValueError(f"arc labels must be exactly 1..{len(self.arcs)}")
-        for left, right, label in self.arcs:
-            if not 0 <= left < right < self.n_vertices:
-                raise ValueError(f"arc {(left, right, label)} out of range")
+        problem = _arcs_problem(self.arcs, self.n_vertices)
+        if problem:
+            raise ValueError(problem)
 
     @property
     def n(self) -> int:
@@ -61,6 +58,17 @@ def _sigma_arcs(pairs, pos) -> list[Arc]:
     """Raw factor i as the arc labelled i between the positions of its ends."""
     ends = ((pos[a], pos[b], label) for label, (a, b) in enumerate(pairs, start=1))
     return [(a, b, label) if a < b else (b, a, label) for a, b, label in ends]
+
+
+def _arcs_problem(arcs: Sequence[Arc], m: int) -> str | None:
+    """Why arcs in label order are not a diagram's arcs over m positions,
+    or None: the ArchDiagram constructor's test, for raw arcs too."""
+    if [label for _, _, label in arcs] != list(range(1, len(arcs) + 1)):
+        return f"arc labels must be exactly 1..{len(arcs)}"
+    for left, right, label in arcs:
+        if not 0 <= left < right < m:
+            return f"arc {(left, right, label)} out of range"
+    return None
 
 
 def _rotators(arcs: Sequence[Arc], m: int) -> list[list[int]]:

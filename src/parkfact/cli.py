@@ -345,11 +345,11 @@ _POLYS = {
     "B": ((), None, lambda n, args: _park.parking_enumerators(n).pinv_copinv),
     "D": ((), math.inf, lambda n, args: _poly._tree_recursion_last(n).diagonal()),
     "C": ((), math.inf, lambda n, args: _poly.catalan_qt(n)),
-    "Fhat": ((), None, lambda n, args: _fact.restricted_enumerators(n).simple),
-    "Finc": ((), None, lambda n, args: _fact.restricted_enumerators(n).increasing),
-    "Fdec": ((), None, lambda n, args: _fact.restricted_enumerators(n).decreasing),
-    "Fmax": ((), None, lambda n, args: _fact.restricted_enumerators(n).max_diff),
-    "Fperm": ((), None, lambda n, args: _fact.restricted_enumerators(n).perm_lower),
+    "Fhat": ((), None, lambda n, args: _fact.restricted_enumerator(n, "simple")),
+    "Finc": ((), None, lambda n, args: _fact.restricted_enumerator(n, "increasing")),
+    "Fdec": ((), None, lambda n, args: _fact.restricted_enumerator(n, "decreasing")),
+    "Fmax": ((), None, lambda n, args: _fact.restricted_enumerator(n, "max_diff")),
+    "Fperm": ((), None, lambda n, args: _fact.restricted_enumerator(n, "perm_lower")),
     "area": ((), None, lambda n, args: _park.parking_enumerators(n).area),
     "bounce": ((), None, lambda n, args: _park.parking_enumerators(n).bounce),
     "jump": ((), None, lambda n, args: _park.parking_enumerators(n).jump_cojump),

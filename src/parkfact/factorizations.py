@@ -35,20 +35,10 @@ class Factorization:
     n: int
 
     def __post_init__(self):
-        factors = tuple(self.factors)
-        object.__setattr__(self, "factors", factors)
-        # checked in this order: every factor's shape and order, n, every range
-        for pair in factors:
-            if not (type(pair) is tuple and len(pair) == 2
-                    and type(pair[0]) is type(pair[1]) is int):
-                raise ValueError(f"factor {pair!r} is not a pair of ints")
-            if not 0 <= pair[0] < pair[1]:
-                raise ValueError(f"transposition needs 0 <= lo < hi, got {pair}")
-        if self.n < 0:
-            raise ValueError(f"ground set size must be nonnegative, got n = {self.n}")
-        for a, b in factors:
-            if b > self.n:
-                raise ValueError(f"factor ({a} {b}) exceeds ground set [0, {self.n}]")
+        object.__setattr__(self, "factors", tuple(self.factors))
+        problem = _factors_problem(self.factors, self.n)
+        if problem:
+            raise ValueError(problem)
 
     def product(self) -> Permutation:
         return Permutation(tuple(swap_product(self.factors, self.n)))
@@ -58,6 +48,24 @@ class Factorization:
 
     def __str__(self) -> str:
         return "".join(f"({a} {b})" for a, b in self.factors)
+
+
+def _factors_problem(factors: tuple, n: int) -> str | None:
+    """Why the factors are not transpositions on [n], or None: the
+    Factorization constructor's test, for raw pairs too."""
+    # checked in this order: every factor's shape and order, n, every range
+    for pair in factors:
+        if not (type(pair) is tuple and len(pair) == 2
+                and type(pair[0]) is type(pair[1]) is int):
+            return f"factor {pair!r} is not a pair of ints"
+        if not 0 <= pair[0] < pair[1]:
+            return f"transposition needs 0 <= lo < hi, got {pair}"
+    if n < 0:
+        return f"ground set size must be nonnegative, got n = {n}"
+    for a, b in factors:
+        if b > n:
+            return f"factor ({a} {b}) exceeds ground set [0, {n}]"
+    return None
 
 
 def is_minimal_for(f: Factorization, pi: Permutation) -> bool:
@@ -284,9 +292,9 @@ class RestrictedEnumerators(NamedTuple):
     perm_lower: BivariatePoly
 
 
-@functools.cache
-def restricted_enumerators(n: int) -> RestrictedEnumerators:
-    """Area enumerators of the restricted families inside F_n.
+def restricted_enumerator(n: int, family: str) -> BivariatePoly:
+    """The area enumerator of one restricted family inside F_n, a field
+    name of RestrictedEnumerators, computed alone.
 
     simple: contains the factor (0, n); increasing / decreasing: lower
     sequence weakly monotone; max_diff: maximum total difference;
@@ -295,15 +303,21 @@ def restricted_enumerators(n: int) -> RestrictedEnumerators:
     the total difference, so max_diff is the top-degree part of F_n.
     """
     sigma = FullCycle.canonical(n)
-    f_n = factorization_enumerator(sigma)
-    top = f_n.degree
+    if family == "simple":
+        return factorization_enumerator(sigma) - _block_sums(sigma, "without_top")
+    if family == "max_diff":
+        f_n = factorization_enumerator(sigma)
+        return BivariatePoly({k: c for k, c in f_n.terms() if sum(k) == f_n.degree})
+    if family not in RestrictedEnumerators._fields:
+        raise ValueError(f"unknown restricted family {family!r}")
+    return _block_sums(sigma, family)
+
+
+@functools.cache
+def restricted_enumerators(n: int) -> RestrictedEnumerators:
+    """Area enumerators of all five restricted families inside F_n."""
     return RestrictedEnumerators(
-        simple=f_n - _block_sums(sigma, "without_top"),
-        increasing=_block_sums(sigma, "increasing"),
-        decreasing=_block_sums(sigma, "decreasing"),
-        max_diff=BivariatePoly({k: c for k, c in f_n.terms() if sum(k) == top}),
-        perm_lower=_block_sums(sigma, "perm_lower"),
-    )
+        *(restricted_enumerator(n, family) for family in RestrictedEnumerators._fields))
 
 
 # ---------------------------------------------------------- rotation maps

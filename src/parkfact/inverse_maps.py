@@ -13,6 +13,11 @@ check=True each step checks the product against swap_product of the
 placed factors and one window scan gives contiguity and the cycle count
 (window_cycles).
 
+l_inverse and push validate, run a private kernel on raw entries
+(_l_inverse gives raw pairs, _push raw heights) and build the value; a
+caller that runs many entries under one sigma does the per-cycle setup
+once (_left_values, positions, and sigma's images for a checked run).
+
 For non-unimodal sigma no inverse exists, and non_unimodal_witness
 produces the certifying collision: two factorizations sharing one lower
 sequence.
@@ -36,6 +41,22 @@ def sigma_sides(sigma: FullCycle) -> tuple[frozenset[int], frozenset[int]]:
     return frozenset(word[:peak]), frozenset(word[peak + 1 :])
 
 
+def _left_values(sigma: FullCycle) -> frozenset[int]:
+    """sigma's left values, once the unimodality test has passed."""
+    if not is_unimodal(sigma):
+        raise ValueError(f"{sigma} is not unimodal")
+    return sigma_sides(sigma)[0]
+
+
+def _order(entries: tuple[int, ...], left_values) -> tuple[int, ...]:
+    """omega on raw entries, with sigma's left values given."""
+    groups = _label_groups(entries)  # each group in decreasing order
+    order: list[int] = []
+    for value in range(len(entries) - 1, -1, -1):
+        order.extend(reversed(groups[value]) if value in left_values else groups[value])
+    return tuple(order)
+
+
 def omega(sigma: FullCycle, p: ParkingFunction) -> tuple[int, ...]:
     """Half-edge processing order for one (sigma, p) pair.
 
@@ -45,14 +66,7 @@ def omega(sigma: FullCycle, p: ParkingFunction) -> tuple[int, ...]:
     """
     if sigma.n != p.n:
         raise ValueError(f"size mismatch: [{sigma.n}] vs [{p.n}]")
-    if not is_unimodal(sigma):
-        raise ValueError(f"{sigma} is not unimodal")
-    left_values, _ = sigma_sides(sigma)
-    groups = _label_groups(p.entries)  # each group in decreasing order
-    order: list[int] = []
-    for value in range(p.n - 1, -1, -1):
-        order.extend(reversed(groups[value]) if value in left_values else groups[value])
-    return tuple(order)
+    return _order(p.entries, _left_values(sigma))
 
 
 def _check_entry_invariants(
@@ -95,6 +109,48 @@ def _check_entry_invariants(
         raise AssertionError(f"window at {a} swallowed the whole interval [{a}, {n}]")
 
 
+def _l_inverse(
+    entries: tuple[int, ...], order: tuple[int, ...], sigma: FullCycle,
+    pos: dict[int, int], target: list[int] | None = None,
+) -> tuple[tuple[int, int], ...]:
+    """The raw pairs of l_inverse: entries placed in `order` under the
+    unimodal sigma, whose positions are pos.  Given target, sigma's
+    images, the run is checked: every step asserts the loop invariants and
+    the product of the pairs must be target."""
+    n = sigma.n
+    word, peak = sigma.word, pos[n]
+    taus: list[tuple[int, int] | None] = [None] * (n + 1)
+    images = list(range(n + 1))
+    pre = list(range(n + 1))
+    for step, j in enumerate(order, start=1):
+        a = entries[j - 1]
+        # a sigma-right entry is placed as a sigma-left one, on the inverse
+        # product (end) and walking the word backwards (d)
+        end, back, d = (pre, images, 1) if pos[a] < peak else (images, pre, -1)
+        if target is not None:
+            _check_entry_invariants(sigma, pos, taus, images, pre, step, a, d > 0)
+        # the window at a meets its neighbour in direction d at c; the
+        # factors on the far side of j never move a, so carrying c through
+        # them gives the partner b
+        c = word[pos[end[a]] + d]
+        b = c
+        for r in range(n, j, -1) if d > 0 else range(1, j):
+            pair = taus[r]
+            if pair is not None and b in pair:
+                b = pair[0] + pair[1] - b
+        if target is not None and b <= a:
+            raise AssertionError(f"computed partner {b} not above {a}")
+        taus[j] = (a, b)
+        # placing (a b) exchanges the entries of end at a and c
+        end[a], end[c] = end[c], end[a]
+        back[end[a]], back[end[c]] = a, c
+
+    pairs = tuple(taus[1:])
+    if target is not None and (None in pairs or swap_product(pairs, n) != target):
+        raise AssertionError(f"reconstruction for {','.join(map(str, entries))} missed {sigma}")
+    return pairs
+
+
 def l_inverse(
     p: ParkingFunction, sigma: FullCycle, check: bool = False
 ) -> Factorization:
@@ -109,39 +165,8 @@ def l_inverse(
     result is checked to be sigma.
     """
     order = omega(sigma, p)
-    n = sigma.n
-    word = sigma.word
-    pos = sigma.positions()
-    taus: list[tuple[int, int] | None] = [None] * (n + 1)
-    images = list(range(n + 1))
-    pre = list(range(n + 1))
-    for step, j in enumerate(order, start=1):
-        a = p.entries[j - 1]
-        # a sigma-right entry is placed as a sigma-left one, on the inverse
-        # product (end) and walking the word backwards (d)
-        end, back, d = (pre, images, 1) if pos[a] < pos[n] else (images, pre, -1)
-        if check:
-            _check_entry_invariants(sigma, pos, taus, images, pre, step, a, d > 0)
-        # the window at a meets its neighbour in direction d at c; the
-        # factors on the far side of j never move a, so carrying c through
-        # them gives the partner b
-        c = word[pos[end[a]] + d]
-        b = c
-        for r in range(n, j, -1) if d > 0 else range(1, j):
-            pair = taus[r]
-            if pair is not None and b in pair:
-                b = pair[0] + pair[1] - b
-        if check and b <= a:
-            raise AssertionError(f"computed partner {b} not above {a}")
-        taus[j] = (a, b)
-        # placing (a b) exchanges the entries of end at a and c
-        end[a], end[c] = end[c], end[a]
-        back[end[a]], back[end[c]] = a, c
-
-    result = Factorization(taus[1:], n)
-    if check and result.product() != sigma.to_permutation():
-        raise AssertionError(f"reconstruction for {p} missed {sigma}")
-    return result
+    target = list(sigma.to_permutation().images) if check else None
+    return Factorization(_l_inverse(p.entries, order, sigma, sigma.positions(), target), sigma.n)
 
 
 def u_inverse(m: MajorSequence, sigma: FullCycle) -> Factorization:
@@ -159,6 +184,25 @@ def u_inverse(m: MajorSequence, sigma: FullCycle) -> Factorization:
     return reflect_conjugate(mirrored)
 
 
+def _push(entries: tuple[int, ...]) -> tuple[int, ...]:
+    """push on the raw entries of a parking function."""
+    n = len(entries)
+    rest = [0] * n
+    waiting: list[list[int]] = [[] for _ in range(n + 1)]  # by diagonal x - y
+    x = 0
+    for y, group in enumerate(_label_groups(entries)):
+        for tag in (*group, 0):
+            stack = waiting[x - y]
+            while stack and stack[-1] > tag:
+                rest[stack.pop() - 1] = y
+            if tag:
+                stack.append(tag)
+                x += 1
+    if any(waiting):
+        raise AssertionError(f"a label of {','.join(map(str, entries))} never came to rest")
+    return tuple(rest)
+
+
 def push(p: ParkingFunction) -> MajorSequence:
     """Slide the labels of p's lower path northeast; their resting heights
     are the upper sequence of p's canonical preimage.
@@ -172,21 +216,7 @@ def push(p: ParkingFunction) -> MajorSequence:
     """
     if not isinstance(p, ParkingFunction):
         raise ValueError("push expects a parking function")
-    n = p.n
-    rest = [0] * n
-    waiting: list[list[int]] = [[] for _ in range(n + 1)]  # by diagonal x - y
-    x = 0
-    for y, group in enumerate(_label_groups(p.entries)):
-        for tag in (*group, 0):
-            stack = waiting[x - y]
-            while stack and stack[-1] > tag:
-                rest[stack.pop() - 1] = y
-            if tag:
-                stack.append(tag)
-                x += 1
-    if any(waiting):
-        raise AssertionError(f"a label of {p} never came to rest")
-    return MajorSequence(tuple(rest))
+    return MajorSequence(_push(p.entries))
 
 
 def non_unimodal_witness(

@@ -31,15 +31,9 @@ class LabelledTree:
 
     def __post_init__(self):
         object.__setattr__(self, "parent", tuple(self.parent))
-        m = len(self.parent)
-        if m == 0 or self.parent[0] != 0:
-            raise ValueError("parent vector must start with the root sentinel 0")
-        for v in range(1, m):
-            if not 0 <= self.parent[v] < m:
-                raise ValueError(f"parent[{v}] = {self.parent[v]} out of range")
-        # m - 1 edges v -> parent[v] with no cycle span [0, m-1]: a tree on 0
-        if not is_forest(((v, self.parent[v]) for v in range(1, m)), m):
-            raise ValueError(f"parent map is not a tree rooted at 0: {self.parent}")
+        problem = _tree_problem(self.parent)
+        if problem:
+            raise ValueError(problem)
 
     @property
     def n(self) -> int:
@@ -66,6 +60,21 @@ class LabelledTree:
 
     def __str__(self) -> str:
         return format_tree(self)
+
+
+def _tree_problem(parent: tuple[int, ...]) -> str | None:
+    """Why the parent tuple is not a tree rooted at 0, or None if it is:
+    the LabelledTree constructor's test, for raw tuples too."""
+    m = len(parent)
+    if m == 0 or parent[0] != 0:
+        return "parent vector must start with the root sentinel 0"
+    for v in range(1, m):
+        if not 0 <= parent[v] < m:
+            return f"parent[{v}] = {parent[v]} out of range"
+    # m - 1 edges v -> parent[v] with no cycle span [0, m-1]: a tree on 0
+    if not is_forest(((v, parent[v]) for v in range(1, m)), m):
+        return f"parent map is not a tree rooted at 0: {parent}"
+    return None
 
 
 def is_forest(edges, size: int) -> bool:

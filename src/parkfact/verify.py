@@ -11,6 +11,10 @@ failure and builds the one CheckResult, whose pass line names the n range
 that ran.  SUITES lists the suites in registration order, which gives
 their 1-based numbers; the CLI 'verify' subcommand and the acceptance
 tests run them by name or number.
+
+The object streams run on raw tuples and pairs, each raw object passing
+the membership test its value's constructor applies, and a value is
+built only for a counterexample's wire text.
 """
 
 from __future__ import annotations
@@ -89,19 +93,37 @@ def _suite(name: str, sizes: range | None, claim: str):
 
 @_suite("cardinalities", range(7), "four families all have (n+1)^(n-1) members")
 def check_cardinalities(n: int) -> str | None:
+    # each raw object passes its value constructor's own membership test
     expected = _trees.tree_count(n)
-    got_trees = sum(1 for _ in _trees.enumerate_trees(n))
+    got_trees = 0
+    for parent in _trees._parent_tuples(n):
+        problem = _trees._tree_problem(parent)
+        if problem:
+            return f"T_{n}: {problem}"
+        got_trees += 1
     if got_trees != expected:
         return f"|T_{n}| = {got_trees}, expected {expected}"
-    got_parking = sum(1 for _ in _park.enumerate_parking(n))
+    got_parking = 0
+    for entries in _park._parking_tuples(n):
+        if not _park.is_parking(entries):
+            return f"P_{n}: not a parking function: {entries}"
+        got_parking += 1
     if got_parking != expected:
         return f"|P_{n}| = {got_parking}, expected {expected}"
     sigma = FullCycle.canonical(n)
+    pos = sigma.positions()
     diagrams = set()
     got_fact = 0
-    for f in _fact.enumerate_factorizations(sigma):
+    for pairs in _fact.iter_factor_pairs(sigma):
+        problem = _fact._factors_problem(pairs, n)
+        if problem:
+            return f"F_{n}: {problem}"
+        arcs = tuple(_arch._sigma_arcs(pairs, pos))
+        problem = _arch._arcs_problem(arcs, n + 1)
+        if problem:
+            return f"A_{n}: {problem}"
         got_fact += 1
-        diagrams.add(_arch.sigma_diagram(f, sigma))
+        diagrams.add(arcs)
     if got_fact != expected:
         return f"|F_{n}| = {got_fact}, expected {expected}"
     if len(diagrams) != expected:
@@ -207,8 +229,9 @@ def check_unimodal(n: int) -> str | None:
         uppers = set()
         for pairs in _fact.iter_factor_pairs(sigma):
             size += 1
-            lowers.add(tuple(a for a, _ in pairs))
-            uppers.add(tuple(b for _, b in pairs))
+            lower, upper = zip(*pairs)
+            lowers.add(lower)
+            uppers.add(upper)
         if size != expected:
             return f"|F_sigma| = {size} for sigma={sigma}"
         # membership reads only the multiset of entries: once per content
@@ -240,12 +263,17 @@ def check_unimodal(n: int) -> str | None:
 def check_l_inverse(n: int) -> str | None:
     target_count = _trees.tree_count(n)
     for sigma in unimodal_cycles(n) if n else [FullCycle.canonical(0)]:
+        left, pos = _inv._left_values(sigma), sigma.positions()
+        target = list(sigma.to_permutation().images)  # turns the step checks on
         seen = set()
-        for p in _park.enumerate_parking(n):
-            f = _inv.l_inverse(p, sigma, check=True)
-            if _fact.lower(f) != p.entries:
+        for entries in _park._parking_tuples(n):
+            if not _park.is_parking(entries):
+                return f"P_{n}: not a parking function: {entries}"
+            pairs = _inv._l_inverse(entries, _inv._order(entries, left), sigma, pos, target)
+            if tuple(a for a, _ in pairs) != entries:
+                p = ParkingFunction(entries)
                 return f"lower(l_inverse({p}, {sigma})) != {p}"
-            seen.add(f.factors)
+            seen.add(pairs)
         if len(seen) != target_count:
             return f"l_inverse not injective over P_{n} for {sigma}"
 
@@ -283,7 +311,7 @@ def check_arch_criterion(n: int) -> str | None:
         "simple-family identity, decomposition round trip, area additivity "
         "and rotation shifts hold")
 def check_simple_decomposition(n: int) -> str | None:
-    lhs = _fact.restricted_enumerators(n).simple
+    lhs = _fact.restricted_enumerator(n, "simple")
     previous = _fact.factorization_enumerator(FullCycle.canonical(n - 1))
     rhs = BivariatePoly.var_t() * _poly.qt_bracket(n) * previous
     if lhs != rhs:
@@ -294,6 +322,7 @@ def check_simple_decomposition(n: int) -> str | None:
     pos = sigma.positions()
     target = list(sigma.to_permutation().images)
     below = list(FullCycle.canonical(n - 1).to_permutation().images)
+    part_areas_of = {}  # (part arcs, m) of each part that passed -> its areas
     for pairs in _fact.iter_factor_pairs(sigma):
         if not all(0 <= a < b <= n for a, b in pairs):
             raise AssertionError(f"factor stream yielded {pairs}, not pairs on [0, {n}]")
@@ -302,21 +331,35 @@ def check_simple_decomposition(n: int) -> str | None:
         if runs is None:
             return f"diagram is not valid for f={_word(pairs, n)}"
         parts = _arch._parts(runs)
+        a_l, a_u = _fact._areas(pairs, n)
+        product = None
         part_areas = []
         for part_arcs, m, _ in parts:
-            part_runs = _arch._valid_runs(part_arcs, m)
-            if part_runs is None or len(part_runs) != 1:
-                return f"a part of f={_word(pairs, n)} is not simple"
-            g = [(a, b) for a, b, _ in part_arcs]
-            if swap_product(g, m - 1) != [*range(1, m), 0]:
-                return f"a part of f={_word(pairs, n)} is not in F_{m - 1}"
-            part_areas.append(_fact._areas(g, m - 1))
+            if (part_arcs, m) == (arcs, n + 1):
+                # f is its own one part: the part's runs are f's runs, and
+                # the part's product is f's
+                if len(runs) != 1:
+                    return f"a part of f={_word(pairs, n)} is not simple"
+                product = swap_product(pairs, n)
+                if product != target:
+                    return f"a part of f={_word(pairs, n)} is not in F_{n}"
+                part_areas.append((a_l, a_u))
+                continue
+            key = (tuple(part_arcs), m)
+            if key not in part_areas_of:
+                part_runs = _arch._valid_runs(part_arcs, m)
+                if part_runs is None or len(part_runs) != 1:
+                    return f"a part of f={_word(pairs, n)} is not simple"
+                g = [(a, b) for a, b, _ in part_arcs]
+                if swap_product(g, m - 1) != [*range(1, m), 0]:
+                    return f"a part of f={_word(pairs, n)} is not in F_{m - 1}"
+                part_areas_of[key] = _fact._areas(g, m - 1)
+            part_areas.append(part_areas_of[key])
         labels = sorted(i for *_, index_set in parts for i in index_set)
         if labels != list(range(1, n + 1)):
             return f"index sets do not partition [1,{n}] for f={_word(pairs, n)}"
         if _arch._recompose(parts) != (arcs, n + 1):
             return f"recompose(decompose) != id for f={_word(pairs, n)}"
-        a_l, a_u = _fact._areas(pairs, n)
         if tuple(map(sum, zip(*part_areas))) != (a_l, a_u):
             return f"area additivity fails for f={_word(pairs, n)}"
 
@@ -326,7 +369,7 @@ def check_simple_decomposition(n: int) -> str | None:
         if len(hits) != 1:
             return f"f={_word(pairs, n)} has {len(hits)} copies of (0 {n})"
         k = hits[0]
-        if swap_product(pairs, n) != target:
+        if (swap_product(pairs, n) if product is None else product) != target:
             return f"f={_word(pairs, n)} is not in F_{n}"
         g = _fact._rotate_down(pairs, k)
         if swap_product(g, n - 1) != below:
@@ -436,9 +479,19 @@ def check_worked_examples() -> str | None:
 @_suite("pushing", range(6), "pushed labels reproduce the upper path of every p")
 def check_pushing(n: int) -> str | None:
     sigma = FullCycle.canonical(n)
-    for p in _park.enumerate_parking(n):
-        if _inv.push(p).entries != _fact.upper(_inv.l_inverse(p, sigma)):
-            return f"pushing misses the upper path for p={p}"
+    left, pos = _inv._left_values(sigma), sigma.positions()
+    for entries in _park._parking_tuples(n):
+        if not _park.is_parking(entries):
+            return f"P_{n}: not a parking function: {entries}"
+        pairs = _inv._l_inverse(entries, _inv._order(entries, left), sigma, pos)
+        problem = _fact._factors_problem(pairs, n)
+        if problem:
+            return f"l_inverse of p={ParkingFunction(entries)}: {problem}"
+        rest = _inv._push(entries)
+        if rest != tuple(b for _, b in pairs):
+            return f"pushing misses the upper path for p={ParkingFunction(entries)}"
+        if not _park.is_major(rest):
+            return f"pushing p={ParkingFunction(entries)} gives {rest}, not a major sequence"
 
 
 # ------------------------------------------------------- 13: symmetry

@@ -115,7 +115,7 @@ ZERO = BivariatePoly.zero()
 ENUMS = _park.parking_enumerators
 BREAKS = {
     # suite: (module, attribute, wrong replacement, n_max, text of the detail)
-    "cardinalities": (_park, "enumerate_parking", lambda n: iter(()),
+    "cardinalities": (_park, "_parking_tuples", lambda n: iter(()),
                       2, "|P_0| = 0, expected 1"),
     "polynomial-pins": (_trees, "inversion_enumerator", lambda n: ZERO,
                         None, "I_0 = 0, expected 1"),
@@ -126,14 +126,17 @@ BREAKS = {
     "area-jump": (_park, "parking_enumerators",
                   lambda n: ENUMS(n)._replace(area=ZERO), 2, "n=0:"),
     "unimodal": (_park, "is_parking", lambda seq: False, 3, "sigma=(0 1)"),
-    "l-inverse": (_fact, "lower", lambda f: (), 2, "lower(l_inverse(0, (0 1))) != 0"),
+    "l-inverse": (_inv, "_l_inverse",
+                  lambda entries, *setup: tuple((a + 1, a + 2) for a in entries),
+                  2, "lower(l_inverse(0, (0 1))) != 0"),
     "arch-criterion": (_arch, "_valid_runs", lambda arcs, m: None,
                        1, "f=(0 1), sigma=(0 1)"),
     "simple-decomposition": (_fact, "_rotate_up", lambda pairs, k, n: pairs,
                              2, "round trip fails for f=(0 1), k=1"),
     "special-families": (_poly, "qt_factorial_product", lambda n: ZERO, 2, "n=1:"),
     "worked-examples": (_fact, "lower", lambda f: (), None, "lower(f9)"),
-    "pushing": (_inv, "push", lambda p: p, 2, "pushing misses the upper path for p=0"),
+    "pushing": (_inv, "_push", lambda entries: entries,
+                2, "pushing misses the upper path for p=0"),
     "symmetry": (_trees, "inversion_enumerator",
                  lambda n: BivariatePoly.var_q().shift_t(n), 2, "I_0"),
 }
@@ -150,6 +153,57 @@ def test_suite_fails_on_a_wrong_answer(name, monkeypatch):
     result = verify.run_suite(name, n_max)
     assert result.ok is False
     assert expected in result.detail, result.detail
+
+
+def test_l_inverse_runs_every_step_check(monkeypatch):
+    # the suite streams raw tuples but keeps l_inverse's check mode on
+    def failing(*args):
+        raise AssertionError("step check ran")
+
+    monkeypatch.setattr(_inv, "_check_entry_invariants", failing)
+    with pytest.raises(AssertionError, match="step check ran"):
+        verify.run_suite("l-inverse", 2)
+
+
+def test_simple_decomposition_checks_each_part(monkeypatch):
+    # a part smaller than its whole diagram is checked on its own, even
+    # where the part is memoized: reject exactly those parts
+    valid_runs, sizes = _arch._valid_runs, []
+
+    def rejecting_parts(arcs, m):
+        sizes.append(m)
+        return None if m < max(sizes) else valid_runs(arcs, m)
+
+    monkeypatch.setattr(_arch, "_valid_runs", rejecting_parts)
+    result = verify.run_suite("simple-decomposition", 2)
+    assert result.ok is False
+    assert result.detail.endswith("is not simple"), result.detail
+
+
+def _one_malformed(stream, malformed):
+    """`stream` with its last object replaced where its objects are as long
+    as `malformed`, so that only a membership test, not a count, can catch
+    it."""
+    def replaced(*args):
+        objects = [*stream(*args)]
+        if len(objects[-1]) == len(malformed):
+            objects[-1] = malformed
+        return iter(objects)
+
+    return replaced
+
+
+@pytest.mark.parametrize("module, attribute, malformed, expected", [
+    (_trees, "_parent_tuples", (0, 2, 1), "T_2: parent map is not a tree rooted at 0: (0, 2, 1)"),
+    (_park, "_parking_tuples", (1, 1), "P_2: not a parking function: (1, 1)"),
+    (_fact, "iter_factor_pairs", ((1, 0), (0, 2)),
+     "F_2: transposition needs 0 <= lo < hi, got (1, 0)"),
+    (_fact, "iter_factor_pairs", ((0, 1), (0, 3)), "F_2: factor (0 3) exceeds ground set [0, 2]"),
+], ids=["trees", "parking", "factors", "factor-range"])
+def test_cardinalities_tests_each_object(module, attribute, malformed, expected, monkeypatch):
+    monkeypatch.setattr(module, attribute, _one_malformed(getattr(module, attribute), malformed))
+    result = verify.run_suite("cardinalities", 2)
+    assert (result.ok, result.detail) == (False, expected)
 
 
 def test_tree_factorization_checks_the_recursion(monkeypatch):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from oracles import tree_recursion_by_dict
 
 from parkfact import cli, verify
+from parkfact import factorizations as _fact
 from parkfact.arch import arch_from_json, arch_to_factorization
 from parkfact.cli import _VIAS, main
 from parkfact.factorizations import enumerate_factorizations, restricted_enumerators
@@ -126,6 +127,23 @@ class TestPoly:
                            ("Fperm", r.perm_lower)):
             code, out, _ = run(capsys, "poly", "--name", name, "--n", "4")
             assert (code, out) == (0, f"{poly}\n")
+
+    @pytest.mark.parametrize("name, family", [
+        ("Fhat", "without_top"), ("Finc", "increasing"), ("Fdec", "decreasing"),
+        ("Fmax", None), ("Fperm", "perm_lower"),
+    ])
+    def test_a_restricted_name_sums_only_its_family(self, capsys, monkeypatch, name, family):
+        # F_n itself may be summed (family ""), no other restricted family
+        block_sums, families = _fact._block_sums, set()
+
+        def recording(sigma, family=""):
+            families.add(family)
+            return block_sums(sigma, family)
+
+        monkeypatch.setattr(_fact, "_block_sums", recording)
+        code, _, _ = run(capsys, "poly", "--name", name, "--n", "5")
+        assert code == 0
+        assert families - {""} == ({family} if family else set())
 
     @pytest.mark.parametrize("name", ["I", "B", "D", "C", "Fhat", "Finc", "Fdec",
                                       "Fmax", "Fperm", "area", "bounce", "jump"])

@@ -32,6 +32,7 @@ from parkfact.factorizations import (
     phi_k,
     phi_k_inverse,
     reflect_reverse,
+    restricted_enumerator,
     restricted_enumerators,
     simple_index,
     total_difference,
@@ -348,6 +349,14 @@ class TestRestricted:
                 lows = lower(f)
                 if all(lows[i] >= lows[i + 1] for i in range(n - 1)):
                     assert area_upper(f) == n
+
+    def test_each_family_alone_matches_the_stream(self):
+        for n in range(6):
+            stream = restricted_enumerators_by_stream(n)
+            for family in RestrictedEnumerators._fields:
+                assert restricted_enumerator(n, family) == getattr(stream, family), (n, family)
+        with pytest.raises(ValueError, match="unknown restricted family 'all'"):
+            restricted_enumerator(3, "all")
 
     def test_perm_lower_identity(self):
         for n in range(1, 5):
