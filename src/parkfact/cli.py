@@ -159,9 +159,12 @@ def _print_poly(poly, fmt: str) -> None:
 
 def _list_trees(n, args):
     if args.format == "json":
-        # raw parent tuples: no LabelledTree per line; the tests validate
-        # this decoder's every tree for n <= 7
+        # raw parent tuples: no LabelledTree per line; the tests compare
+        # this listing with tree_to_json of the validated stream for n <= 4
+        # and pin its digest at n = 6
         return (json.dumps(_trees._parent_json(p)) for p in _trees._parent_tuples(n))
+    # formatted a Pruefer block at a time; the tests check it line by line
+    # against format_tree of the validated stream for n <= 7
     return _trees._tree_lines(n)
 
 
@@ -400,6 +403,8 @@ def _cmd_verify(args) -> int:
         _refuse_unread(args, (), f"verify --suite {names[0]}")
     if args.n is not None and _guard_n(args.n) < 1:
         raise CliError("verify needs --n >= 1")
+    for name in names:  # before any suite runs, so one line is all the output
+        _verify.refuse_infeasible(name, args.n)
     sizes = [args.n] * len(names)
     workers = min(len(names), _usable_cpus())
     if workers == 1:

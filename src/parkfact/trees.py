@@ -5,10 +5,11 @@ is omitted by serializers).  Enumeration is exhaustive: every index in
 [0, (n+1)^(n-1)) is unranked to a Pruefer sequence and decoded in linear
 time, so any index range can be listed on its own.  The full stream
 decodes the n + 1 codes that differ only in their first digit together,
-with two runs of the one decode loop.  The bulk consumers (the two
-enumerators and the CLI listing) read the raw parent tuples;
-enumerate_trees validates every tree it yields.  is_forest is the one
-forest test: LabelledTree and the arch diagram validity test both use it.
+with two runs of the one decode loop, in _blocks.  The enumerators and
+the CLI's JSON listing read the raw parent tuples the blocks expand to,
+the text listing formats each block whole, and enumerate_trees validates
+every tree it yields.  is_forest is the one forest test: LabelledTree
+and the arch diagram validity test both use it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, starmap
 from itertools import product as _cartesian
 from typing import Iterator
 
@@ -154,21 +156,19 @@ def unrank_tree(n: int, index: int) -> LabelledTree:
     return LabelledTree(_pruefer_to_parent(tuple(digits), n + 1))
 
 
-def _parent_tuples(n: int) -> Iterator[tuple[int, ...]]:
-    """Decoded parent tuples of every tree on [n], in unrank_tree order:
-    the Pruefer digits run as an odometer, least significant first.
+def _blocks(n: int) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
+    """(first, shared, u1) for each block of n + 1 Pruefer codes on [n],
+    n >= 2, in odometer order, least significant digit first.
 
-    The n + 1 codes of a block share every digit but the first, s0.  With
-    u1 < u2 the two smallest vertices missing from the rest, every s0 != u1
-    leaves the same decode state after step 0 (ptr = leaf = u2), so one
-    decode serves them all, differing only in parent[u1] = s0; s0 = u1
-    decodes from parent[u2] = u1, leaf = u1.  If u1 != 0 the leaf u1 is off
-    the path from 0 to the root, so one reroot serves the block too.
+    A block's codes share every digit but the first, s0.  With u1 < u2 the
+    two smallest vertices missing from the rest, every s0 != u1 leaves the
+    same decode state after step 0 (ptr = leaf = u2): one decode, `shared`,
+    serves them all but for parent[u1] = s0.  s0 = u1 decodes from
+    parent[u2] = u1, leaf = u1, to the rooted tuple `first`.  If u1 != 0
+    the leaf u1 is off the path from 0 to the root n, so `shared` comes
+    rerooted at 0; if u1 = 0 it keeps the root n.
     """
     m = n + 1
-    if n < 2:
-        yield _pruefer_to_parent((), m)
-        return
     for digits in _cartesian(range(m), repeat=n - 2):
         rest = digits[::-1]
         degree = [1] * m
@@ -182,7 +182,17 @@ def _parent_tuples(n: int) -> Iterator[tuple[int, ...]]:
         shared = _decode(rest, degree, [0] * m, u2, u2)
         if u1:
             _reroot(shared)
-        for s0 in range(m):
+        yield first, shared, u1
+
+
+def _parent_tuples(n: int) -> Iterator[tuple[int, ...]]:
+    """Decoded parent tuples of every tree on [n], in unrank_tree order,
+    one block of _blocks at a time."""
+    if n < 2:
+        yield _pruefer_to_parent((), n + 1)
+        return
+    for first, shared, u1 in _blocks(n):
+        for s0 in range(n + 1):
             if s0 == u1:
                 yield first
             elif u1:
@@ -263,10 +273,35 @@ def format_tree(tree: LabelledTree) -> str:
 
 
 def _tree_lines(n: int) -> Iterator[str]:
-    """format_tree of every tree on [n] in stream order, each filled into
-    one template "0:-,1:%d,...,n:%d"."""
-    template = ",".join(["0:-", *(f"{v}:%d" for v in range(1, n + 1))])
-    return (template % parent[1:] for parent in _parent_tuples(n))
+    """format_tree of every tree on [n] in stream order, joined a block of
+    _blocks at a time from one table of "v:p" cells.  If u1 != 0 the lines
+    for s0 != u1 differ only in u1's cell, between one head and one tail;
+    if u1 = 0 each s0 rewrites only the cells on its path to the root n."""
+    m = n + 1
+    cell = [["0:-"] * m, *([f"{v}:{p}" for p in range(m)] for v in range(1, m))]
+
+    def block(first, shared, u1) -> list[str]:
+        cells = [cell[v][p] for v, p in enumerate(shared)]
+        if u1:
+            head = ",".join([*cells[:u1], ""])
+            tail = ",".join(["", *cells[u1 + 1:]])
+            lines = [head + c + tail for c in cell[u1]]
+        else:
+            lines = [""]
+            for s0 in range(1, m):
+                row = cells[:]
+                prev, v = 0, s0
+                while v != n:
+                    row[v] = cell[v][prev]
+                    prev, v = v, shared[v]
+                row[n] = cell[n][prev]
+                lines.append(",".join(row))
+        lines[u1] = ",".join([cell[v][p] for v, p in enumerate(first)])
+        return lines
+
+    if n < 2:
+        return map(format_tree, enumerate_trees(n))
+    return chain.from_iterable(starmap(block, _blocks(n)))
 
 
 def parse_tree(text: str) -> LabelledTree:

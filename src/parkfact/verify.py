@@ -3,14 +3,16 @@ exhaustive check.
 
 Each suite is a check_<suite> function registered by @_suite(name, sizes,
 claim), once, above its definition.  `sizes` is the range of n the suite
-checks by default, or None for a suite without a size.  A sized check
-tests one n and returns None on a pass or the detail of its failure, a
-short serialized counterexample; a sizeless check takes no argument.  The
-registered wrapper runs the check over the range, stops at the first
-failure and builds the one CheckResult, whose pass line names the n range
-that ran.  SUITES lists the suites in registration order, which gives
-their 1-based numbers; the CLI 'verify' subcommand and the acceptance
-tests run them by name or number.
+checks by default, or None for a suite without a size; a suite whose cost
+explodes past its defaults also names the largest n it can run at desk
+scale, and a larger n_max is refused.  A sized check tests one n and
+returns None on a pass or the detail of its failure, a short serialized
+counterexample; a sizeless check takes no argument.  The registered
+wrapper runs the check over the range, stops at the first failure and
+builds the one CheckResult, whose pass line names the n range that ran.
+SUITES lists the suites in registration order, which gives their 1-based
+numbers; the CLI 'verify' subcommand and the acceptance tests run them by
+name or number.
 
 The object streams run on raw tuples and pairs, each raw object passing
 the membership test its value's constructor applies, and a value is
@@ -51,19 +53,29 @@ class CheckResult:
 
 SUITES: dict[str, Callable[[int | None], CheckResult]] = {}
 SIZELESS: set[str] = set()
+FEASIBLE: dict[str, int] = {}
 
 
-def _suite(name: str, sizes: range | None, claim: str):
+def refuse_infeasible(name: str, n_max: int | None) -> None:
+    """Raise ValueError if n_max is above the feasible maximum of suite
+    `name`, if it has one."""
+    limit = FEASIBLE.get(name)
+    if n_max is not None and limit is not None and n_max > limit:
+        raise ValueError(f"suite {name} is feasible only up to n = {limit}, got n = {n_max}")
+
+
+def _suite(name: str, sizes: range | None, claim: str, feasible: int | None = None):
     """Register a check as suite `name`.  The wrapper runs the check for n
     from sizes.start to n_max (by default the last n in `sizes`), stops at
     the first failure, and on a pass reports `claim` and the n range that
     ran; an n_max below sizes.start is a ValueError, never a pass that
-    checked nothing.  A suite whose sizes are None takes no n, ignores
-    n_max and is listed in SIZELESS, so the CLI refuses --n for it.  The
-    wrapper is both the module's check_<suite> and the SUITES value, so
-    perfbench's tracer, which rebinds one object in both places, times
-    every suite run in the traced process; it does not see the suites that
-    `verify` sends to worker processes."""
+    checked nothing, and so is one above `feasible`, which FEASIBLE lists
+    for the CLI to refuse before any suite runs.  A suite whose sizes are
+    None takes no n, ignores n_max and is listed in SIZELESS, so the CLI
+    refuses --n for it.  The wrapper is both the module's check_<suite> and
+    the SUITES value, so perfbench's tracer, which rebinds one object in
+    both places, times every suite run in the traced process; it does not
+    see the suites that `verify` sends to worker processes."""
 
     def register(check: Callable[..., str | None]):
         @functools.wraps(check)
@@ -71,6 +83,7 @@ def _suite(name: str, sizes: range | None, claim: str):
             if sizes is None:
                 failure, passed = check(), claim
             else:
+                refuse_infeasible(name, n_max)
                 last = sizes[-1] if n_max is None else n_max
                 if last < sizes.start:
                     raise ValueError(f"suite {name} starts at n = {sizes.start}, "
@@ -83,6 +96,8 @@ def _suite(name: str, sizes: range | None, claim: str):
         SUITES[name] = run
         if sizes is None:
             SIZELESS.add(name)
+        if feasible is not None:
+            FEASIBLE[name] = feasible
         return run
 
     return register
@@ -219,7 +234,9 @@ def check_area_jump(n: int) -> str | None:
 # ------------------------------------- 6: unimodal characterization
 
 
-@_suite("unimodal", range(1, 6), "L and U are bijections exactly on unimodal cycles")
+# n = 6 took 25 s in process; n = 7 streams 720 cycles' 262,144 factorizations
+@_suite("unimodal", range(1, 6), "L and U are bijections exactly on unimodal cycles",
+        feasible=6)
 def check_unimodal(n: int) -> str | None:
     expected = _trees.tree_count(n)
     unimodal_seen = 0
@@ -259,7 +276,9 @@ def check_unimodal(n: int) -> str | None:
 # -------------------------------------------- 7: the inverse algorithm
 
 
-@_suite("l-inverse", range(6), "reconstruction inverts L on every unimodal cycle")
+# n = 6 took about 20 s in process; n = 7 runs 64 cycles × 262,144 inputs
+@_suite("l-inverse", range(6), "reconstruction inverts L on every unimodal cycle",
+        feasible=6)
 def check_l_inverse(n: int) -> str | None:
     target_count = _trees.tree_count(n)
     for sigma in unimodal_cycles(n) if n else [FullCycle.canonical(0)]:
@@ -286,9 +305,10 @@ def _word(pairs, n: int) -> str:
     return str(_fact.Factorization(pairs, n))
 
 
+# n = 5 took 15.9 s in process; n = 6 visits 3 × 21^6 words, about 110×
 @_suite("arch-criterion", range(1, 5),
         "membership in F_sigma matches diagram validity on the canonical "
-        "cycle plus two unimodal cycles")
+        "cycle plus two unimodal cycles", feasible=5)
 def check_arch_criterion(n: int) -> str | None:
     canonical = FullCycle.canonical(n)
     sigmas = [canonical] + [s for s in unimodal_cycles(n) if s != canonical][:2]

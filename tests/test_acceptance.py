@@ -278,6 +278,14 @@ def test_a_range_that_checks_nothing_is_refused(name, n_max):
         verify.run_suite(name, n_max)
 
 
+def test_a_range_past_the_feasible_maximum_is_refused():
+    # an in-process caller is refused too, before the check runs at all
+    assert verify.FEASIBLE == {"unimodal": 6, "l-inverse": 6, "arch-criterion": 5}
+    for name, limit in verify.FEASIBLE.items():
+        with pytest.raises(ValueError, match=f"feasible only up to n = {limit}, got"):
+            verify.run_suite(name, limit + 1)
+
+
 def _perfbench_constant(module: str, name: str):
     """The literal bound to `name` in perfbench/<module>.py, read without
     importing the benchmark."""

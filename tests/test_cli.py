@@ -620,6 +620,17 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--suite", suite, "--n", "0")
         assert (code, out, err) == (1, "", "error: verify needs --n >= 1\n")
 
+    @pytest.mark.parametrize("suite, n, refused, limit", [
+        ("arch-criterion", "6", "arch-criterion", 5), ("unimodal", "7", "unimodal", 6),
+        ("l-inverse", "7", "l-inverse", 6), ("all", "6", "arch-criterion", 5),
+        ("all", "8", "unimodal", 6),
+    ])
+    def test_n_above_a_feasible_maximum_is_refused(self, capsys, suite, n, refused, limit):
+        # one line and no suite run, also where other suites could run at n
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", n)
+        assert (code, out, err) == (
+            1, "", f"error: suite {refused} is feasible only up to n = {limit}, got n = {n}\n")
+
     @staticmethod
     def run_with_extra_pairs(capsys, monkeypatch, extra):
         # only the per-object loop of simple-decomposition reads the stream

@@ -10,6 +10,7 @@ from parkfact.polynomials import BivariatePoly, tree_recursion_I
 from parkfact.trees import (
     LabelledTree,
     _pruefer_to_parent,
+    _tree_lines,
     depth_enumerator,
     enumerate_trees,
     format_tree,
@@ -75,12 +76,14 @@ class TestEnumeration:
             assert sum(1 for _ in enumerate_trees(n)) == tree_count(n)
 
     def test_count_at_seven(self):
-        # every tree of the n = 7 stream is valid, and the block decode
-        # equals the decode of each code of the odometer on its own
+        # every tree of the n = 7 stream is valid, the block decode equals
+        # the decode of each code of the odometer on its own, and the block
+        # formatting of the listing writes each tree's own line
         codes = product(range(8), repeat=6)
         count = 0
-        for t, digits in zip(enumerate_trees(7), codes, strict=True):
+        for t, digits, line in zip(enumerate_trees(7), codes, _tree_lines(7), strict=True):
             assert t.parent == _pruefer_to_parent(digits[::-1], 8)
+            assert line == format_tree(t)
             count += 1
         assert count == tree_count(7)
 
