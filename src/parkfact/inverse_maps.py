@@ -14,9 +14,9 @@ placed factors and one window scan gives contiguity and the cycle count
 (window_cycles).
 
 l_inverse and push validate, run a private kernel on raw entries
-(_l_inverse gives raw pairs, _push raw heights) and build the value; a
-caller that runs many entries under one sigma does the per-cycle setup
-once (_left_values, positions, and sigma's images for a checked run).
+(_l_inverse gives raw pairs, _push raw heights) and build the value.
+_l_inverse(sigma, check) does the per-cycle set-up once and returns the
+placement of one entry tuple.
 
 For non-unimodal sigma no inverse exists, and non_unimodal_witness
 produces the certifying collision: two factorizations sharing one lower
@@ -24,6 +24,8 @@ sequence.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .factorizations import Factorization, reflect_conjugate
 from .parking import MajorSequence, ParkingFunction, _label_groups, complement
@@ -109,46 +111,48 @@ def _check_entry_invariants(
         raise AssertionError(f"window at {a} swallowed the whole interval [{a}, {n}]")
 
 
-def _l_inverse(
-    entries: tuple[int, ...], order: tuple[int, ...], sigma: FullCycle,
-    pos: dict[int, int], target: list[int] | None = None,
-) -> tuple[tuple[int, int], ...]:
-    """The raw pairs of l_inverse: entries placed in `order` under the
-    unimodal sigma, whose positions are pos.  Given target, sigma's
-    images, the run is checked: every step asserts the loop invariants and
-    the product of the pairs must be target."""
-    n = sigma.n
-    word, peak = sigma.word, pos[n]
-    taus: list[tuple[int, int] | None] = [None] * (n + 1)
-    images = list(range(n + 1))
-    pre = list(range(n + 1))
-    for step, j in enumerate(order, start=1):
-        a = entries[j - 1]
-        # a sigma-right entry is placed as a sigma-left one, on the inverse
-        # product (end) and walking the word backwards (d)
-        end, back, d = (pre, images, 1) if pos[a] < peak else (images, pre, -1)
-        if target is not None:
-            _check_entry_invariants(sigma, pos, taus, images, pre, step, a, d > 0)
-        # the window at a meets its neighbour in direction d at c; the
-        # factors on the far side of j never move a, so carrying c through
-        # them gives the partner b
-        c = word[pos[end[a]] + d]
-        b = c
-        for r in range(n, j, -1) if d > 0 else range(1, j):
-            pair = taus[r]
-            if pair is not None and b in pair:
-                b = pair[0] + pair[1] - b
-        if target is not None and b <= a:
-            raise AssertionError(f"computed partner {b} not above {a}")
-        taus[j] = (a, b)
-        # placing (a b) exchanges the entries of end at a and c
-        end[a], end[c] = end[c], end[a]
-        back[end[a]], back[end[c]] = a, c
+def _l_inverse(sigma: FullCycle, check: bool = False) -> Callable:
+    """The raw kernel of l_inverse under the unimodal sigma: the per-cycle
+    set-up runs once, and the function returned places one entry tuple in
+    omega order and gives its raw pairs.  With check every step asserts
+    the loop invariants and the product of the pairs must be sigma."""
+    n, word, left, pos = sigma.n, sigma.word, _left_values(sigma), sigma.positions()
+    peak = pos[n]
+    target = list(sigma.to_permutation().images) if check else None
 
-    pairs = tuple(taus[1:])
-    if target is not None and (None in pairs or swap_product(pairs, n) != target):
-        raise AssertionError(f"reconstruction for {','.join(map(str, entries))} missed {sigma}")
-    return pairs
+    def place(entries: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+        taus: list[tuple[int, int] | None] = [None] * (n + 1)
+        images = list(range(n + 1))
+        pre = list(range(n + 1))
+        for step, j in enumerate(_order(entries, left), start=1):
+            a = entries[j - 1]
+            # a sigma-right entry is placed as a sigma-left one, on the
+            # inverse product (end) and walking the word backwards (d)
+            end, back, d = (pre, images, 1) if pos[a] < peak else (images, pre, -1)
+            if check:
+                _check_entry_invariants(sigma, pos, taus, images, pre, step, a, d > 0)
+            # the window at a meets its neighbour in direction d at c; the
+            # factors on the far side of j never move a, so carrying c
+            # through them gives the partner b
+            c = word[pos[end[a]] + d]
+            b = c
+            for r in range(n, j, -1) if d > 0 else range(1, j):
+                pair = taus[r]
+                if pair is not None and b in pair:
+                    b = pair[0] + pair[1] - b
+            if check and b <= a:
+                raise AssertionError(f"computed partner {b} not above {a}")
+            taus[j] = (a, b)
+            # placing (a b) exchanges the entries of end at a and c
+            end[a], end[c] = end[c], end[a]
+            back[end[a]], back[end[c]] = a, c
+
+        pairs = tuple(taus[1:])
+        if check and (None in pairs or swap_product(pairs, n) != target):
+            raise AssertionError(f"reconstruction for {','.join(map(str, entries))} missed {sigma}")
+        return pairs
+
+    return place
 
 
 def l_inverse(
@@ -164,9 +168,9 @@ def l_inverse(
     bounded window, window ends, partner above a), and the product of the
     result is checked to be sigma.
     """
-    order = omega(sigma, p)
-    target = list(sigma.to_permutation().images) if check else None
-    return Factorization(_l_inverse(p.entries, order, sigma, sigma.positions(), target), sigma.n)
+    if sigma.n != p.n:
+        raise ValueError(f"size mismatch: [{sigma.n}] vs [{p.n}]")
+    return Factorization(_l_inverse(sigma, check)(p.entries), sigma.n)
 
 
 def u_inverse(m: MajorSequence, sigma: FullCycle) -> Factorization:

@@ -206,9 +206,9 @@ def _contacts(reach: list[int]) -> tuple[tuple[int, ...], int]:
     """Bounce contacts and the statistic sum(n - i_j) over them, read off
     reach[h] = #{entries <= h} for h in 0..n.
 
-    The one bounce implementation: bounce and the content-major pass both
-    call it.  A reach that does not grow is not
-    a parking content, and the ball would stall (AssertionError).
+    The one bounce implementation: _bounce and the content-major pass both
+    call it.  A reach that does not grow is not a parking content, and the
+    ball would stall (AssertionError).
     """
     n = len(reach) - 1
     contacts = [0]
@@ -228,7 +228,12 @@ def bounce(p: ParkingFunction) -> tuple[tuple[int, ...], int]:
     The statistic also equals the depth of theta(p), pinv + copinv; the
     bounce verify suite checks that identity.
     """
-    return _contacts(list(accumulate(map(len, _label_groups(p.entries)))))
+    return _bounce(p.entries)
+
+
+def _bounce(entries: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """bounce on the raw entries of a parking function."""
+    return _contacts(list(accumulate(map(len, _label_groups(entries)))))
 
 
 def theta(p: ParkingFunction) -> LabelledTree:

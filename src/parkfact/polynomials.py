@@ -265,20 +265,21 @@ def qt_factorial_product(n: int) -> BivariatePoly:
 def catalan_qt(n: int) -> BivariatePoly:
     """Two-variable Catalan polynomial C_n(q,t).
 
-    C_0 = 1 and C_n = sum over k of q^k t^(n-k-1) C_k C_(n-k-1); at
-    q = t = 1 this is the n-th Catalan number.
+    C_0 = 1 and C_n = sum over k of q^k t^(n-k-1) C_k C_(n-k-1), run on
+    packed rows as in tree_recursion_I; at q = t = 1 this is the n-th
+    Catalan number, which bounds every coefficient met on the way and so,
+    with one spare bit, sets the slot width.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    series = [BivariatePoly.one()]
+    width = catalan_number(n).bit_length() + 1
+    series = [[1]]
     for m in range(1, n + 1):
-        total = BivariatePoly.zero()
+        total: list[int] = []
         for k in range(m):
-            total = total + (
-                BivariatePoly.monomial(1, k, m - k - 1) * series[k] * series[m - k - 1]
-            )
+            _shift_add(total, _mul_rows(series[k], series[m - k - 1]), k, width * (m - k - 1))
         series.append(total)
-    return series[n]
+    return _unpack_rows(series[n], width)
 
 
 def catalan_number(n: int) -> int:
@@ -326,22 +327,20 @@ def _packed_recursion(n_max: int) -> tuple[list[list[int]], int]:
         total: list[int] = []
         for i in range(n // 2 + 1):
             product = _mul_rows([math.comb(n, i) * r for r in series[i]], series[n - i])
-            total = _add_t_bracket(total, product, i + 1, width)
-            if 2 * i < n:
-                total = _add_t_bracket(total, product, n - i + 1, width)
+            # times t * qt_bracket(k) for the terms i and n - i, one k if they meet
+            for k in {i + 1, n - i + 1}:
+                for j in range(k):
+                    _shift_add(total, product, j, width * (k - j))
         series.append(total)
     return series, width
 
 
-def _add_t_bracket(total: list[int], rows: list[int], k: int, width: int) -> list[int]:
-    """total plus rows times t * qt_bracket(k), by shifts: the bracket's
-    term q^j t^(k-j) moves row e to row e + j, shifted by width * (k-j) bits."""
-    out = total + [0] * (len(rows) + k - 1 - len(total))
-    for j in range(k):
-        shift = width * (k - j)
-        for e, row in enumerate(rows, j):
-            out[e] += row << shift
-    return out
+def _shift_add(total: list[int], rows: list[int], dq: int, bits: int) -> None:
+    """Add rows times q^dq to total in place, each row shifted left by bits:
+    row e goes to row e + dq, and a shift by j slot widths multiplies by t^j."""
+    total.extend([0] * (len(rows) + dq - len(total)))
+    for e, row in enumerate(rows, dq):
+        total[e] += row << bits
 
 
 def _mul_rows(a: list[int], b: list[int]) -> list[int]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import combinations
 from itertools import product as _cartesian
 from typing import Callable
 
@@ -213,7 +213,7 @@ def check_bounce(n: int) -> str | None:
     for entries in _park._parking_tuples(n):
         # two routes to one number: the contact sum, and the depth of
         # theta's tree (pinv + copinv) from the tree kernel
-        _, value = _park._contacts(list(accumulate(map(len, _park._label_groups(entries)))))
+        _, value = _park._bounce(entries)
         if _trees._tree_stats(_park._theta_parent(entries))[2] != value:
             return f"pinv+copinv != bounce for p={ParkingFunction(entries)}"
 
@@ -282,13 +282,12 @@ def check_unimodal(n: int) -> str | None:
 def check_l_inverse(n: int) -> str | None:
     target_count = _trees.tree_count(n)
     for sigma in unimodal_cycles(n) if n else [FullCycle.canonical(0)]:
-        left, pos = _inv._left_values(sigma), sigma.positions()
-        target = list(sigma.to_permutation().images)  # turns the step checks on
+        place = _inv._l_inverse(sigma, check=True)
         seen = set()
         for entries in _park._parking_tuples(n):
             if not _park.is_parking(entries):
                 return f"P_{n}: not a parking function: {entries}"
-            pairs = _inv._l_inverse(entries, _inv._order(entries, left), sigma, pos, target)
+            pairs = place(entries)
             if tuple(a for a, _ in pairs) != entries:
                 p = ParkingFunction(entries)
                 return f"lower(l_inverse({p}, {sigma})) != {p}"
@@ -340,9 +339,8 @@ def check_simple_decomposition(n: int) -> str | None:
     # under the canonical cycle a position is its vertex: part arcs are factors
     sigma = FullCycle.canonical(n)
     pos = sigma.positions()
-    target = list(sigma.to_permutation().images)
     below = list(FullCycle.canonical(n - 1).to_permutation().images)
-    part_areas_of = {}  # (part arcs, m) of each part that passed -> its areas
+    part_areas_of = {}  # (part arcs, m) of each smaller part that passed -> its areas
     for pairs in _fact.iter_factor_pairs(sigma):
         if not all(0 <= a < b <= n for a, b in pairs):
             raise AssertionError(f"factor stream yielded {pairs}, not pairs on [0, {n}]")
@@ -352,29 +350,24 @@ def check_simple_decomposition(n: int) -> str | None:
             return f"diagram is not valid for f={_word(pairs, n)}"
         parts = _arch._parts(runs)
         a_l, a_u = _fact._areas(pairs, n)
-        product = None
         part_areas = []
         for part_arcs, m, _ in parts:
-            if (part_arcs, m) == (arcs, n + 1):
-                # f is its own one part: the part's runs are f's runs, and
-                # the part's product is f's
-                if len(runs) != 1:
-                    return f"a part of f={_word(pairs, n)} is not simple"
-                product = swap_product(pairs, n)
-                if product != target:
-                    return f"a part of f={_word(pairs, n)} is not in F_{n}"
-                part_areas.append((a_l, a_u))
-                continue
+            # f as its own one part reuses f's runs and areas; only smaller
+            # parts recur, so only they are memoized
+            whole = (part_arcs, m) == (arcs, n + 1)
             key = (tuple(part_arcs), m)
-            if key not in part_areas_of:
-                part_runs = _arch._valid_runs(part_arcs, m)
+            areas = None if whole else part_areas_of.get(key)
+            if areas is None:
+                part_runs = runs if whole else _arch._valid_runs(part_arcs, m)
                 if part_runs is None or len(part_runs) != 1:
                     return f"a part of f={_word(pairs, n)} is not simple"
                 g = [(a, b) for a, b, _ in part_arcs]
                 if swap_product(g, m - 1) != [*range(1, m), 0]:
                     return f"a part of f={_word(pairs, n)} is not in F_{m - 1}"
-                part_areas_of[key] = _fact._areas(g, m - 1)
-            part_areas.append(part_areas_of[key])
+                areas = (a_l, a_u) if whole else _fact._areas(g, m - 1)
+                if not whole:
+                    part_areas_of[key] = areas
+            part_areas.append(areas)
         labels = sorted(i for *_, index_set in parts for i in index_set)
         if labels != list(range(1, n + 1)):
             return f"index sets do not partition [1,{n}] for f={_word(pairs, n)}"
@@ -389,8 +382,6 @@ def check_simple_decomposition(n: int) -> str | None:
         if len(hits) != 1:
             return f"f={_word(pairs, n)} has {len(hits)} copies of (0 {n})"
         k = hits[0]
-        if (swap_product(pairs, n) if product is None else product) != target:
-            return f"f={_word(pairs, n)} is not in F_{n}"
         g = _fact._rotate_down(pairs, k)
         if swap_product(g, n - 1) != below:
             return f"phi_k leaves F_{n - 1} for f={_word(pairs, n)}, k={k}"
@@ -498,12 +489,11 @@ def check_worked_examples() -> str | None:
 
 @_suite("pushing", range(6), "pushed labels reproduce the upper path of every p")
 def check_pushing(n: int) -> str | None:
-    sigma = FullCycle.canonical(n)
-    left, pos = _inv._left_values(sigma), sigma.positions()
+    place = _inv._l_inverse(FullCycle.canonical(n))
     for entries in _park._parking_tuples(n):
         if not _park.is_parking(entries):
             return f"P_{n}: not a parking function: {entries}"
-        pairs = _inv._l_inverse(entries, _inv._order(entries, left), sigma, pos)
+        pairs = place(entries)
         problem = _fact._factors_problem(pairs, n)
         if problem:
             return f"l_inverse of p={ParkingFunction(entries)}: {problem}"

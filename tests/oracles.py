@@ -204,6 +204,20 @@ def tree_recursion_by_dict(n_max):
     return series
 
 
+def catalan_series_by_dict(n_max):
+    """C_0 .. C_n_max by the convolution C_m = sum over k of
+    q^k t^(m-k-1) C_k C_(m-k-1) in BivariatePoly arithmetic."""
+    series = [BivariatePoly.one()]
+    for m in range(1, n_max + 1):
+        total = BivariatePoly.zero()
+        for k in range(m):
+            total = total + (
+                BivariatePoly.monomial(1, k, m - k - 1) * series[k] * series[m - k - 1]
+            )
+        series.append(total)
+    return series
+
+
 def pruefer_to_parent_dfs(seq, m):
     """Decode a Pruefer sequence into an edge list, then orient the edges
     away from 0 by a depth-first search over adjacency lists."""

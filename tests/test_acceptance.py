@@ -127,7 +127,7 @@ BREAKS = {
                   lambda n: ENUMS(n)._replace(area=ZERO), 2, "n=0:"),
     "unimodal": (_park, "is_parking", lambda seq: False, 3, "sigma=(0 1)"),
     "l-inverse": (_inv, "_l_inverse",
-                  lambda entries, *setup: tuple((a + 1, a + 2) for a in entries),
+                  lambda sigma, check=False: lambda entries: tuple((a + 1, a + 2) for a in entries),
                   2, "lower(l_inverse(0, (0 1))) != 0"),
     "arch-criterion": (_arch, "_valid_runs", lambda arcs, m: None,
                        1, "f=(0 1), sigma=(0 1)"),
@@ -178,6 +178,24 @@ def test_simple_decomposition_checks_each_part(monkeypatch):
     result = verify.run_suite("simple-decomposition", 2)
     assert result.ok is False
     assert result.detail.endswith("is not simple"), result.detail
+
+
+def test_simple_decomposition_checks_the_part_equal_to_f(monkeypatch):
+    # at n = 2 a stream of the one non-member (0 2)(0 2), whose diagram is
+    # taken as valid and simple, is caught as f's own part, before the
+    # rotation branch sees its two copies of (0 2)
+    stream, valid_runs = _fact.iter_factor_pairs, _arch._valid_runs
+
+    def one_non_member(sigma):
+        return iter([((0, 2), (0, 2))]) if sigma.n == 2 else stream(sigma)
+
+    def one_run(arcs, m):
+        return [list(arcs)] if m == 3 else valid_runs(arcs, m)
+
+    monkeypatch.setattr(_fact, "iter_factor_pairs", one_non_member)
+    monkeypatch.setattr(_arch, "_valid_runs", one_run)
+    result = verify.run_suite("simple-decomposition", 2)
+    assert (result.ok, result.detail) == (False, "a part of f=(0 2)(0 2) is not in F_2")
 
 
 def _one_malformed(stream, malformed):
@@ -311,8 +329,8 @@ def test_each_suite_is_its_module_function():
 # that the benchmark gates, copied from perfbench/gates.py, so a slip in the
 # tree stream's order, a line's text or a polynomial's terms fails here too,
 # not only there; the rest pin the factor stream's order, the block
-# recursion's sums and the parking enumerators on calls that no benchmark
-# gate covers
+# recursion's sums, the parking enumerators and the Catalan recursion on
+# calls that no benchmark gate covers
 _F7_SHA = "8388bb6488b3e8c1fbc76917e5dfaf1f025302b9ced9cc83b15a21f3808f14a3"
 GATED_OUTPUTS = {
     "enumerate --kind trees --n 7":
@@ -353,6 +371,10 @@ GATED_OUTPUTS = {
         "ead7d58fadd7474af9091114362f4ffe8b193b37fdc9c57ca9bdbb8b34c9b72c",
     "poly --name I --n 16":
         "d6c7e5dde6b0c41f114d92117610ec37abcb47f8ad69b8584d57ca889cc1fa6e",
+    "poly --name C --n 12":
+        "3cd33bc81366a83c690a2ee8f21c50c50560a662c0fe3b96fa3a7134c9aaa3e7",
+    "poly --name C --n 20 --format json":
+        "d66c3fcc6080784c4ba284b16aefb274b57241696ce85fccc05be28074763861",
 }
 
 

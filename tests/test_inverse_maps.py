@@ -230,8 +230,9 @@ class TestCheckMode:
         # placing the half-edges in reverse omega order breaks the product
         # the steps keep; unchecked, that surfaces only as a malformed
         # factor at the end, checked, as the step where it broke
-        right = inverse_maps.omega
-        monkeypatch.setattr(inverse_maps, "omega", lambda s, p: right(s, p)[::-1])
+        right = inverse_maps._order
+        monkeypatch.setattr(inverse_maps, "_order",
+                            lambda entries, left: right(entries, left)[::-1])
         with pytest.raises(AssertionError, match="partial product out of sync at step 3"):
             l_inverse(P6, sigma, check=True)
 

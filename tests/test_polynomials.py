@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import tree_recursion_by_dict
+from oracles import catalan_series_by_dict, tree_recursion_by_dict
 
 from parkfact.polynomials import (
     BivariatePoly,
@@ -173,8 +173,14 @@ class TestCatalan:
         assert catalan_qt(3).eval(1, 1) == 5
 
     def test_counts_catalan(self):
-        for n in range(13):
+        # the slot width is read off catalan_number(n), so every n is its
+        # own case
+        for n in range(25):
             assert catalan_qt(n).eval(1, 1) == catalan_number(n)
+
+    def test_matches_the_dict_recursion(self):
+        for n, expected in enumerate(catalan_series_by_dict(14)):
+            assert catalan_qt(n) == expected
 
     def test_nonnegative_coefficients(self):
         for n in range(9):
