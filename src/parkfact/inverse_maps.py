@@ -85,7 +85,7 @@ def _check_entry_invariants(
     # the partial product of the factors placed so far in index order
     n = sigma.n
     placed = swap_product([pair for pair in taus if pair is not None], n)
-    if images != placed or any(pre[y] != x for x, y in enumerate(images)):
+    if images != placed or [pre[y] for y in images] != list(range(n + 1)):
         raise AssertionError(f"partial product out of sync at step {step}")
     cycles = window_cycles(images, sigma.word)
     if cycles is None:
@@ -95,7 +95,7 @@ def _check_entry_invariants(
             f"partial product has {cycles} cycles at step {step}, "
             f"expected {n + 2 - step}"
         )
-    if any(images[x] != x for x in range(a)):
+    if images[:a] != list(range(a)):
         raise AssertionError(f"partial product moves a value below {a}")
     # a window is traversed in word order, so the left case's window runs
     # from a to pre[a] and the right case's from images[a] to a; the ends
@@ -107,7 +107,8 @@ def _check_entry_invariants(
         raise AssertionError(f"{side} window at {a} does not {near} at {a}")
     if (left and hi == n) or (not left and lo == 0):
         raise AssertionError(f"{side} window at {a} reaches the word's {far}")
-    if set(sigma.word[lo : hi + 1]) >= set(range(a, n + 1)):
+    # the window holds hi - lo + 1 values, so only one that long can hold [a, n]
+    if hi - lo >= n - a and set(sigma.word[lo : hi + 1]) >= set(range(a, n + 1)):
         raise AssertionError(f"window at {a} swallowed the whole interval [{a}, {n}]")
 
 

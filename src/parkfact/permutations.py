@@ -179,6 +179,22 @@ def full_cycles(n: int) -> Iterator[FullCycle]:
         yield FullCycle((0, *rest))
 
 
+def full_cycle_classes(n: int) -> Iterator[tuple[FullCycle, int]]:
+    """One full cycle per class of the group generated by sigma -> sigma^-1
+    and sigma -> gamma sigma gamma (gamma: i -> n - i), with the class
+    size, in full_cycles order: each class is given by its first member
+    met, its least word.  On words, the inverse reads the word after 0
+    backwards, and the reflection takes each v to n - v and rotates 0 to
+    the front."""
+    for rest in _itertools_permutations(range(1, n + 1)):
+        flipped = (n, *(n - v for v in rest))
+        cut = flipped.index(0)
+        reflected = flipped[cut:] + flipped[:cut]
+        members = {rest, rest[::-1], reflected[1:], reflected[:0:-1]}
+        if rest == min(members):
+            yield FullCycle((0, *rest)), len(members)
+
+
 def swap_product(pairs, n: int) -> list[int]:
     """Images of the left-to-right product of the transpositions (a, b)
     in pairs, on [n].

@@ -276,8 +276,11 @@ def catalan_qt(n: int) -> BivariatePoly:
     series = [[1]]
     for m in range(1, n + 1):
         total: list[int] = []
-        for k in range(m):
-            _shift_add(total, _mul_rows(series[k], series[m - k - 1]), k, width * (m - k - 1))
+        for k in range((m + 1) // 2):
+            # the terms k and m - k - 1 share C_k C_(m-k-1); one term where they meet
+            product = _mul_rows(series[k], series[m - k - 1])
+            for dq in {k, m - k - 1}:
+                _shift_add(total, product, dq, width * (m - dq - 1))
         series.append(total)
     return _unpack_rows(series[n], width)
 

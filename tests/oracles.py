@@ -10,7 +10,12 @@ from collections import Counter
 from itertools import accumulate, chain, combinations, product
 
 from parkfact.arch import ArchDiagram
-from parkfact.factorizations import RestrictedEnumerators, _moves, iter_factor_pairs
+from parkfact.factorizations import (
+    RestrictedEnumerators,
+    _moves,
+    iter_factor_pairs,
+    reflect_conjugate,
+)
 from parkfact.inverse_maps import sigma_sides
 from parkfact.parking import (
     ParkingEnumerators,
@@ -21,7 +26,7 @@ from parkfact.parking import (
 )
 from parkfact.polynomials import BivariatePoly, qt_bracket
 from parkfact.permutations import FullCycle, Permutation, compose
-from parkfact.trees import LabelledTree
+from parkfact.trees import LabelledTree, _parent_tuples, _tree_stats
 
 
 def reaches_root_by_walk(parent):
@@ -218,6 +223,12 @@ def catalan_series_by_dict(n_max):
     return series
 
 
+def inversion_enumerator_by_trees(n):
+    """I_n(q,t) as the sum of q^inv t^coinv over every decoded tree, one
+    tree-statistics walk each."""
+    return BivariatePoly(Counter(_tree_stats(p)[:2] for p in _parent_tuples(n)))
+
+
 def pruefer_to_parent_dfs(seq, m):
     """Decode a Pruefer sequence into an edge list, then orient the edges
     away from 0 by a depth-first search over adjacency lists."""
@@ -296,6 +307,14 @@ def is_unimodal_by_rise_fall(sigma):
     rises = all(word[i] < word[i + 1] for i in range(peak))
     falls = all(word[i] > word[i + 1] for i in range(peak, len(word) - 1))
     return rises and falls
+
+
+def cycle_class_by_group_maps(sigma):
+    """The visit words of sigma's class under sigma -> sigma^-1 and
+    sigma -> gamma sigma gamma, from the inverse permutation and
+    reflect_conjugate on values rather than word arithmetic."""
+    inverse = FullCycle.from_permutation(sigma.to_permutation().inverse())
+    return {c.word for c in (sigma, inverse, reflect_conjugate(sigma), reflect_conjugate(inverse))}
 
 
 def window_cycles_by_cycles(pi, sigma):

@@ -63,8 +63,10 @@ def test_criterion_05_area_and_parking_process():
 
 def test_criterion_06_unimodal_characterization():
     # over all n! full cycles, n = 1..5: L and U bijective iff unimodal,
-    # with witnesses certifying every failure; 2^(n-1) unimodal cycles
-    _run("unimodal", "for n = 1..5")
+    # streamed on one cycle per class under inversion and reflection (38
+    # classes at n = 5), with witnesses certifying every non-unimodal
+    # cycle; the class sizes add up to 2^(n-1) unimodal cycles
+    _run("unimodal", "streamed once per class under inversion and reflection for n = 1..5")
 
 
 def test_criterion_07_inverse_algorithm():
@@ -386,8 +388,9 @@ def test_gated_output_is_unchanged(command, capsys):
 
 
 def test_bounce_fails_on_a_wrong_pointwise_value(monkeypatch):
-    # the enumerator comparison reads only inv and coinv of the tree kernel,
-    # so only the pointwise check sees a depth one too large for theta(0)
+    # the tree sum reads only inv and coinv of the tree kernel (for each
+    # block's first tree and its shared base), so only the pointwise check
+    # sees a depth one too large for theta(0)
     kernel = _trees._tree_stats
 
     def off_by_one(parent):

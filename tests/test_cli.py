@@ -584,7 +584,8 @@ ALL_SUITES_AT_FOUR = [
     "exactly for n = 0..4",
     "PASS bounce: B_n = I_n = F_n and pinv+copinv = bounce for n = 0..4",
     "PASS area-jump: area and jump/cojump enumerators match I_n for n = 0..4",
-    "PASS unimodal: L and U are bijections exactly on unimodal cycles for n = 1..4",
+    "PASS unimodal: L and U are bijections exactly on unimodal cycles, streamed once "
+    "per class under inversion and reflection for n = 1..4",
     "PASS l-inverse: reconstruction inverts L on every unimodal cycle for n = 0..4",
     "PASS arch-criterion: membership in F_sigma matches diagram validity on the "
     "canonical cycle plus two unimodal cycles for n = 1..4",

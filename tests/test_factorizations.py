@@ -4,6 +4,7 @@ from itertools import combinations, permutations, product, zip_longest
 
 import pytest
 from oracles import (
+    cycle_class_by_group_maps,
     factor_pairs_by_recursion,
     factorization_enumerator_by_stream,
     factorization_enumerator_by_walk,
@@ -31,6 +32,7 @@ from parkfact.factorizations import (
     parse_factorization,
     phi_k,
     phi_k_inverse,
+    reflect_conjugate,
     reflect_reverse,
     restricted_enumerator,
     restricted_enumerators,
@@ -489,6 +491,63 @@ class TestDuality:
         for n in range(1, 5):
             family = {f.factors for f in enumerate_factorizations(FullCycle.canonical(n))}
             assert {reflect_reverse(Factorization(fs, n)).factors for fs in family} == family
+
+
+def class_members(n):
+    """Each class of full cycles on [n] under inversion and reflection once,
+    as the visit words of its members, found without full_cycle_classes."""
+    for sigma in full_cycles(n):
+        members = cycle_class_by_group_maps(sigma)
+        if sigma.word == min(members):
+            yield members
+
+
+def inverse_of(sigma):
+    return FullCycle.from_permutation(sigma.to_permutation().inverse())
+
+
+def assert_the_polynomial_laws(n):
+    for sigma in full_cycles(n):
+        poly = factorization_enumerator(sigma)
+        assert factorization_enumerator(inverse_of(sigma)) == poly, sigma
+        mirrored = poly.divide_t(n).swap_qt().shift_t(n)
+        assert factorization_enumerator(reflect_conjugate(sigma)) == mirrored, sigma
+
+
+class TestCycleClasses:
+    # the unimodal suite streams one cycle per class and carries each
+    # verdict to the rest of the class by these two maps
+    def test_both_maps_carry_each_family_onto_its_image(self):
+        for n in range(1, 6):
+            for members in class_members(n):
+                families = {w: set(iter_factor_pairs(FullCycle(w))) for w in members}
+                for word, family in families.items():
+                    sigma = FullCycle(word)
+                    assert len(family) == tree_count(n), sigma
+                    reversed_family = {pairs[::-1] for pairs in family}
+                    assert reversed_family == families[inverse_of(sigma).word], sigma
+                    # reflect_conjugate on raw pairs (its values: the next test)
+                    mirrored = {tuple((n - b, n - a) for a, b in pairs) for pairs in family}
+                    assert mirrored == families[reflect_conjugate(sigma).word], sigma
+
+    def test_reflection_turns_lower_letters_into_n_minus_upper_letters(self):
+        for n in range(1, 5):
+            for sigma in full_cycles(n):
+                for f in enumerate_factorizations(sigma):
+                    g = reflect_conjugate(f)
+                    assert lower(g) == tuple(n - b for b in upper(f))
+                    assert upper(g) == tuple(n - a for a in lower(f))
+
+    def test_the_polynomial_laws(self):
+        # F_(sigma^-1) = F_sigma and F_(gamma sigma gamma) is F_sigma with
+        # the areas exchanged: q^(u - n) t^(l + n) for each q^l t^u
+        for n in range(1, 6):
+            assert_the_polynomial_laws(n)
+
+    @pytest.mark.slow
+    def test_the_polynomial_laws_at_six(self):
+        # opt-in (pytest -m slow): all 720 full cycles at n = 6
+        assert_the_polynomial_laws(6)
 
 
 class TestTextForms:

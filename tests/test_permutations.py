@@ -1,10 +1,15 @@
 import dataclasses
 import itertools
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import is_unimodal_by_rise_fall, window_cycles_by_cycles
+from oracles import (
+    cycle_class_by_group_maps,
+    is_unimodal_by_rise_fall,
+    window_cycles_by_cycles,
+)
 
 from parkfact.arch import ArchDiagram
 from parkfact.factorizations import (
@@ -19,6 +24,7 @@ from parkfact.permutations import (
     Permutation,
     compose,
     format_permutation,
+    full_cycle_classes,
     full_cycles,
     is_unimodal,
     parse_full_cycle,
@@ -149,6 +155,39 @@ class TestUnimodal:
         for n in range(1, 6):
             expected = {s.word for s in full_cycles(n) if is_unimodal(s)}
             assert {s.word for s in unimodal_cycles(n)} == expected
+
+
+class TestCycleClasses:
+    def test_classes_partition_the_full_cycles(self):
+        # 1, 1, 3, 8, 38, 192 classes for n = 1..6, with sizes summing to n!
+        for n, count in enumerate([1, 1, 3, 8, 38, 192], start=1):
+            classes = list(full_cycle_classes(n))
+            assert len(classes) == count
+            assert sum(size for _, size in classes) == math.factorial(n)
+            covered = []
+            for sigma, size in classes:
+                members = cycle_class_by_group_maps(sigma)
+                assert len(members) == size, sigma
+                assert sigma.word == min(members), sigma
+                covered.extend(members)
+            assert len(covered) == len(set(covered))
+            assert set(covered) == {s.word for s in full_cycles(n)}
+
+    def test_representatives_come_in_full_cycles_order(self):
+        for n in range(1, 7):
+            words = [s.word for s, _ in full_cycle_classes(n)]
+            assert words == sorted(words)
+        assert list(full_cycle_classes(3)) == [
+            (FullCycle((0, 1, 2, 3)), 2), (FullCycle((0, 1, 3, 2)), 2),
+            (FullCycle((0, 2, 1, 3)), 2),
+        ]
+
+    def test_unimodality_is_constant_on_each_class(self):
+        for n in range(1, 7):
+            for sigma, _ in full_cycle_classes(n):
+                members = cycle_class_by_group_maps(sigma)
+                verdicts = {is_unimodal(FullCycle(word)) for word in members}
+                assert verdicts == {is_unimodal(sigma)}, sigma
 
 
 # each value type built from one spelling of its sequences, lists or tuples

@@ -3,7 +3,12 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from oracles import pruefer_to_parent_dfs, reaches_root_by_walk, trees_by_parent_sweep
+from oracles import (
+    inversion_enumerator_by_trees,
+    pruefer_to_parent_dfs,
+    reaches_root_by_walk,
+    trees_by_parent_sweep,
+)
 
 from parkfact.cli import main
 from parkfact.polynomials import BivariatePoly, tree_recursion_I
@@ -157,6 +162,15 @@ class TestEnumerators:
         series = tree_recursion_I(6)
         for n in range(7):
             assert inversion_enumerator(n) == series[n]
+
+    def test_block_sum_matches_the_per_tree_sum(self):
+        # both halves of the block sum: the leaf u1 hung at each s0, and
+        # the shared tree rerooted at each s0 when u1 = 0
+        for n in range(7):
+            assert inversion_enumerator(n) == inversion_enumerator_by_trees(n), n
+
+    def test_block_sum_at_seven_meets_the_recursion(self):
+        assert inversion_enumerator(7) == tree_recursion_I(7)[7]
 
     def test_depth_pins(self):
         q = BivariatePoly.var_q()
