@@ -6,8 +6,9 @@ verification failure (counterexample on stdout) or a broken internal
 invariant (one "internal error:" line on stderr).  A stdout closed early,
 as by "| head", still ends the command with exit 1 and no traceback.
 enumerate writes its lines in fixed-size chunks, so its memory stays flat
-however long the listing.  Exhaustive subcommands refuse n beyond a safety
-limit (default 8, override with PARKFACT_MAX_N); commands that read one
+however long the listing.  Subcommands that compute from n refuse it
+beyond a safety limit (8, 6 for explore, 24 for the recursions poly --name
+I|D|C; PARKFACT_MAX_N overrides them all); commands that read one
 object refuse n above 10^5, where n is also a sequence's length, a tree's
 largest vertex or a visit word's largest entry; render --format ascii
 refuses n above 2,000.  verify runs more than one suite on one spawned
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from itertools import islice
@@ -64,18 +64,14 @@ def _int_option(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
-def _safety_limit(default: int = 8) -> int:
+def _guard_n(n: int, default: int = 8) -> int:
+    """n, if it is within the safety limit: PARKFACT_MAX_N if that is
+    set, else the caller's default."""
     raw = os.environ.get("PARKFACT_MAX_N")
-    if raw is None:
-        return default
     try:
-        return _int_token(raw)
+        cap = default if raw is None else _int_token(raw)
     except ValueError:
         raise CliError(f"PARKFACT_MAX_N must be an integer, got {raw!r}")
-
-
-def _guard_n(n: int, limit: float | None = None) -> int:
-    cap = _safety_limit() if limit is None else limit
     if n < 0:
         raise CliError("n must be nonnegative")
     if n > cap:
@@ -338,24 +334,24 @@ def _cmd_map(args) -> int:
 # ------------------------------------------------------------------- poly
 
 
-# each --name: (the options it reads besides --n and --format, its cap on
-# n, its enumerator of n); the key order is the order --help lists.  I, D
-# and C are recursions with no object enumeration, so no safety limit
-# ('verify' ties them to the brute-force sums); the others obey it (None).
+# each --name: (the options it reads besides --n and --format, its default
+# safety limit, its enumerator of n); the key order is the order --help
+# lists.  I, D and C are recursions with no object enumeration ('verify'
+# ties them to the brute-force sums), so their limit is higher.
 _POLYS = {
-    "I": ((), math.inf, lambda n, args: _poly._tree_recursion_last(n)),
-    "F": (("sigma",), None, lambda n, args: _fact.factorization_enumerator(_sigma_for(args, n))),
-    "B": ((), None, lambda n, args: _park.parking_enumerators(n).pinv_copinv),
-    "D": ((), math.inf, lambda n, args: _poly._tree_recursion_last(n).diagonal()),
-    "C": ((), math.inf, lambda n, args: _poly.catalan_qt(n)),
-    "Fhat": ((), None, lambda n, args: _fact.restricted_enumerator(n, "simple")),
-    "Finc": ((), None, lambda n, args: _fact.restricted_enumerator(n, "increasing")),
-    "Fdec": ((), None, lambda n, args: _fact.restricted_enumerator(n, "decreasing")),
-    "Fmax": ((), None, lambda n, args: _fact.restricted_enumerator(n, "max_diff")),
-    "Fperm": ((), None, lambda n, args: _fact.restricted_enumerator(n, "perm_lower")),
-    "area": ((), None, lambda n, args: _park.parking_enumerators(n).area),
-    "bounce": ((), None, lambda n, args: _park.parking_enumerators(n).bounce),
-    "jump": ((), None, lambda n, args: _park.parking_enumerators(n).jump_cojump),
+    "I": ((), 24, lambda n, args: _poly._tree_recursion_last(n)),
+    "F": (("sigma",), 8, lambda n, args: _fact.factorization_enumerator(_sigma_for(args, n))),
+    "B": ((), 8, lambda n, args: _park.parking_enumerators(n).pinv_copinv),
+    "D": ((), 24, lambda n, args: _poly._tree_recursion_last(n).diagonal()),
+    "C": ((), 24, lambda n, args: _poly.catalan_qt(n)),
+    "Fhat": ((), 8, lambda n, args: _fact.restricted_enumerator(n, "simple")),
+    "Finc": ((), 8, lambda n, args: _fact.restricted_enumerator(n, "increasing")),
+    "Fdec": ((), 8, lambda n, args: _fact.restricted_enumerator(n, "decreasing")),
+    "Fmax": ((), 8, lambda n, args: _fact.restricted_enumerator(n, "max_diff")),
+    "Fperm": ((), 8, lambda n, args: _fact.restricted_enumerator(n, "perm_lower")),
+    "area": ((), 8, lambda n, args: _park.parking_enumerators(n).area),
+    "bounce": ((), 8, lambda n, args: _park.parking_enumerators(n).bounce),
+    "jump": ((), 8, lambda n, args: _park.parking_enumerators(n).jump_cojump),
 }
 
 
@@ -467,8 +463,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    limit = _safety_limit(default=6)
-    n = _guard_n(args.n, limit=limit)
+    n = _guard_n(args.n, 6)
     if n < 1:
         raise CliError("explore needs n >= 1")
     reference = _poly._tree_recursion_last(n)

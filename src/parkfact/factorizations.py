@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .permutations import FullCycle, Permutation, _cycle_groups, swap_product
+from .permutations import FullCycle, Permutation, _cycle_groups, _reflected_word, swap_product
 from .polynomials import BivariatePoly
 
 
@@ -84,10 +84,7 @@ def reflect_conjugate(value):
     F_(gamma sigma gamma).
     """
     if isinstance(value, FullCycle):
-        m = value.n
-        flipped = tuple(m - v for v in value.word)
-        zero_at = flipped.index(0)
-        return FullCycle(flipped[zero_at:] + flipped[:zero_at])
+        return FullCycle(_reflected_word(value.word))
     if isinstance(value, Factorization):
         m = value.n
         return Factorization(tuple((m - b, m - a) for a, b in value.factors), m)
@@ -95,15 +92,14 @@ def reflect_conjugate(value):
 
 
 def reflect_reverse(factorization):
-    """Conjugate every factor by i -> n - i, then reverse factor order.
+    """reflect_conjugate's factors in reverse order.
 
     This is the involution on F_n that exchanges the lower and upper
     sequences up to complement-reverse.
     """
     if not isinstance(factorization, Factorization):
         raise TypeError("reflect_reverse expects a factorization")
-    m = factorization.n
-    return Factorization(tuple((m - b, m - a) for a, b in reversed(factorization.factors)), m)
+    return Factorization(reflect_conjugate(factorization).factors[::-1], factorization.n)
 
 
 # ------------------------------------------------------------ enumeration

@@ -266,7 +266,7 @@ def theta_inverse(tree: LabelledTree) -> ParkingFunction:
     for i in range(n + 1):
         if i >= len(w):
             raise AssertionError(f"label word stalled at position {i} for {tree}")
-        batch = sorted(children[w[i]], reverse=True)
+        batch = children[w[i]][::-1]
         for label in batch:
             entries[label - 1] = i
         w.extend(batch)

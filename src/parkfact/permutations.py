@@ -184,15 +184,21 @@ def full_cycle_classes(n: int) -> Iterator[tuple[FullCycle, int]]:
     and sigma -> gamma sigma gamma (gamma: i -> n - i), with the class
     size, in full_cycles order: each class is given by its first member
     met, its least word.  On words, the inverse reads the word after 0
-    backwards, and the reflection takes each v to n - v and rotates 0 to
-    the front."""
+    backwards, and the reflection is _reflected_word."""
     for rest in _itertools_permutations(range(1, n + 1)):
-        flipped = (n, *(n - v for v in rest))
-        cut = flipped.index(0)
-        reflected = flipped[cut:] + flipped[:cut]
+        reflected = _reflected_word((0, *rest))
         members = {rest, rest[::-1], reflected[1:], reflected[:0:-1]}
         if rest == min(members):
             yield FullCycle((0, *rest)), len(members)
+
+
+def _reflected_word(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The visit word of gamma sigma gamma (gamma: i -> n - i) from sigma's:
+    each v becomes n - v, and 0 is rotated to the front."""
+    n = len(word) - 1
+    flipped = tuple(n - v for v in word)
+    cut = flipped.index(0)
+    return flipped[cut:] + flipped[:cut]
 
 
 def swap_product(pairs, n: int) -> list[int]:

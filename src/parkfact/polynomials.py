@@ -31,12 +31,22 @@ class BivariatePoly:
             if eq < 0 or et < 0:
                 raise ValueError(f"negative exponent pair ({eq}, {et})")
             key = (int(eq), int(et))
-            c = acc.get(key, 0) + int(coeff)
-            if c:
-                acc[key] = c
-            else:
-                acc.pop(key, None)
-        self._terms = acc
+            acc[key] = acc.get(key, 0) + int(coeff)
+        self._terms = self._nonzero(acc.items())
+
+    @staticmethod
+    def _nonzero(items: Iterable[tuple[ExponentPair, int]]) -> dict[ExponentPair, int]:
+        """The term mapping of items without its zero coefficients: the one
+        rule that keeps every stored coefficient nonzero."""
+        return {key: c for key, c in items if c}
+
+    @classmethod
+    def _trusted(cls, items: Iterable[tuple[ExponentPair, int]]) -> "BivariatePoly":
+        """The polynomial of items whose keys are distinct pairs of
+        nonnegative ints already, so only the zero terms are dropped."""
+        out = cls.__new__(cls)
+        out._terms = cls._nonzero(items)
+        return out
 
     # ------------------------------------------------------------- basics
 
@@ -105,21 +115,13 @@ class BivariatePoly:
             return NotImplemented
         acc = dict(self._terms)
         for key, c in o._terms.items():
-            s = acc.get(key, 0) + c
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-        out = BivariatePoly.__new__(BivariatePoly)
-        out._terms = acc
-        return out
+            acc[key] = acc.get(key, 0) + c
+        return self._trusted(acc.items())
 
     __radd__ = __add__
 
     def __neg__(self) -> "BivariatePoly":
-        out = BivariatePoly.__new__(BivariatePoly)
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
+        return self._trusted((k, -c) for k, c in self._terms.items())
 
     def __sub__(self, other) -> "BivariatePoly":
         o = self._coerce(other)
@@ -141,14 +143,8 @@ class BivariatePoly:
         for (aq, at), ac in self._terms.items():
             for (bq, bt), bc in o._terms.items():
                 key = (aq + bq, at + bt)
-                s = acc.get(key, 0) + ac * bc
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        out = BivariatePoly.__new__(BivariatePoly)
-        out._terms = acc
-        return out
+                acc[key] = acc.get(key, 0) + ac * bc
+        return self._trusted(acc.items())
 
     __rmul__ = __mul__
 
@@ -360,8 +356,7 @@ def _unpack_rows(rows: list[int], width: int) -> BivariatePoly:
     for eq, row in enumerate(rows):
         et = 0
         while row:
-            if row & mask:
-                terms.append(((eq, et), row & mask))
+            terms.append(((eq, et), row & mask))
             row >>= width
             et += 1
-    return BivariatePoly(terms)
+    return BivariatePoly._trusted(terms)

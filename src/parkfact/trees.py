@@ -7,9 +7,9 @@ time, so any index range can be listed on its own.  The full stream
 decodes the n + 1 codes that differ only in their first digit together,
 with two runs of the one decode loop, in _blocks.  The CLI's JSON
 listing reads the raw parent tuples the blocks expand to, the text
-listing formats each block whole, the inversion enumerator takes each
-block's statistics from one pass over its shared tree (hanging a leaf
-or rerooting), and enumerate_trees validates every tree it yields.
+listing formats each block whole, the inversion enumerator walks each
+s0's chain in the shared tree once, adding a per-vertex step for either
+block kind, and enumerate_trees validates every tree it yields.
 is_forest is the one forest test: LabelledTree and the arch diagram
 validity test both use it.
 """
@@ -257,11 +257,12 @@ def depth(tree: LabelledTree) -> int:
 @functools.cache
 def inversion_enumerator(n: int) -> BivariatePoly:
     """I_n(q,t) = sum over trees of q^inv t^coinv, by brute force, one
-    block of _blocks at a time: `first` goes through _tree_stats, and the
-    n trees that share `shared` come from one pass over it, by
-    _hung_keys if u1 != 0 and _rerooted_keys if u1 = 0.  A tree counts at
-    key inv * width + coinv, and every key is exact, as inv and coinv are
-    at most the path's depth binom(n+1, 2) < width."""
+    block of _blocks at a time: `first` goes through _tree_stats, and each
+    of the n trees that share `shared` walks s0's chain up to a root once,
+    adding to a base key one step per vertex, as _hung_walk (u1 != 0) or
+    _rerooted_walk (u1 = 0) sets them.  A tree counts at key inv * width
+    + coinv, and every key is exact, as inv and coinv are at most the
+    path's depth binom(n+1, 2) < width."""
     if n < 2:
         return BivariatePoly(Counter(_tree_stats(p)[:2] for p in _parent_tuples(n)))
     width = n * (n + 1) // 2 + 1
@@ -269,35 +270,33 @@ def inversion_enumerator(n: int) -> BivariatePoly:
     for first, shared, u1 in _blocks(n):
         i, c, _ = _tree_stats(first)
         counts[i * width + c] += 1
-        for key in _hung_keys(shared, u1, width) if u1 else _rerooted_keys(shared, width):
-            counts[key] += 1
+        root, base, step = _hung_walk(shared, u1, width) if u1 else _rerooted_walk(shared, width)
+        for s0 in range(n + 1):
+            if s0 != u1:
+                key, v = base, s0
+                while v != root:
+                    key += step[v]
+                    v = shared[v]
+                counts[key] += 1
     return BivariatePoly({divmod(key, width): x for key, x in enumerate(counts) if x})
 
 
-def _hung_keys(shared: list[int], u1: int, width: int) -> list[int]:
-    """Keys of the trees `shared` with the leaf u1 hung at each s0 != u1.
-    `shared` holds u1 at the root 0, which gives the base; hung at s0, u1
-    also lies below each vertex of s0's chain to 0, an inversion when that
-    vertex is above u1 and a coinversion otherwise."""
+def _hung_walk(shared: list[int], u1: int, width: int) -> tuple[int, int, list[int]]:
+    """(root, base, step) for the trees `shared` with the leaf u1 hung at
+    each s0 != u1.  `shared` holds u1 at the root 0, which gives the base;
+    hung at s0, u1 also lies below each vertex of s0's chain to 0, an
+    inversion when that vertex is above u1 and a coinversion otherwise."""
     i, c, _ = _tree_stats(shared)
-    keys = []
-    for s0 in range(len(shared)):
-        if s0 != u1:
-            key, v = i * width + c, s0
-            while v:
-                key += width if v > u1 else 1
-                v = shared[v]
-            keys.append(key)
-    return keys
+    return 0, i * width + c, [width if v > u1 else 1 for v in range(len(shared))]
 
 
-def _rerooted_keys(shared: list[int], width: int) -> list[int]:
-    """Keys of the trees for s0 = 1..n of a block with u1 = 0: `shared` is
-    a tree T' on 1..n rooted at n, and s0's tree is T' rerooted at s0 and
-    hung under 0, whose pairs with 0 add n coinversions.  One pass at the
-    root n, then one step per edge: moving the root from r to its child c
-    loses the pairs (r, v) for v below c and gains (c, v) for v outside
-    c's subtree."""
+def _rerooted_walk(shared: list[int], width: int) -> tuple[int, int, list[int]]:
+    """(root, base, step) for the trees for s0 = 1..n of a block with u1 =
+    0: `shared` is a tree T' on 1..n rooted at n, and s0's tree is T'
+    rerooted at s0 and hung under 0, whose pairs with 0 add n coinversions.
+    One pass at the root n gives the base, then one step per edge: moving
+    the root from r to its child c loses the pairs (r, v) for v below c
+    and gains (c, v) for v outside c's subtree."""
     n = len(shared) - 1
     below = [0] * n  # below[c]: the bit set of c's subtree, c itself included
     for v in range(1, n):
@@ -318,14 +317,7 @@ def _rerooted_keys(shared: list[int], width: int) -> list[int]:
         lost_inv, gained_inv = under_r, c - 1 - under_c
         lost_coinv, gained_coinv = size - under_r, n - c - (size - 1 - under_c)
         step[c] = (gained_inv - lost_inv) * width + gained_coinv - lost_coinv
-    keys = []
-    for s0 in range(1, n + 1):
-        key, v = inv * width + coinv + n, s0
-        while v != n:
-            key += step[v]
-            v = shared[v]
-        keys.append(key)
-    return keys
+    return n, inv * width + coinv + n, step
 
 
 @functools.cache

@@ -351,7 +351,6 @@ def check_simple_decomposition(n: int) -> str | None:
     # under the canonical cycle a position is its vertex: part arcs are factors
     sigma = FullCycle.canonical(n)
     pos = sigma.positions()
-    below = list(FullCycle.canonical(n - 1).to_permutation().images)
     part_areas_of = {}  # (part arcs, m) of each smaller part that passed -> its areas
     for pairs in _fact.iter_factor_pairs(sigma):
         if not all(0 <= a < b <= n for a, b in pairs):
@@ -395,7 +394,7 @@ def check_simple_decomposition(n: int) -> str | None:
             return f"f={_word(pairs, n)} has {len(hits)} copies of (0 {n})"
         k = hits[0]
         g = _fact._rotate_down(pairs, k)
-        if swap_product(g, n - 1) != below:
+        if swap_product(g, n - 1) != [*range(1, n), 0]:
             return f"phi_k leaves F_{n - 1} for f={_word(pairs, n)}, k={k}"
         g_l, g_u = _fact._areas(g, n - 1)
         if a_l != g_l + k - 1:

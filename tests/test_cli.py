@@ -33,7 +33,7 @@ from parkfact.parking import (
     to_path,
 )
 from parkfact.permutations import FullCycle
-from parkfact.polynomials import tree_recursion_I
+from parkfact.polynomials import catalan_number, tree_recursion_I
 from parkfact.render import render_path_ascii
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,7 +93,7 @@ class TestPoly:
         assert code == 1
         assert "safety limit" in err
 
-    def test_recursion_names_have_no_safety_limit(self, capsys, monkeypatch):
+    def test_recursion_names_have_a_higher_safety_limit(self, capsys, monkeypatch):
         monkeypatch.delenv("PARKFACT_MAX_N", raising=False)
         code, out, _ = run(capsys, "poly", "--name", "I", "--n", "9")
         assert code == 0
@@ -107,6 +107,14 @@ class TestPoly:
         code, _, err = run(capsys, "poly", "--name", "I", "--n", "-1")
         assert code == 1
         assert "nonnegative" in err
+        for name in ("I", "D", "C"):
+            assert run(capsys, "poly", "--name", name, "--n", "25") == (
+                1, "", "error: n = 25 exceeds the safety limit 24; "
+                "set PARKFACT_MAX_N to override\n")
+        monkeypatch.setenv("PARKFACT_MAX_N", "25")
+        code, out, _ = run(capsys, "poly", "--name", "C", "--n", "25", "--format", "json")
+        assert code == 0
+        assert sum(int(r["c"]) for r in json.loads(out)) == catalan_number(25)
 
     def test_limit_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PARKFACT_MAX_N", "2")

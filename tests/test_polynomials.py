@@ -77,6 +77,14 @@ class TestArithmetic:
         assert a + BivariatePoly.zero() == a
         assert a * BivariatePoly.one() == a
 
+    @given(polys, polys, st.integers(-3, 3))
+    def test_no_result_stores_a_zero_coefficient(self, a, b, k):
+        for p in (a, a + b, a - b, a * b, -a, k - a, a * k, (a + k) - a):
+            assert all(c for _, c in p.terms())
+            if {e for e, _ in p.terms()} <= {(0, 0)}:  # a constant hashes like its int
+                assert p == p.coefficient(0, 0)
+                assert hash(p) == hash(p.coefficient(0, 0))
+
     @given(polys, st.integers(-3, 3), st.integers(-3, 3))
     def test_eval_is_a_ring_morphism(self, a, qv, tv):
         assert (a * a + a).eval(qv, tv) == a.eval(qv, tv) ** 2 + a.eval(qv, tv)
