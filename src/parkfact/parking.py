@@ -24,6 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations_with_replacement
+from itertools import product as _cartesian
 from typing import Iterator, NamedTuple, Union
 
 from .permutations import _parse_groups
@@ -331,6 +332,8 @@ def _parking_tuples(n: int) -> Iterator[tuple[int, ...]]:
     slack[i] = #{entries < i} + r - i is >= 0.  Placing a lowers slack[1..a],
     so a position may rise to a only while slack[a] > 0 (slack[n] stays 0).
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     entries = [0] * n
     slack = [n - i for i in range(n + 1)]
     while True:
@@ -376,20 +379,30 @@ def parking_enumerators(n: int) -> ParkingEnumerators:
     (429 at n = 7), through the one contacts helper.  Only pinv depends on
     where the labels go: theta's tree has the same shape for every parking
     function of a content, the positions of height h hanging under position
-    h of the label word, so one walk over the label placements per content
-    (_pinv_histogram) gives its pinv histogram.  _jump_walk gives jump and
-    cojump.
+    h of the label word, so one pass over the label placements per content
+    (_pinv_histogram) gives its pinv histogram, packed in slots of one
+    width: a content has at most n! parking functions, so no slot of
+    factorial(n).bit_length() + 1 bits carries, and the slots are read off
+    here.  _jump_walk gives jump and cojump.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     counts: Counter[tuple[int, int, int]] = Counter()
     top = math.comb(n, 2)
+    width = math.factorial(n).bit_length() + 1
+    mask = (1 << width) - 1
     for content in combinations_with_replacement(range(n), n):
         if not _counting_test(content, n):
             continue
         sizes = [content.count(h) for h in range(n + 1)]
         _, b = _contacts(list(accumulate(sizes)))
         a = top - sum(content)
-        for below, c in _pinv_histogram(sizes).items():
-            counts[a, b, below] += c
+        packed, below = _pinv_histogram(sizes, width), 0
+        while packed:
+            if c := packed & mask:
+                counts[a, b, below] += c
+            packed >>= width
+            below += 1
     rows = counts.items()
     return ParkingEnumerators(
         BivariatePoly(((a, 0), c) for (a, _, _), c in rows),
@@ -399,39 +412,49 @@ def parking_enumerators(n: int) -> ParkingEnumerators:
     )
 
 
-def _pinv_histogram(sizes: list[int]) -> dict[int, int]:
-    """{k: the parking functions of one content with pinv k}, where sizes[h]
-    counts the entries equal to h.
+def _pinv_histogram(sizes: list[int], width: int) -> int:
+    """The pinv histogram of the parking functions of one content, packed:
+    slot k, bits [k * width, (k + 1) * width), counts those with pinv k,
+    where sizes[h] counts the entries equal to h.
 
     Height h's labels fill positions start[h] .. start[h] + sizes[h] - 1 of
     the label word, in decreasing order, and hang under position h.  The
-    walk places the labels from n down to 1, so each height fills its
-    positions left to right and every label placed so far is larger than
-    the one being placed; pinv counts, for each label, the larger labels
-    above it, so placing the next label at height h adds the filled
-    positions on the root chain of its parent, position h.  A state is the
-    tuple filled, filled[h] counting the labels height h holds; the memo
-    lives for one call (21,318 states over the 429 contents at n = 7).
+    labels are placed from n down to 1, so each height fills its positions
+    left to right and every label placed so far is larger than the one
+    being placed; pinv counts, for each label, the larger labels above it,
+    so placing the next label at height h adds the filled positions on the
+    root chain of its parent, position h.  A state counts the labels each
+    height holds, and one flat table, indexed by those counts as a
+    mixed-radix number, holds the packed histogram of the ways to reach
+    each state; placing a label only raises a digit, so one pass in index
+    order pushes every state's histogram, shifted by the placement's pinv,
+    to the states it leads to, and the full state holds the answer.  A
+    slot counts placements of one content, at most n!, so width must hold
+    n! for no slot to carry into the next.
     """
     start = list(accumulate(sizes, initial=1))
     height = [0] + [h for h, size in enumerate(sizes) for _ in range(size)]
-
-    @functools.cache
-    def walk(filled: tuple[int, ...]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for h, size in enumerate(sizes):
-            if filled[h] == size:
-                continue
-            share, u = 0, h
+    radix = [size + 1 for size in sizes]
+    moves = []
+    for h, size in enumerate(sizes):
+        if size:
+            chain, u = [], h  # (g, offset): position u is filled once filled[g] > offset
             while u:
                 g = height[u]
-                share += u - start[g] < filled[g]
+                chain.append((g, u - start[g]))
                 u = g
-            for k, c in walk(filled[:h] + (filled[h] + 1,) + filled[h + 1:]).items():
-                out[k + share] = out.get(k + share, 0) + c
-        return out or {0: 1}
-
-    return walk((0,) * len(sizes))
+            moves.append((h, size, math.prod(radix[h + 1:]), chain))
+    table = [0] * math.prod(radix)
+    table[0] = 1
+    for state, filled in enumerate(_cartesian(*map(range, radix))):
+        packed = table[state]
+        for h, size, stride, chain in moves:
+            if filled[h] < size:
+                share = 0
+                for g, offset in chain:
+                    share += filled[g] > offset
+                table[state + stride] += packed << share * width
+    return table[-1]
 
 
 def _jump_walk(n: int) -> BivariatePoly:

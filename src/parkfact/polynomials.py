@@ -291,7 +291,8 @@ def tree_recursion_I(n_max: int) -> list[BivariatePoly]:
     I_(n+1) = sum over i of binom(n,i) * t * qt_bracket(i+1) * I_i * I_(n-i),
     with I_0 = 1.  The terms for i and n-i share binom(n,i) * I_i * I_(n-i),
     so each pair costs one large product, and the two bracket factors are
-    applied to it last, by shifts.  No object enumeration happens here; the
+    applied to it last, each in one pass of a sliding window of shifted
+    rows (_bracket_add).  No object enumeration happens here; the
     trees module recomputes the same polynomials by brute force as a
     cross-check.
 
@@ -328,15 +329,31 @@ def _packed_recursion(n_max: int) -> tuple[list[list[int]], int]:
             product = _mul_rows([math.comb(n, i) * r for r in series[i]], series[n - i])
             # times t * qt_bracket(k) for the terms i and n - i, one k if they meet
             for k in {i + 1, n - i + 1}:
-                for j in range(k):
-                    _shift_add(total, product, j, width * (k - j))
+                _bracket_add(total, product, k, width)
         series.append(total)
     return series, width
 
 
+def _bracket_add(total: list[int], rows: list[int], k: int, width: int) -> None:
+    """Add rows times t * qt_bracket(k) to total in place: the k calls
+    _shift_add(total, rows, j, width * (k - j)), j < k, in one pass.  Row f
+    gets the window W_f = sum over j < k of rows[f - j] << width * (k - j);
+    W_(f+1) drops rows[f - k + 1] << width, shifts the rest down one slot,
+    exactly, as each is shifted by at least 2 * width, and adds
+    rows[f + 1] << width * k: three big-int steps a row, not k."""
+    total.extend([0] * (len(rows) + k - 1 - len(total)))
+    padded = [0] * k + rows + [0] * (k - 1)
+    top = width * k
+    window = 0
+    for f, (out, into) in enumerate(zip(padded, padded[k:])):
+        window = ((window - (out << width)) >> width) + (into << top)
+        total[f] += window
+
+
 def _shift_add(total: list[int], rows: list[int], dq: int, bits: int) -> None:
     """Add rows times q^dq to total in place, each row shifted left by bits:
-    row e goes to row e + dq, and a shift by j slot widths multiplies by t^j."""
+    row e goes to row e + dq, and a shift by j slot widths multiplies by t^j.
+    catalan_qt's one step, and the oracle of _bracket_add."""
     total.extend([0] * (len(rows) + dq - len(total)))
     for e, row in enumerate(rows, dq):
         total[e] += row << bits

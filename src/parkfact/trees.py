@@ -5,7 +5,7 @@ is omitted by serializers).  Enumeration is exhaustive: every index in
 [0, (n+1)^(n-1)) is unranked to a Pruefer sequence and decoded in linear
 time, so any index range can be listed on its own.  The full stream
 decodes the n + 1 codes that differ only in their first digit together,
-with two runs of the one decode loop, in _blocks.  The CLI's JSON
+with one run of the decode loop, in _blocks.  The CLI's JSON
 listing reads the raw parent tuples the blocks expand to, the text
 listing formats each block whole, the inversion enumerator walks each
 s0's chain in the shared tree once, adding a per-vertex step for either
@@ -103,7 +103,10 @@ def is_forest(edges, size: int) -> bool:
 
 
 def tree_count(n: int) -> int:
-    """(n+1)^(n-1), the size of the family."""
+    """(n+1)^(n-1), the size of the family: the one place that refuses a
+    negative n, for every counter and generator of the module."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return 1 if n == 0 else (n + 1) ** (n - 1)
 
 
@@ -165,9 +168,11 @@ def _blocks(n: int) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
     A block's codes share every digit but the first, s0.  With u1 < u2 the
     two smallest vertices missing from the rest, every s0 != u1 leaves the
     same decode state after step 0 (ptr = leaf = u2): one decode, `shared`,
-    serves them all but for parent[u1] = s0.  s0 = u1 decodes from
-    parent[u2] = u1, leaf = u1, to the rooted tuple `first`.  If u1 != 0
-    the leaf u1 is off the path from 0 to the root n, so `shared` comes
+    serves them all but for parent[u1] = s0.  s0 = u1 leaves parent[u2] =
+    u1 and the same degrees and ptr, only with the leaf u1 in place of u2;
+    the leaf steers no later choice, so that decode hangs u1 where `shared`
+    hangs u2, and `first` is `shared` so changed, rerooted at 0.  If u1 !=
+    0 the leaf u1 is off the path from 0 to the root n, so `shared` comes
     rerooted at 0; if u1 = 0 it keeps the root n.
     """
     m = n + 1
@@ -178,10 +183,11 @@ def _blocks(n: int) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
             degree[x] += 1
         u1 = degree.index(1)
         u2 = degree.index(1, u1 + 1)
-        hung = [0] * m
-        hung[u2] = u1
-        first = tuple(_reroot(_decode(rest, degree[:], hung, u2, u1)))
         shared = _decode(rest, degree, [0] * m, u2, u2)
+        hung = shared[:]
+        hung[u1] = shared[u2]
+        hung[u2] = u1
+        first = tuple(_reroot(hung))
         if u1:
             _reroot(shared)
         yield first, shared, u1
@@ -191,7 +197,8 @@ def _parent_tuples(n: int) -> Iterator[tuple[int, ...]]:
     """Decoded parent tuples of every tree on [n], in unrank_tree order,
     one block of _blocks at a time."""
     if n < 2:
-        yield _pruefer_to_parent((), n + 1)
+        for _ in range(tree_count(n)):  # the one tree, or a refused n
+            yield _pruefer_to_parent((), n + 1)
         return
     for first, shared, u1 in _blocks(n):
         for s0 in range(n + 1):

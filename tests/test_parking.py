@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from itertools import accumulate, combinations_with_replacement, product
@@ -79,6 +80,14 @@ class TestMembership:
     def test_counts(self):
         for n in range(6):
             assert sum(1 for _ in enumerate_parking(n)) == tree_count(n)
+
+    def test_parking_stream_refuses_negative_n(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            list(enumerate_parking(-1))
+
+    def test_major_stream_refuses_negative_n(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            list(enumerate_majors(-1))
 
     def test_raw_stream_is_the_filtered_sweep(self):
         # the generator and is_parking against the sorted definition on
@@ -404,20 +413,25 @@ class TestParkProcess:
                 reach = list(accumulate(sizes))
                 groups = [(h, reach[h] - size + 1, size) for h, size in enumerate(sizes) if size]
                 expected = {k: c for k, c in enumerate(pinv_histogram_by_dfs(groups, n)) if c}
-                assert _pinv_histogram(sizes) == expected, content
+                # the slot width parking_enumerators uses: a slot holds n!
+                width = math.factorial(n).bit_length() + 1
+                packed = _pinv_histogram(sizes, width)
+                slots = [(packed >> k * width) & ((1 << width) - 1)
+                         for k in range(packed.bit_length() // width + 1)]
+                assert {k: c for k, c in enumerate(slots) if c} == expected, content
 
     def test_pinv_pass_matches_the_recursion_at_eight(self):
-        # 4.78M parking functions through one walk per content, about 0.6 s
+        # 4.78M parking functions through one table pass per content, about 0.2 s
         assert parking_enumerators(8).pinv_copinv == tree_recursion_I(8)[8]
 
     @pytest.mark.slow
     def test_pinv_pass_matches_the_recursion_at_nine(self):
-        # 100M parking functions over 4,862 contents, about 4 s
+        # 100M parking functions over 4,862 contents, about 1 s
         assert parking_enumerators(9).pinv_copinv == tree_recursion_I(9)[9]
 
     def test_pinv_pass_memory_stays_small(self):
-        # one memo per content, dropped when the content is done: about
-        # 0.7 MiB at n = 7
+        # one table per content, dropped when the content is done: about
+        # 0.17 MiB at n = 7
         tracemalloc.start()
         try:
             parking_enumerators.__wrapped__(7)
@@ -425,6 +439,10 @@ class TestParkProcess:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20, peak
+
+    def test_enumerators_refuse_negative_n(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            parking_enumerators(-1)
 
     def test_enumerators(self):
         enums = parking_enumerators(2)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,8 @@ from oracles import catalan_series_by_dict, tree_recursion_by_dict
 
 from parkfact.polynomials import (
     BivariatePoly,
+    _bracket_add,
+    _shift_add,
     _tree_recursion_last,
     catalan_number,
     catalan_qt,
@@ -243,6 +246,21 @@ class TestTreeRecursion:
         # the slot width depends on n_max, so every n_max is its own case
         for n_max in range(13):
             assert tree_recursion_I(n_max) == tree_recursion_by_dict(n_max)
+
+    def test_bracket_window_matches_the_shifted_copies(self):
+        # one pass of the window against the k shifted copies, onto a total
+        # both shorter and longer than the product
+        rng = random.Random(41)
+        width = 12
+        for k in range(1, 21):
+            for length in (1, 2, k, 3 * k):
+                rows = [rng.getrandbits(5 * width) for _ in range(length)]
+                total = [rng.getrandbits(7 * width) for _ in range(rng.randrange(2 * length + k))]
+                expected = total[:]
+                for j in range(k):
+                    _shift_add(expected, rows, j, width * (k - j))
+                _bracket_add(total, rows, k, width)
+                assert total == expected, (k, length)
 
     def test_last_alone_is_the_last_of_the_series(self):
         for n in range(21):

@@ -14,6 +14,7 @@ from parkfact.cli import main
 from parkfact.polynomials import BivariatePoly, tree_recursion_I
 from parkfact.trees import (
     LabelledTree,
+    _blocks,
     _pruefer_to_parent,
     _tree_lines,
     depth_enumerator,
@@ -120,6 +121,26 @@ class TestEnumeration:
             unrank_tree(3, 16)
         assert unrank_tree(3, 0).n == 3
 
+    def test_block_first_is_the_decode_of_its_own_code(self):
+        # `first` is read off the one decode of `shared`; the independent
+        # decode of the code (u1, *rest) is the oracle
+        for n in range(2, 7):
+            codes = product(range(n + 1), repeat=n - 2)
+            for (first, _, u1), digits in zip(_blocks(n), codes, strict=True):
+                assert first == _pruefer_to_parent((u1, *digits[::-1]), n + 1)
+
+    def test_count_refuses_negative_n(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            tree_count(-1)
+
+    def test_unrank_refuses_negative_n(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            unrank_tree(-1, 0)
+
+    def test_stream_refuses_negative_n(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            list(enumerate_trees(-1))
+
 
 class TestStatistics:
     def test_increasing_path(self):
@@ -171,6 +192,14 @@ class TestEnumerators:
 
     def test_block_sum_at_seven_meets_the_recursion(self):
         assert inversion_enumerator(7) == tree_recursion_I(7)[7]
+
+    def test_inversion_enumerator_refuses_negative_n(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            inversion_enumerator(-1)
+
+    def test_depth_enumerator_refuses_negative_n(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            depth_enumerator(-2)
 
     def test_depth_pins(self):
         q = BivariatePoly.var_q()
